@@ -1,6 +1,6 @@
 // Real-time (wall-clock) microbenchmarks of the primitives on the StorM
-// data path, via google-benchmark: ciphers, digests, PDU and packet
-// codecs, NAT translation and flow-table matching. These measure this
+// data path, via google-benchmark: ciphers, digests, the PDU codec, NAT
+// translation and flow-table matching. These measure this
 // host's actual throughput — the simulation's cost model constants
 // (ns/byte, per-PDU) can be sanity-checked against them.
 //
@@ -100,23 +100,6 @@ void BM_PduSerializeParse(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_PduSerializeParse)->Arg(4096)->Arg(65536);
-
-void BM_PacketCodec(benchmark::State& state) {
-  net::Packet pkt;
-  pkt.ip.src = net::Ipv4Addr::from_string("10.1.0.1");
-  pkt.ip.dst = net::Ipv4Addr::from_string("10.1.1.1");
-  pkt.tcp.src_port = 40000;
-  pkt.tcp.dst_port = 3260;
-  pkt.payload = make_data(1460);
-  for (auto _ : state) {
-    Bytes wire = net::serialize(pkt);
-    net::Packet back = net::parse_packet(wire);
-    benchmark::DoNotOptimize(back.payload.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1460);
-}
-BENCHMARK(BM_PacketCodec);
 
 void BM_NatTranslateConntrack(benchmark::State& state) {
   net::NatEngine nat;

@@ -1,7 +1,7 @@
 // Partition-aware placement scaling: the paper testbed as a *parallel*
 // simulation. Eight tenants run fio through their own active-relay
 // (stream-cipher) chains on a cloud of 8 compute hosts + 2 storage
-// hosts; the host-per-partition placement policy (cloud::PlacementPolicy)
+// hosts; the cloud's host-per-partition mapping (Cloud::host_partition)
 // pins every host's components to its own partition, so the scenario is
 // 11 partitions (control + 8 compute + 2 storage) of genuinely
 // concurrent simulated work.

@@ -134,35 +134,19 @@ Cloud::Cloud(sim::Simulator& simulator, CloudConfig config)
 
 // ------------------------------------------------------------- placement
 
-// Deterministic host → partition mapping (PlacementPolicy doc in the
-// header): a pure function of (policy, partition count, host counts), so
-// two runs of the same topology always place identically.
+// Deterministic host → partition mapping (documented in the header): a
+// pure function of (partition count, host counts), so two runs of the
+// same topology always place identically.
 
 std::uint32_t Cloud::host_partition(unsigned index) const {
   const std::uint32_t parts = sim_.partition_count();
-  if (parts <= 1 || config_.placement == PlacementPolicy::kPartition0) {
-    return 0;
-  }
+  if (parts <= 1) return 0;
   const std::uint32_t data = parts - 1;
   return 1 + (index % data);
 }
 
 std::uint32_t Cloud::storage_partition(unsigned index) const {
-  const std::uint32_t parts = sim_.partition_count();
-  if (parts <= 1 || config_.placement == PlacementPolicy::kPartition0) {
-    return 0;
-  }
-  const std::uint32_t data = parts - 1;
-  return 1 + ((config_.compute_hosts + index) % data);
-}
-
-std::uint32_t Cloud::gateway_partition(unsigned ordinal) const {
-  const std::uint32_t parts = sim_.partition_count();
-  if (parts <= 1 || config_.placement == PlacementPolicy::kPartition0) {
-    return 0;
-  }
-  const std::uint32_t data = parts - 1;
-  return 1 + (ordinal % data);
+  return host_partition(config_.compute_hosts + index);
 }
 
 std::vector<net::FlowSwitch*> Cloud::flow_switches() {
@@ -404,10 +388,11 @@ std::optional<Attachment> Cloud::find_attachment(
 
 net::NetNode& Cloud::create_gateway(const std::string& name) {
   // Gateways carry every spliced flow twice; spreading them round-robin
-  // over the data partitions keeps the fabric partition from becoming
-  // the serial bottleneck of a parallel run.
+  // over the data partitions by creation ordinal (the hosts' arithmetic)
+  // keeps the fabric partition from becoming the serial bottleneck of a
+  // parallel run.
   sim::Executor exec =
-      sim_.executor(gateway_partition(static_cast<unsigned>(gateways_.size())));
+      sim_.executor(host_partition(static_cast<unsigned>(gateways_.size())));
   GatewayNode gateway;
   gateway.node = std::make_unique<net::NetNode>(exec, name, arp_);
   gateway.storage_link = std::make_unique<net::Link>(

@@ -33,31 +33,9 @@
 
 namespace storm::cloud {
 
-/// How the Cloud maps simulated hosts onto simulator partitions.
-enum class PlacementPolicy {
-  /// Everything on partition 0, the historical layout. Forced whenever
-  /// the simulator has a single partition.
-  kPartition0,
-  /// One partition per physical host group: partition 0 keeps the shared
-  /// fabric (storage switch, instance backbone) and the control plane,
-  /// data partitions 1..P-1 carry the hosts. Compute host i goes to
-  /// 1 + (i mod (P-1)), storage host j to
-  /// 1 + ((compute_hosts + j) mod (P-1)), and gateways round-robin over
-  /// the data partitions in creation order — a pure function of the
-  /// topology, so placement is deterministic and stable across runs.
-  /// Everything a host owns (VMs, virtio links, OVS, NAT, initiators,
-  /// CPUs, disks) lands on the host's partition; inter-host links span
-  /// partitions and feed the auto-lookahead derivation.
-  kHostPerPartition,
-};
-
 struct CloudConfig {
   unsigned compute_hosts = 4;
   unsigned storage_hosts = 1;
-  /// Host → partition mapping policy. The default exploits whatever
-  /// partitions the simulator was built with; with a single-partition
-  /// simulator it degenerates to the historical partition-0 layout.
-  PlacementPolicy placement = PlacementPolicy::kHostPerPartition;
   std::uint64_t link_bps = 1'000'000'000ull;  // 1 GbE, as in the testbed
   // Instance-network links (OVS uplinks, backbone, gateway instance side)
   // are bonded dual-1GbE — a middle-box's host NIC carries every spliced
@@ -223,14 +201,19 @@ class Cloud {
   /// a partition-0 default.
   sim::Executor control_executor() { return sim_.executor(0); }
 
-  /// Partition assignment for compute host `index` under the configured
-  /// placement policy (0 when the simulator is single-partition).
+  /// Host → partition mapping, one partition per physical host group:
+  /// partition 0 keeps the shared fabric (storage switch, instance
+  /// backbone) and the control plane, data partitions 1..P-1 carry the
+  /// hosts. Compute host i goes to 1 + (i mod (P-1)), storage host j to
+  /// 1 + ((compute_hosts + j) mod (P-1)), and gateways round-robin the
+  /// same way by creation ordinal — a pure function of the topology, so
+  /// placement is deterministic and stable across runs.
+  /// Everything a host owns (VMs, virtio links, OVS, NAT, initiators,
+  /// CPUs, disks) lands on the host's partition; inter-host links span
+  /// partitions and feed the auto-lookahead derivation. Every mapping is
+  /// 0 on a single-partition simulator.
   std::uint32_t host_partition(unsigned index) const;
   std::uint32_t storage_partition(unsigned index) const;
-  /// Gateways spread round-robin over the data partitions by creation
-  /// ordinal — they carry every spliced flow, so leaving them all on the
-  /// fabric partition would serialize the datapath.
-  std::uint32_t gateway_partition(unsigned ordinal) const;
 
   sim::Executor host_executor(unsigned index) {
     return sim_.executor(host_partition(index));

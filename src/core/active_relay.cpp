@@ -67,19 +67,23 @@ void ActiveRelay::on_accept(net::TcpConnection& conn) {
     }
   }
 
+  Session* raw = &add_session(conn.remote().port);
+  scope_.counter("sessions_accepted").add();
+
+  bind_downstream(*raw, conn);
+  dial_upstream(*raw);
+}
+
+ActiveRelay::Session& ActiveRelay::add_session(std::uint16_t bind_port) {
   auto session = std::make_unique<Session>();
-  Session* raw = session.get();
-  session->bind_port = conn.remote().port;
-  session->ctx = std::make_unique<SessionContext>(*this, *raw);
+  session->bind_port = bind_port;
+  session->ctx = std::make_unique<SessionContext>(*this, *session);
   // Both directions multiplex into the relay's shared journal device,
   // each on its own stream.
   session->to_target.journal = journal::Stream(journal_dev_);
   session->to_initiator.journal = journal::Stream(journal_dev_);
   sessions_.push_back(std::move(session));
-  scope_.counter("sessions_accepted").add();
-
-  bind_downstream(*raw, conn);
-  dial_upstream(*raw);
+  return *sessions_.back();
 }
 
 void ActiveRelay::bind_downstream(Session& session,
@@ -516,15 +520,35 @@ void ActiveRelay::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
   vm_.node().tcp().stop_listening(iscsi::kIscsiPort);
-  for (auto& session : sessions_) {
-    session->failed = true;  // suppress cross-abort close handlers
-    net::TcpConnection* down = session->downstream;
-    net::TcpConnection* up = session->upstream;
-    session->downstream = nullptr;
-    session->upstream = nullptr;
-    if (down != nullptr) down->abort();
-    if (up != nullptr) up->abort();
-  }
+  for (auto& session : sessions_) abort_legs(*session);
+}
+
+void ActiveRelay::abort_legs(Session& session) {
+  session.failed = true;  // suppress cross-abort close handlers
+  net::TcpConnection* down = session.downstream;
+  net::TcpConnection* up = session.upstream;
+  session.downstream = nullptr;
+  session.upstream = nullptr;
+  if (down != nullptr) down->abort();
+  if (up != nullptr) up->abort();
+}
+
+RelayJournalSnapshot::SessionImage ActiveRelay::session_image(
+    const Session& session) {
+  RelayJournalSnapshot::SessionImage image;
+  image.bind_port = session.bind_port;
+  image.login_pdu = session.login_pdu;
+  image.to_target_wires = session.to_target.journal.unacknowledged();
+  return image;
+}
+
+bool ActiveRelay::session_idle(const Session& session) {
+  return session.to_target.queue.empty() &&
+         session.to_initiator.queue.empty() &&
+         !session.to_target.processing && !session.to_initiator.processing &&
+         session.to_target.journal.bytes() == 0 &&
+         session.to_initiator.journal.bytes() == 0 &&
+         session.upstream_backlog.empty();
 }
 
 RelayJournalSnapshot ActiveRelay::export_journal() {
@@ -534,24 +558,15 @@ RelayJournalSnapshot ActiveRelay::export_journal() {
   if (crashed_) journal_dev_.recover();
   RelayJournalSnapshot snapshot;
   for (const auto& session : sessions_) {
-    RelayJournalSnapshot::SessionImage image;
-    image.bind_port = session->bind_port;
-    image.login_pdu = session->login_pdu;
-    image.to_target_wires = session->to_target.journal.unacknowledged();
-    snapshot.sessions.push_back(std::move(image));
+    snapshot.sessions.push_back(session_image(*session));
   }
   return snapshot;
 }
 
 void ActiveRelay::adopt_sessions(RelayJournalSnapshot snapshot) {
   for (auto& image : snapshot.sessions) {
-    auto session = std::make_unique<Session>();
-    Session* raw = session.get();
-    raw->bind_port = image.bind_port;
-    raw->ctx = std::make_unique<SessionContext>(*this, *raw);
+    Session* raw = &add_session(image.bind_port);
     raw->login_pdu = std::move(image.login_pdu);
-    raw->to_target.journal = journal::Stream(journal_dev_);
-    raw->to_initiator.journal = journal::Stream(journal_dev_);
     // Seed the journal with the dead relay's unacknowledged tail; the
     // cumulative watermarks restart from zero because the upstream leg
     // is a brand-new connection.
@@ -561,7 +576,6 @@ void ActiveRelay::adopt_sessions(RelayJournalSnapshot snapshot) {
       raw->to_target.journal.append(std::move(wire), watermark);
     }
     raw->to_target.enqueued_bytes = watermark;
-    sessions_.push_back(std::move(session));
     scope_.counter("sessions_adopted").add();
     telemetry().record_event(
         "relay " + vm_.name() + ": adopted session (port " +
@@ -582,19 +596,14 @@ ActiveRelay::Session* ActiveRelay::find_session(std::uint16_t bind_port) {
 }
 
 void ActiveRelay::teardown_session(Session& session) {
-  session.failed = true;  // suppress cross-abort close handlers
-  ++session.epoch;        // stale CPU callbacks drop themselves
-  net::TcpConnection* down = session.downstream;
-  net::TcpConnection* up = session.upstream;
-  session.downstream = nullptr;
-  session.upstream = nullptr;
-  if (down != nullptr) down->abort();
-  if (up != nullptr) up->abort();
+  ++session.epoch;  // stale CPU callbacks drop themselves
+  abort_legs(session);
   // Release the session's journal streams from the shared device — a
   // departed flow must not pin NVRAM (or the relay's quiescence) behind
   // the flows that stay.
   reset_direction(session.to_target);
   reset_direction(session.to_initiator);
+  flow_volumes_.erase(session.bind_port);
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
     if (it->get() == &session) {
       sessions_.erase(it);
@@ -606,14 +615,7 @@ void ActiveRelay::teardown_session(Session& session) {
 
 bool ActiveRelay::session_quiescent(std::uint16_t bind_port) const {
   for (const auto& session : sessions_) {
-    if (session->bind_port != bind_port) continue;
-    return session->to_target.queue.empty() &&
-           session->to_initiator.queue.empty() &&
-           !session->to_target.processing &&
-           !session->to_initiator.processing &&
-           session->to_target.journal.bytes() == 0 &&
-           session->to_initiator.journal.bytes() == 0 &&
-           session->upstream_backlog.empty();
+    if (session->bind_port == bind_port) return session_idle(*session);
   }
   return true;  // no session for this flow: nothing to drain
 }
@@ -622,11 +624,7 @@ RelayJournalSnapshot ActiveRelay::extract_session(std::uint16_t bind_port) {
   RelayJournalSnapshot snapshot;
   Session* session = find_session(bind_port);
   if (session == nullptr) return snapshot;
-  RelayJournalSnapshot::SessionImage image;
-  image.bind_port = session->bind_port;
-  image.login_pdu = session->login_pdu;
-  image.to_target_wires = session->to_target.journal.unacknowledged();
-  snapshot.sessions.push_back(std::move(image));
+  snapshot.sessions.push_back(session_image(*session));
   scope_.counter("sessions_extracted").add();
   telemetry().record_event("relay " + vm_.name() +
                            ": extracted session (port " +
@@ -634,7 +632,6 @@ RelayJournalSnapshot ActiveRelay::extract_session(std::uint16_t bind_port) {
                            std::to_string(snapshot.bytes()) +
                            " journal bytes hand off)");
   teardown_session(*session);
-  flow_volumes_.erase(bind_port);
   return snapshot;
 }
 
@@ -644,7 +641,6 @@ void ActiveRelay::drop_session(std::uint16_t bind_port) {
   telemetry().record_event("relay " + vm_.name() + ": dropped session (port " +
                            std::to_string(bind_port) + ")");
   teardown_session(*session);
-  flow_volumes_.erase(bind_port);
 }
 
 void ActiveRelay::register_volume(std::uint16_t bind_port,
@@ -654,14 +650,7 @@ void ActiveRelay::register_volume(std::uint16_t bind_port,
 
 bool ActiveRelay::quiescent() const {
   for (const auto& session : sessions_) {
-    if (!session->to_target.queue.empty() ||
-        !session->to_initiator.queue.empty() ||
-        session->to_target.processing || session->to_initiator.processing ||
-        session->to_target.journal.bytes() != 0 ||
-        session->to_initiator.journal.bytes() != 0 ||
-        !session->upstream_backlog.empty()) {
-      return false;
-    }
+    if (!session_idle(*session)) return false;
   }
   // The device write pipeline must have drained too — "quiescent" means
   // no journal write is still in flight.

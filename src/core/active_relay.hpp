@@ -246,7 +246,17 @@ class ActiveRelay {
     return it == flow_volumes_.end() ? volume_ : it->second;
   }
   Session* find_session(std::uint16_t bind_port);
+  /// A fresh session for `bind_port` with its journal streams open.
+  Session& add_session(std::uint16_t bind_port);
   void teardown_session(Session& session);
+  /// Abort both TCP legs with their close handlers suppressed.
+  static void abort_legs(Session& session);
+  /// What survives the VM for one session: login PDU + unacked tail.
+  static RelayJournalSnapshot::SessionImage session_image(
+      const Session& session);
+  /// Nothing of this session's is queued, processing, journaled or
+  /// backlogged.
+  static bool session_idle(const Session& session);
   void on_accept(net::TcpConnection& conn);
   /// Wipe a direction back to its initial state while keeping it bound to
   /// the relay's journal device on a fresh stream id (the old stream's

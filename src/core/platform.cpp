@@ -175,6 +175,12 @@ unsigned StormPlatform::place_middlebox(const ServiceSpec& spec,
 Result<std::unique_ptr<MiddleboxInstance>> StormPlatform::build_box(
     const ServiceSpec& spec, const std::string& label,
     const std::string& tenant, unsigned vm_host, block::Volume* volume) {
+  if (spec.host_index >= 0 &&
+      static_cast<unsigned>(spec.host_index) >= cloud_.compute_count()) {
+    return error(ErrorCode::kInvalidArgument,
+                 "service '" + spec.type + "': no compute host " +
+                     std::to_string(spec.host_index));
+  }
   auto box = std::make_unique<MiddleboxInstance>();
   box->spec = spec;
   unsigned host = place_middlebox(spec, vm_host);
@@ -224,16 +230,15 @@ namespace {
 
 // Tenant-tunable relay flow control: the NVRAM watermarks come from the
 // service stanza (`journal_hwm_kb=... journal_lwm_kb=...`); 0 disables
-// backpressure for that box. Unspecified keys keep the defaults.
+// backpressure for that box. Unspecified keys keep the defaults, and so
+// do malformed ones (parse_policy rejects those before any deploy).
 RelayFlowControl relay_flow_control(const ServiceSpec& spec) {
   RelayFlowControl flow;
-  const std::string hwm = spec.param("journal_hwm_kb");
-  if (!hwm.empty()) {
-    flow.high_watermark = std::stoul(hwm) * 1024;
+  if (auto hwm = parse_count(spec.param("journal_hwm_kb"), 1024)) {
+    flow.high_watermark = *hwm;
   }
-  const std::string lwm = spec.param("journal_lwm_kb");
-  if (!lwm.empty()) {
-    flow.low_watermark = std::stoul(lwm) * 1024;
+  if (auto lwm = parse_count(spec.param("journal_lwm_kb"), 1024)) {
+    flow.low_watermark = *lwm;
   }
   return flow;
 }
@@ -245,19 +250,73 @@ RelayFlowControl relay_flow_control(const ServiceSpec& spec) {
 // automatic checkpoint (0 = explicit checkpoints only).
 journal::Config relay_journal_config(const ServiceSpec& spec) {
   journal::Config config;
-  const std::string seg = spec.param("journal_segment_kb");
-  if (!seg.empty()) {
-    config.segment_bytes = std::stoul(seg) * 1024;
+  if (auto seg = parse_count(spec.param("journal_segment_kb"), 1024)) {
+    config.segment_bytes = *seg;
   }
   const std::string group = spec.param("journal_group_commit");
   if (!group.empty()) {
     config.group_commit = group != "0";
   }
-  const std::string ckpt = spec.param("journal_checkpoint_kb");
-  if (!ckpt.empty()) {
-    config.checkpoint_dead_bytes = std::stoul(ckpt) * 1024;
+  if (auto ckpt = parse_count(spec.param("journal_checkpoint_kb"), 1024)) {
+    config.checkpoint_dead_bytes = *ckpt;
   }
   return config;
+}
+
+// Starts the relay `box`'s relay mode calls for; an active one dials
+// `upstream` with the box's own flow-control and journal knobs.
+void start_relay(MiddleboxInstance& box, net::SocketAddr upstream,
+                 const std::string& volume) {
+  std::vector<StorageService*> services{box.service.get()};
+  switch (box.spec.relay) {
+    case RelayMode::kForward:
+      break;  // plain IP forwarding, nothing to run
+    case RelayMode::kPassive:
+      box.passive_relay =
+          std::make_unique<PassiveRelay>(*box.vm, services, volume);
+      box.passive_relay->start();
+      break;
+    case RelayMode::kActive:
+      box.active_relay = std::make_unique<ActiveRelay>(
+          *box.vm, upstream, services, volume, ActiveRelayCosts{},
+          relay_flow_control(box.spec), relay_journal_config(box.spec));
+      box.active_relay->start();
+      break;
+  }
+}
+
+// Initializes freshly built services (their setup may be asynchronous:
+// replication attaches its replicas) and runs `done` once all of them
+// reported — with OK or the first error.
+void initialize_services(const std::vector<StorageService*>& services,
+                         std::function<void(Status)> done) {
+  auto remaining = std::make_shared<std::size_t>(1);
+  auto first_error = std::make_shared<Status>(Status::ok());
+  auto on_ready = [remaining, first_error, done](Status status) {
+    if (!status.is_ok() && first_error->is_ok()) *first_error = status;
+    if (--*remaining == 0) done(*first_error);
+  };
+  for (StorageService* service : services) {
+    ++*remaining;
+    service->initialize(on_ready);
+  }
+  on_ready(Status::ok());  // release the initial hold
+}
+
+// One step of an asynchronous loop: handles item `i`, then calls `next`
+// to go on (or drops it to stop early).
+using Step = std::function<void(std::size_t i, std::function<void()> next)>;
+
+// Runs steps i..n-1 one after another, then `finish`. Each pending
+// closure holds copies of what it needs and none refers to itself, so
+// the loop's state is freed as soon as the loop ends.
+void run_steps(std::size_t i, std::size_t n, Step step,
+               std::function<void()> finish) {
+  if (i == n) {
+    finish();
+    return;
+  }
+  step(i, [i, n, step, finish] { run_steps(i + 1, n, step, finish); });
 }
 
 }  // namespace
@@ -267,43 +326,19 @@ void StormPlatform::wire_relays(Deployment& deployment) {
                            iscsi::kIscsiPort};
   for (auto& box : deployment.boxes) {
     if (box->pooled) continue;  // pooled relays start when the pool builds
-    switch (box->spec.relay) {
-      case RelayMode::kForward:
-        break;  // plain IP forwarding, nothing to run
-      case RelayMode::kPassive:
-        box->passive_relay = std::make_unique<PassiveRelay>(
-            *box->vm, std::vector<StorageService*>{box->service.get()},
-            deployment.volume);
-        box->passive_relay->start();
-        break;
-      case RelayMode::kActive:
-        box->active_relay = std::make_unique<ActiveRelay>(
-            *box->vm, upstream,
-            std::vector<StorageService*>{box->service.get()},
-            deployment.volume, ActiveRelayCosts{},
-            relay_flow_control(box->spec), relay_journal_config(box->spec));
-        box->active_relay->start();
-        break;
-    }
+    start_relay(*box, upstream, deployment.volume);
     if (box->standby != nullptr) {
       // The warm spare listens from day one but receives nothing until a
       // failover swaps the capture + steering rules to its MAC.
-      box->standby->active_relay = std::make_unique<ActiveRelay>(
-          *box->standby->vm, upstream,
-          std::vector<StorageService*>{box->standby->service.get()},
-          deployment.volume, ActiveRelayCosts{},
-          relay_flow_control(box->standby->spec),
-          relay_journal_config(box->standby->spec));
-      box->standby->active_relay->start();
+      start_relay(*box->standby, upstream, deployment.volume);
     }
   }
 }
 
 // ---------------------------------------------------------- replica sets
 
-ReplicaSet* StormPlatform::find_replica_set(const std::string& tenant,
-                                            const std::string& type) {
-  auto it = replica_sets_.find(tenant + "|" + type);
+ReplicaSet* StormPlatform::find_replica_set(const std::string& key) {
+  auto it = replica_sets_.find(key);
   return it == replica_sets_.end() ? nullptr : it->second.get();
 }
 
@@ -371,12 +406,7 @@ Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::build_replica(
   // The pooled relay dials the tenant's egress gateway like any private
   // relay would; per-flow volumes are registered as flows pin to it.
   GatewayPair& gateways = splicer_.tenant_gateways(set.tenant);
-  net::SocketAddr upstream{gateways.egress_instance_ip(), iscsi::kIscsiPort};
-  box->active_relay = std::make_unique<ActiveRelay>(
-      *box->vm, upstream, std::vector<StorageService*>{box->service.get()},
-      /*volume=*/"", ActiveRelayCosts{}, relay_flow_control(box->spec),
-      relay_journal_config(box->spec));
-  box->active_relay->start();
+  start_relay(*box, {gateways.egress_instance_ip(), iscsi::kIscsiPort}, "");
   if (fresh_services != nullptr && box->service != nullptr) {
     fresh_services->push_back(box->service.get());
   }
@@ -389,9 +419,7 @@ Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::build_replica(
 
 Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::acquire_replica(
     Deployment& dep, const ServiceSpec& spec, const std::string& tenant,
-    unsigned vm_host, block::Volume* volume,
-    std::vector<StorageService*>* fresh_services) {
-  (void)volume;
+    unsigned vm_host, std::vector<StorageService*>* fresh_services) {
   if (spec.relay != RelayMode::kActive) {
     return error(ErrorCode::kInvalidArgument,
                  "replicas stanza requires relay=active");
@@ -445,7 +473,6 @@ void StormPlatform::release_replica_flows(Deployment& dep) {
 void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
                                  std::shared_ptr<MiddleboxInstance> target,
                                  std::function<void(Status)> done) {
-  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
   std::shared_ptr<MiddleboxInstance> source = dep.boxes[position];
   if (source == target) {
     done(Status::ok());
@@ -472,69 +499,58 @@ void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
   initiator->set_admission_mode(iscsi::AdmissionMode::kDeferred);
   telemetry().add_event(dep.attach_span, "migrate_begin", position);
 
+  // The pool owns both boxes for the platform's lifetime; the poll holds
+  // them weakly so a poll still pending at shutdown owns nothing.
   const std::uint64_t cookie = dep.splice.cookie;
   const std::uint16_t vm_port = dep.splice.vm_port;
-  const sim::Time deadline = cloud_.simulator().now() + drain_timeout_;
-  auto done_shared =
-      std::make_shared<std::function<void(Status)>>(std::move(done));
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, cookie, position, vm_port, deadline, source, target, poll,
-           done_shared] {
-    cloud_.simulator().at_barrier([this, cookie, position, vm_port, deadline,
-                                   source, target, poll, done_shared] {
-      Deployment* dep = deployment_by_cookie(cookie);
-      if (dep == nullptr) {
-        (*done_shared)(error(ErrorCode::kNotFound,
-                             "deployment detached mid-migration"));
-        return;
-      }
-      iscsi::Initiator* initiator = dep->attachment.initiator;
-      const bool drained =
-          initiator->outstanding() == 0 &&
-          source->active_relay->session_quiescent(vm_port);
-      if (!drained) {
-        if (cloud_.simulator().now() >= deadline) {
-          initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
-          (*done_shared)(
-              error(ErrorCode::kDeadlineExceeded, "migration drain timeout"));
+  std::weak_ptr<MiddleboxInstance> from = source;
+  std::weak_ptr<MiddleboxInstance> to = target;
+  poll_until(
+      cloud_.simulator().now() + drain_timeout_,
+      [this, cookie, vm_port, from] {
+        Deployment* dep = deployment_by_cookie(cookie);
+        auto source = from.lock();
+        return dep == nullptr || source == nullptr ||
+               (dep->attachment.initiator->outstanding() == 0 &&
+                source->active_relay->session_quiescent(vm_port));
+      },
+      [this, cookie, position, vm_port, from, to, done](bool drained) {
+        Deployment* dep = deployment_by_cookie(cookie);
+        auto source = from.lock();
+        auto target = to.lock();
+        if (dep == nullptr || source == nullptr || target == nullptr) {
+          done(error(ErrorCode::kNotFound,
+                     "deployment detached mid-migration"));
           return;
         }
-        cloud_.control_executor().schedule_in(kDrainPollInterval, *poll);
-        return;
-      }
-      // Quiescent: hand the flow off atomically at the barrier.
-      // 1. Snapshot the drained session (login + empty unacked tail) and
-      //    tear it out of the source relay.
-      RelayJournalSnapshot snapshot =
-          source->active_relay->extract_session(vm_port);
-      // 2. The departing replica's capture DNAT is cookie-tagged but
-      //    refresh_capture_rules only touches the *new* chain's VMs —
-      //    flush it explicitly or the old VM keeps capturing the flow.
-      source->vm->node().nat().remove_rules_by_cookie(
-          cookie, /*flush_conntrack=*/true);
-      // 3. Re-point chain + steering at the target replica (one atomic
-      //    swap per switch; the exact-match cache revalidates in-place).
-      dep->splice.chain[position] = Hop{target->vm, RelayMode::kActive};
-      dep->boxes[position] = target;
-      splicer_.refresh_capture_rules(dep->splice);
-      sdn_.reprogram_chain(dep->splice);
-      // 4. Adopt on the target: recreate the session, re-dial upstream,
-      //    replay login (the tail is empty — the flow drained).
-      target->active_relay->register_volume(vm_port, dep->volume);
-      target->active_relay->adopt_sessions(std::move(snapshot));
-      // 5. Re-dial now and reopen the gate: parked commands queue behind
-      //    session recovery and issue after the re-login lands.
-      initiator->kick();
-      initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
-      telemetry().add_event(dep->attach_span, "migrated", position);
-      telemetry().counter("scaleout.migrations").add();
-      telemetry().record_event(
-          "scaleout: flow port " + std::to_string(vm_port) + " moved " +
-          source->replica_label + " -> " + target->replica_label);
-      (*done_shared)(Status::ok());
-    });
-  };
-  (*poll)();
+        iscsi::Initiator* initiator = dep->attachment.initiator;
+        if (!drained) {
+          initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
+          done(error(ErrorCode::kDeadlineExceeded,
+                     "migration drain timeout"));
+          return;
+        }
+        // Quiescent: snapshot the drained session (login + empty unacked
+        // tail) and tear it out of the source relay. The departing
+        // replica's capture DNAT is cookie-tagged but
+        // refresh_capture_rules only touches the *new* chain's VMs —
+        // flush it explicitly or the old VM keeps capturing the flow.
+        RelayJournalSnapshot snapshot =
+            source->active_relay->extract_session(vm_port);
+        source->vm->node().nat().remove_rules_by_cookie(
+            cookie, /*flush_conntrack=*/true);
+        target->active_relay->register_volume(vm_port, dep->volume);
+        handoff(*dep, position, target, std::move(snapshot));
+        // Reopen the gate: parked commands queue behind session recovery
+        // and issue after the re-login lands.
+        initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
+        telemetry().add_event(dep->attach_span, "migrated", position);
+        telemetry().counter("scaleout.migrations").add();
+        telemetry().record_event(
+            "scaleout: flow port " + std::to_string(vm_port) + " moved " +
+            source->replica_label + " -> " + target->replica_label);
+        done(Status::ok());
+      });
 }
 
 void StormPlatform::rebalance_flows(ReplicaSet& set,
@@ -560,21 +576,14 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
   }
   const std::string set_key = set.key();
   auto first_error = std::make_shared<Status>(Status::ok());
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, set_key, moves, first_error, done, step](std::size_t i) {
-    if (i == moves->size()) {
-      done(*first_error);
-      return;
-    }
+  Step step = [this, set_key, moves, first_error](
+                  std::size_t i, std::function<void()> next) {
     const Move& move = (*moves)[i];
-    ReplicaSet* set = nullptr;
-    if (auto it = replica_sets_.find(set_key); it != replica_sets_.end()) {
-      set = it->second.get();
-    }
+    ReplicaSet* set = find_replica_set(set_key);
     Deployment* dep = set != nullptr ? deployment_by_cookie(move.cookie)
                                      : nullptr;
     if (dep == nullptr) {
-      (*step)(i + 1);
+      next();
       return;
     }
     std::shared_ptr<MiddleboxInstance> target;
@@ -589,24 +598,23 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
       }
     }
     if (target == nullptr || position == dep->boxes.size()) {
-      (*step)(i + 1);
+      next();
       return;
     }
     migrate_flow(*dep, position, target,
-                 [this, set_key, moves, first_error, step, i](Status status) {
+                 [this, set_key, moves, first_error, i, next](Status status) {
                    if (status.is_ok()) {
-                     if (auto it = replica_sets_.find(set_key);
-                         it != replica_sets_.end()) {
-                       it->second->assignments[(*moves)[i].cookie] =
-                           (*moves)[i].to;
+                     if (ReplicaSet* set = find_replica_set(set_key)) {
+                       set->assignments[(*moves)[i].cookie] = (*moves)[i].to;
                      }
                    } else if (first_error->is_ok()) {
                      *first_error = status;
                    }
-                   (*step)(i + 1);
+                   next();
                  });
   };
-  (*step)(0);
+  run_steps(0, moves->size(), std::move(step),
+            [first_error, done] { done(*first_error); });
 }
 
 void StormPlatform::park_replica(ReplicaSet& set,
@@ -643,7 +651,7 @@ void StormPlatform::scale_service_replicas(const std::string& tenant,
 void StormPlatform::scale_at_barrier(const std::string& tenant,
                                      const std::string& type, unsigned target,
                                      std::function<void(Status)> done) {
-  ReplicaSet* set = find_replica_set(tenant, type);
+  ReplicaSet* set = find_replica_set(tenant + "|" + type);
   if (set == nullptr) {
     done(error(ErrorCode::kNotFound,
                "no replica set for " + tenant + "/" + type));
@@ -675,59 +683,47 @@ void StormPlatform::scale_at_barrier(const std::string& tenant,
     // Initialize fresh services (pool services are replica-safe and
     // initialize synchronously today, but honor the async contract), then
     // move only the flows whose arc the new replicas took over.
-    auto remaining = std::make_shared<std::size_t>(1);
-    auto first_error = std::make_shared<Status>(Status::ok());
-    auto proceed = [this, set_key, first_error, done]() {
-      if (!first_error->is_ok()) {
-        done(*first_error);
+    initialize_services(fresh_services, [this, set_key, done](Status ready) {
+      if (!ready.is_ok()) {
+        done(ready);
         return;
       }
-      if (auto it = replica_sets_.find(set_key); it != replica_sets_.end()) {
-        rebalance_flows(*it->second, done);
+      if (ReplicaSet* set = find_replica_set(set_key)) {
+        rebalance_flows(*set, done);
       } else {
         done(Status::ok());
       }
-    };
-    auto on_ready = [remaining, first_error, proceed](Status status) {
-      if (!status.is_ok() && first_error->is_ok()) *first_error = status;
-      if (--*remaining == 0) proceed();
-    };
-    for (StorageService* service : fresh_services) {
-      ++*remaining;
-      service->initialize(on_ready);
-    }
-    on_ready(Status::ok());
+    });
     return;
   }
 
   // Scale-down: retire the newest replicas first (consistent hashing
   // moves only their arcs), drain their flows onto the survivors, then
-  // park them.
-  auto victims =
-      std::make_shared<std::vector<std::shared_ptr<MiddleboxInstance>>>();
+  // park them. The set owns the victims; the pending rebalance holds them
+  // weakly, like the migration poll.
+  std::vector<std::weak_ptr<MiddleboxInstance>> victims;
   for (unsigned i = target; i < current; ++i) {
-    victims->push_back(set->replicas[i]);
-  }
-  for (const auto& victim : *victims) {
-    set->ring.remove_node(victim->replica_label);
+    set->ring.remove_node(set->replicas[i]->replica_label);
+    victims.push_back(set->replicas[i]);
   }
   telemetry().counter("scaleout.scale_downs").add();
   rebalance_flows(*set, [this, set_key, victims, done](Status status) {
-    auto it = replica_sets_.find(set_key);
-    if (it == replica_sets_.end()) {
+    ReplicaSet* set = find_replica_set(set_key);
+    if (set == nullptr) {
       done(status);
       return;
     }
-    ReplicaSet& set = *it->second;
-    for (const auto& victim : *victims) {
+    for (const auto& weak : victims) {
+      std::shared_ptr<MiddleboxInstance> victim = weak.lock();
+      if (victim == nullptr) continue;
       bool busy = false;
-      for (const auto& [cookie, label] : set.assignments) {
+      for (const auto& [cookie, label] : set->assignments) {
         busy = busy || label == victim->replica_label;
       }
       if (busy) {
         // A migration failed and left a flow behind: the victim must
         // keep serving it. Put its arcs back so new flows can land too.
-        set.ring.add_node(victim->replica_label);
+        set->ring.add_node(victim->replica_label);
         if (status.is_ok()) {
           status = error(ErrorCode::kFailedPrecondition,
                          "replica " + victim->replica_label +
@@ -735,7 +731,7 @@ void StormPlatform::scale_at_barrier(const std::string& tenant,
         }
         continue;
       }
-      park_replica(set, victim);
+      park_replica(*set, victim);
     }
     done(status);
   });
@@ -795,19 +791,18 @@ void StormPlatform::attach_with_chain_at_barrier(
   // instances go through initialize() below (a pooled instance serving
   // its second flow was initialized when the pool was built).
   std::vector<StorageService*> fresh_services;
+  // A hop that cannot be provisioned fails the deploy: release the pins
+  // this flow took on pooled replicas and close the span.
+  auto fail = [&](const Status& status) {
+    release_replica_flows(*dep);
+    telemetry().end_span(dep->attach_span);
+    done(status);
+  };
   for (std::size_t i = 0; i < chain.size(); ++i) {
     if (chain[i].replicas.enabled) {
       auto pooled = acquire_replica(*dep, chain[i], vm->tenant(),
-                                    vm->host_index(), volume,
-                                    &fresh_services);
-      if (!pooled.is_ok()) {
-        release_replica_flows(*dep);
-        telemetry().end_span(dep->attach_span);
-        done(pooled.status());
-        return;
-      }
-      dep->splice.chain.push_back(
-          Hop{pooled.value()->vm, pooled.value()->spec.relay});
+                                    vm->host_index(), &fresh_services);
+      if (!pooled.is_ok()) return fail(pooled.status());
       dep->boxes.push_back(std::move(pooled).take());
       continue;
     }
@@ -815,23 +810,13 @@ void StormPlatform::attach_with_chain_at_barrier(
                         chain[i].type;
     auto box = build_box(chain[i], label, vm->tenant(), vm->host_index(),
                          volume);
-    if (!box.is_ok()) {
-      release_replica_flows(*dep);
-      telemetry().end_span(dep->attach_span);
-      done(box.status());
-      return;
-    }
+    if (!box.is_ok()) return fail(box.status());
     if (chain[i].recovery == RecoveryPolicyKind::kStandby) {
       // Provision the warm spare now: a standby built after the failure
       // would add VM boot time to MTTR, which defeats the policy.
       auto standby = build_box(chain[i], label + "-sb", vm->tenant(),
                                vm->host_index(), volume);
-      if (!standby.is_ok()) {
-        release_replica_flows(*dep);
-        telemetry().end_span(dep->attach_span);
-        done(standby.status());
-        return;
-      }
+      if (!standby.is_ok()) return fail(standby.status());
       box.value()->standby = std::move(standby).take();
     }
     if (box.value()->service) {
@@ -840,25 +825,23 @@ void StormPlatform::attach_with_chain_at_barrier(
     if (box.value()->standby && box.value()->standby->service) {
       fresh_services.push_back(box.value()->standby->service.get());
     }
-    dep->splice.chain.push_back(
-        Hop{box.value()->vm, box.value()->spec.relay});
     dep->boxes.push_back(std::move(box).take());
   }
+  rebuild_chain(*dep);
   telemetry().add_event(dep->attach_span, "boxes_provisioned",
                         dep->boxes.size());
 
   deployments_.push_back(std::move(deployment));
 
-  // Let services finish async setup (replication attaches its replicas),
-  // then program the network and attach the volume.
-  auto remaining = std::make_shared<std::size_t>(1);
-  auto first_error = std::make_shared<Status>(Status::ok());
-  auto proceed = [this, dep, vm, done, cookie, first_error]() {
-    if (!first_error->is_ok()) {
+  // Let services finish async setup, then program the network and
+  // attach the volume.
+  initialize_services(fresh_services, [this, dep, vm, done,
+                                       cookie](Status ready) {
+    if (!ready.is_ok()) {
       telemetry().record_event("deploy " + dep->vm + ":" + dep->volume +
-                               " failed: " + first_error->to_string());
+                               " failed: " + ready.to_string());
       rollback_deployment(dep);
-      done(*first_error);
+      done(ready);
       return;
     }
     wire_relays(*dep);
@@ -901,16 +884,7 @@ void StormPlatform::attach_with_chain_at_barrier(
                                DeploymentHandle(this, cookie)));
                          },
                          hooks);
-  };
-  auto on_ready = [remaining, first_error, proceed](Status status) {
-    if (!status.is_ok() && first_error->is_ok()) *first_error = status;
-    if (--*remaining == 0) proceed();
-  };
-  for (StorageService* service : fresh_services) {
-    ++*remaining;
-    service->initialize(on_ready);
-  }
-  on_ready(Status::ok());  // release the initial hold
+  });
 }
 
 void StormPlatform::apply_policy(
@@ -924,25 +898,22 @@ void StormPlatform::apply_policy(
   if (policy.qos.enabled) set_tenant_qos(policy.tenant, policy.qos);
   auto volumes = std::make_shared<std::vector<VolumePolicy>>(policy.volumes);
   auto handles = std::make_shared<std::vector<DeploymentHandle>>();
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, volumes, handles, done, step](std::size_t index) {
-    if (index == volumes->size()) {
-      done(Result<std::vector<DeploymentHandle>>(std::move(*handles)));
-      return;
-    }
-    const VolumePolicy& vp = (*volumes)[index];
+  Step step = [this, volumes, handles, done](std::size_t i,
+                                             std::function<void()> next) {
+    const VolumePolicy& vp = (*volumes)[i];
     attach_with_chain(vp.vm, vp.volume, vp.chain,
-                      [handles, done, step, index](
-                          Result<DeploymentHandle> result) {
+                      [handles, done, next](Result<DeploymentHandle> result) {
                         if (!result.is_ok()) {
                           done(result.status());
                           return;
                         }
                         handles->push_back(result.value());
-                        (*step)(index + 1);
+                        next();
                       });
   };
-  (*step)(0);
+  run_steps(0, volumes->size(), std::move(step), [handles, done] {
+    done(Result<std::vector<DeploymentHandle>>(std::move(*handles)));
+  });
 }
 
 void StormPlatform::set_tenant_qos(const std::string& tenant,
@@ -1032,44 +1003,6 @@ bool StormPlatform::deployment_quiescent(const Deployment& dep) const {
   return true;
 }
 
-void StormPlatform::drain_deployment(Deployment& dep,
-                                     std::function<void(Status)> done) {
-  // Drain poll cadence: fine-grained enough that the drain adds at most
-  // ~100us to a teardown, coarse enough not to dominate the event queue.
-  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
-  dep.state = DeploymentState::kDraining;
-  if (dep.attachment.initiator != nullptr) {
-    dep.attachment.initiator->set_admission(false);
-  }
-  telemetry().add_event(dep.attach_span, "drain_begin");
-  const std::uint64_t cookie = dep.splice.cookie;
-  const sim::Time deadline = cloud_.simulator().now() + drain_timeout_;
-  auto done_shared = std::make_shared<std::function<void(Status)>>(
-      std::move(done));
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, cookie, deadline, poll, done_shared] {
-    // The quiescence probe reads initiator and relay state across
-    // partitions; hop from the control partition's timer to the barrier
-    // before looking (inline on a single-partition simulator).
-    cloud_.simulator().at_barrier([this, cookie, deadline, poll,
-                                   done_shared] {
-      Deployment* dep = deployment_by_cookie(cookie);
-      if (dep == nullptr) return;  // torn down while the poll was pending
-      if (deployment_quiescent(*dep)) {
-        telemetry().add_event(dep->attach_span, "drained");
-        (*done_shared)(Status::ok());
-        return;
-      }
-      if (cloud_.simulator().now() >= deadline) {
-        (*done_shared)(error(ErrorCode::kDeadlineExceeded, "drain timeout"));
-        return;
-      }
-      cloud_.control_executor().schedule_in(kDrainPollInterval, *poll);
-    });
-  };
-  (*poll)();
-}
-
 Status StormPlatform::detach_deployment(std::uint64_t cookie) {
   Deployment* dep = deployment_by_cookie(cookie);
   if (dep == nullptr) {
@@ -1078,19 +1011,58 @@ Status StormPlatform::detach_deployment(std::uint64_t cookie) {
   if (dep->state == DeploymentState::kDraining) {
     return error(ErrorCode::kFailedPrecondition, "detach already draining");
   }
-  drain_deployment(*dep, [this, cookie](Status drained) {
-    Deployment* dep = deployment_by_cookie(cookie);
-    if (dep == nullptr) return;
-    if (!drained.is_ok()) {
-      telemetry().record_event("drain " + dep->vm + ":" + dep->volume +
-                               " incomplete (" + drained.to_string() +
-                               "); forcing detach");
-    }
-    telemetry().record_event("detach " + dep->vm + ":" + dep->volume +
-                             " (cookie " + std::to_string(cookie) + ")");
-    rollback_deployment(dep);  // rules out, relays destroyed
-  });
+  dep->state = DeploymentState::kDraining;
+  if (dep->attachment.initiator != nullptr) {
+    dep->attachment.initiator->set_admission(false);
+  }
+  telemetry().add_event(dep->attach_span, "drain_begin");
+  poll_until(
+      cloud_.simulator().now() + drain_timeout_,
+      [this, cookie] {
+        Deployment* dep = deployment_by_cookie(cookie);
+        return dep == nullptr || deployment_quiescent(*dep);
+      },
+      [this, cookie](bool drained) {
+        Deployment* dep = deployment_by_cookie(cookie);
+        if (dep == nullptr) return;  // torn down while the poll was pending
+        if (drained) {
+          telemetry().add_event(dep->attach_span, "drained");
+        } else {
+          const Status timeout =
+              error(ErrorCode::kDeadlineExceeded, "drain timeout");
+          telemetry().record_event("drain " + dep->vm + ":" + dep->volume +
+                                   " incomplete (" + timeout.to_string() +
+                                   "); forcing detach");
+        }
+        telemetry().record_event("detach " + dep->vm + ":" + dep->volume +
+                                 " (cookie " + std::to_string(cookie) + ")");
+        rollback_deployment(dep);  // rules out, relays destroyed
+      });
   return Status::ok();
+}
+
+void StormPlatform::poll_until(sim::Time deadline, std::function<bool()> ready,
+                               std::function<void(bool)> done) {
+  // Fine-grained enough that a drain adds at most ~100us, coarse enough
+  // not to dominate the event queue.
+  static constexpr sim::Duration kPollInterval = sim::microseconds(100);
+  // `ready` reads state across partitions, so it runs at the barrier. The
+  // poll's state lives only in the pending closure (each round moves it
+  // on), so it is freed the moment the poll ends.
+  cloud_.simulator().at_barrier([this, deadline, ready = std::move(ready),
+                                 done = std::move(done)]() mutable {
+    if (ready()) {
+      done(true);
+    } else if (cloud_.simulator().now() >= deadline) {
+      done(false);
+    } else {
+      cloud_.control_executor().schedule_in(
+          kPollInterval, [this, deadline, ready = std::move(ready),
+                          done = std::move(done)]() mutable {
+            poll_until(deadline, std::move(ready), std::move(done));
+          });
+    }
+  });
 }
 
 void StormPlatform::rebuild_chain(Deployment& deployment) {
@@ -1100,11 +1072,33 @@ void StormPlatform::rebuild_chain(Deployment& deployment) {
   }
 }
 
+void StormPlatform::handoff(Deployment& dep, std::size_t position,
+                            std::shared_ptr<MiddleboxInstance> target,
+                            RelayJournalSnapshot snapshot) {
+  if (target != nullptr) {
+    dep.boxes[position] = target;
+  } else {
+    dep.boxes.erase(dep.boxes.begin() + static_cast<std::ptrdiff_t>(position));
+  }
+  rebuild_chain(dep);
+  // One atomic steering-rule swap per switch: the exact-match cache
+  // revalidates in place.
+  splicer_.refresh_capture_rules(dep.splice);
+  sdn_.reprogram_chain(dep.splice);
+  if (target != nullptr) {
+    target->active_relay->adopt_sessions(std::move(snapshot));
+  }
+  // Re-dial now rather than at watchdog expiry; the reconnection is
+  // adopted by the target's pseudo-server.
+  if (dep.attachment.initiator != nullptr) dep.attachment.initiator->kick();
+}
+
 Status StormPlatform::promote_standby(Deployment& dep, std::size_t position) {
   if (position >= dep.boxes.size()) {
     return error(ErrorCode::kInvalidArgument, "position out of range");
   }
-  MiddleboxInstance* failed = dep.boxes[position].get();
+  // Held until the end: the failed box dies after the failover telemetry.
+  std::shared_ptr<MiddleboxInstance> failed = dep.boxes[position];
   if (failed->active_relay == nullptr) {
     return error(ErrorCode::kFailedPrecondition,
                  "standby promotion needs an active relay");
@@ -1114,32 +1108,16 @@ Status StormPlatform::promote_standby(Deployment& dep, std::size_t position) {
     return error(ErrorCode::kFailedPrecondition,
                  "no warm standby for " + failed->vm->name());
   }
-  std::unique_ptr<MiddleboxInstance> standby = std::move(failed->standby);
-
-  // 1. NVRAM handoff: snapshot the dead relay's journal — it survives the
-  //    VM's power loss — then silence whatever is left of the relay.
+  std::shared_ptr<MiddleboxInstance> standby = std::move(failed->standby);
+  // NVRAM handoff: snapshot the dead relay's journal — it survives the
+  // VM's power loss — then silence whatever is left of the relay.
   RelayJournalSnapshot snapshot = failed->active_relay->export_journal();
   if (!failed->active_relay->crashed()) failed->active_relay->crash();
-
-  // 2. Re-point the chain at the spare: capture NAT on the standby VM,
-  //    then one atomic steering-rule swap per switch.
-  dep.splice.chain[position] = Hop{standby->vm, standby->spec.relay};
-  splicer_.refresh_capture_rules(dep.splice);
-  sdn_.reprogram_chain(dep.splice);
-
-  // 3. Replay the journal into the standby: recreates the sessions,
-  //    re-dials their upstream legs, replays login + unacknowledged tail.
-  standby->active_relay->adopt_sessions(std::move(snapshot));
-
-  // 4. Nudge the initiator to re-dial now rather than at watchdog expiry
-  //    (its reconnection is adopted by the standby's pseudo-server).
-  if (dep.attachment.initiator != nullptr) dep.attachment.initiator->kick();
-
+  handoff(dep, position, standby, std::move(snapshot));
   telemetry().add_event(dep.attach_span, "standby_promoted", position);
   telemetry().record_event("failover " + dep.vm + ":" + dep.volume +
                            ": promoted " + standby->vm->name() +
                            " in place of " + failed->vm->name());
-  dep.boxes[position] = std::move(standby);  // destroys the failed box
   return Status::ok();
 }
 
@@ -1170,12 +1148,7 @@ Status StormPlatform::bypass_middlebox(Deployment& dep,
   telemetry().add_event(dep.attach_span, "bypassed", position);
   telemetry().record_event("failover " + dep.vm + ":" + dep.volume +
                            ": bypassing " + box->vm->name());
-  dep.boxes.erase(dep.boxes.begin() +
-                  static_cast<std::ptrdiff_t>(position));
-  rebuild_chain(dep);
-  splicer_.refresh_capture_rules(dep.splice);
-  sdn_.reprogram_chain(dep.splice);
-  if (dep.attachment.initiator != nullptr) dep.attachment.initiator->kick();
+  handoff(dep, position, nullptr, {});
   return Status::ok();
 }
 
@@ -1298,13 +1271,7 @@ Status StormPlatform::add_middlebox(Deployment& deployment,
                        "mb-" + std::to_string(next_mb_id_++) + "-" + spec.type,
                        vm->tenant(), vm->host_index(), nullptr);
   if (!box.is_ok()) return box.status();
-  if (box.value()->spec.relay == RelayMode::kPassive) {
-    box.value()->passive_relay = std::make_unique<PassiveRelay>(
-        *box.value()->vm,
-        std::vector<StorageService*>{box.value()->service.get()},
-        deployment.volume);
-    box.value()->passive_relay->start();
-  }
+  start_relay(*box.value(), {}, deployment.volume);  // never active here
   deployment.boxes.insert(
       deployment.boxes.begin() + static_cast<std::ptrdiff_t>(position),
       std::move(box).take());

@@ -197,9 +197,6 @@ class StormPlatform {
   using ServiceFactory =
       std::function<Result<std::unique_ptr<StorageService>>(ServiceEnv&)>;
   void register_service(const std::string& type, ServiceFactory factory);
-  bool has_service(const std::string& type) const {
-    return factories_.contains(type);
-  }
 
   /// Apply a full tenant policy: deploy every volume's chain in order.
   /// On success the callback receives one handle per volume, in policy
@@ -283,8 +280,8 @@ class StormPlatform {
   void wire_relays(Deployment& deployment);
 
   // --- replica-set internals ---
-  ReplicaSet* find_replica_set(const std::string& tenant,
-                               const std::string& type);
+  /// The pool keyed "<tenant>|<type>" (ReplicaSet::key), or nullptr.
+  ReplicaSet* find_replica_set(const std::string& key);
   /// Create (or revive from the parked list) one pooled replica and
   /// start its relay; newly built service instances are appended to
   /// `fresh_services` so the attach path can initialize() them exactly
@@ -298,16 +295,14 @@ class StormPlatform {
   /// the flow was pinned to.
   Result<std::shared_ptr<MiddleboxInstance>> acquire_replica(
       Deployment& dep, const ServiceSpec& spec, const std::string& tenant,
-      unsigned vm_host, block::Volume* volume,
-      std::vector<StorageService*>* fresh_services);
+      unsigned vm_host, std::vector<StorageService*>* fresh_services);
   /// Teardown/rollback: drop this deployment's sessions from its pooled
   /// boxes and erase its ring assignments. Pooled relays stay up.
   void release_replica_flows(Deployment& dep);
   /// Move dep's flow from the pooled box at `position` to `target`:
-  /// deferred admission -> drain poll -> atomic handoff (journal
-  /// extraction, NAT flush on the old VM, capture + steering reprogram,
-  /// session adoption) -> reopen. Parked commands are replayed, never
-  /// failed.
+  /// deferred admission -> poll_until drained -> extract_session, NAT
+  /// flush on the old VM, handoff -> reopen. Parked commands are
+  /// replayed, never failed.
   void migrate_flow(Deployment& dep, std::size_t position,
                     std::shared_ptr<MiddleboxInstance> target,
                     std::function<void(Status)> done);
@@ -327,18 +322,29 @@ class StormPlatform {
   Status remove_middlebox(Deployment& deployment, std::size_t position);
   Status crash_middlebox(Deployment& deployment, std::size_t position);
   Status restart_middlebox(Deployment& deployment, std::size_t position);
+  /// The drain protocol: close the initiator's admission gate, then
+  /// poll_until the chain is quiescent and tear it down — forced once
+  /// drain_timeout_ elapses, so a wedged chain cannot pin the deployment
+  /// forever. An idle chain tears down synchronously.
   Status detach_deployment(std::uint64_t cookie);
   /// Recompute splice.chain from the current boxes vector.
   void rebuild_chain(Deployment& deployment);
+  /// The one flow-handoff path (standby promotion, replica migration,
+  /// bypass): re-point hop `position` at `target` — or drop the hop when
+  /// `target` is null — refresh the capture NAT, reprogram the steering
+  /// rules, adopt `snapshot` on the target's relay and kick the initiator
+  /// to re-dial the new path.
+  void handoff(Deployment& dep, std::size_t position,
+               std::shared_ptr<MiddleboxInstance> target,
+               RelayJournalSnapshot snapshot);
+  /// The one sim-clock poll: every 100us of simulated time (on the
+  /// control executor, evaluated at a window barrier) test `ready`; run
+  /// `done(true)` once it holds, or `done(false)` once `deadline` passed
+  /// first. The first test runs right away.
+  void poll_until(sim::Time deadline, std::function<bool()> ready,
+                  std::function<void(bool)> done);
 
   // --- drain protocol ---
-  /// Close the initiator's admission gate and poll (on the sim clock)
-  /// until the chain is quiescent, then invoke `done` — with OK when the
-  /// chain flushed, or kDeadlineExceeded if drain_timeout_ elapsed first
-  /// (the caller tears down regardless; a wedged chain must not pin the
-  /// deployment forever). Runs `done` synchronously when already
-  /// quiescent.
-  void drain_deployment(Deployment& dep, std::function<void(Status)> done);
   /// Nothing in flight anywhere: no outstanding initiator commands, all
   /// relay queues/journals/backlogs empty.
   bool deployment_quiescent(const Deployment& dep) const;

@@ -1,6 +1,10 @@
 #include "core/policy.hpp"
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 namespace storm::core {
 
@@ -38,6 +42,14 @@ Result<RelayMode> parse_relay_mode(const std::string& value) {
   return error(ErrorCode::kParseError, "unknown relay mode: " + value);
 }
 
+// Splits "key=value" at the first '='; nullopt without one.
+std::optional<std::pair<std::string, std::string>> split_key_value(
+    const std::string& token) {
+  auto eq = token.find('=');
+  if (eq == std::string::npos) return std::nullopt;
+  return std::make_pair(token.substr(0, eq), token.substr(eq + 1));
+}
+
 std::vector<std::string> tokenize(const std::string& line) {
   std::istringstream in(line);
   std::vector<std::string> tokens;
@@ -47,6 +59,20 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_count(const std::string& text,
+                                         std::uint64_t scale,
+                                         std::uint64_t max) {
+  // from_chars takes no sign, blank or base prefix for an unsigned type
+  // and reports overflow; the whole text must be consumed.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || scale == 0 || value > max / scale) {
+    return std::nullopt;
+  }
+  return value * scale;
+}
 
 Result<TenantPolicy> parse_policy(const std::string& text) {
   TenantPolicy policy;
@@ -64,6 +90,18 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
       return error(ErrorCode::kParseError,
                    "line " + std::to_string(line_no) + ": " + message);
     };
+    // Every numeric value goes through here; the first bad one (empty,
+    // non-digit, negative or overflowing) fails the line below.
+    Status bad_number = Status::ok();
+    auto number = [&](const std::string& key, const std::string& value,
+                      std::uint64_t scale = 1,
+                      std::uint64_t max = UINT64_MAX) {
+      std::optional<std::uint64_t> n = parse_count(value, scale, max);
+      if (!n && bad_number.is_ok()) {
+        bad_number = fail("bad number for " + key + ": '" + value + "'");
+      }
+      return n.value_or(0);
+    };
 
     if (tokens[0] == "tenant") {
       if (tokens.size() != 2) return fail("expected: tenant <name>");
@@ -74,21 +112,17 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
       }
       policy.qos.enabled = true;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        auto eq = tokens[i].find('=');
-        if (eq == std::string::npos) {
-          return fail("expected key=value, got: " + tokens[i]);
-        }
-        std::string key = tokens[i].substr(0, eq);
-        std::string value = tokens[i].substr(eq + 1);
+        auto kv = split_key_value(tokens[i]);
+        if (!kv) return fail("expected key=value, got: " + tokens[i]);
+        const auto& [key, value] = *kv;
         if (key == "rate_mbps") {
-          policy.qos.rate_bytes_per_sec =
-              std::stoull(value) * 1'000'000ull / 8ull;
+          policy.qos.rate_bytes_per_sec = number(key, value, 1'000'000) / 8;
         } else if (key == "rate_bytes") {
-          policy.qos.rate_bytes_per_sec = std::stoull(value);
+          policy.qos.rate_bytes_per_sec = number(key, value);
         } else if (key == "burst_kb") {
-          policy.qos.burst_bytes = std::stoull(value) * 1024ull;
+          policy.qos.burst_bytes = number(key, value, 1024);
         } else if (key == "burst_bytes") {
-          policy.qos.burst_bytes = std::stoull(value);
+          policy.qos.burst_bytes = number(key, value);
         } else {
           return fail("unknown qos key: " + key);
         }
@@ -110,12 +144,9 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
       ServiceSpec spec;
       spec.type = tokens[1];
       for (std::size_t i = 2; i < tokens.size(); ++i) {
-        auto eq = tokens[i].find('=');
-        if (eq == std::string::npos) {
-          return fail("expected key=value, got: " + tokens[i]);
-        }
-        std::string key = tokens[i].substr(0, eq);
-        std::string value = tokens[i].substr(eq + 1);
+        auto kv = split_key_value(tokens[i]);
+        if (!kv) return fail("expected key=value, got: " + tokens[i]);
+        const auto& [key, value] = *kv;
         if (key == "relay") {
           auto mode = parse_relay_mode(value);
           if (!mode.is_ok()) return mode.status();
@@ -125,10 +156,15 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
           if (!kind.is_ok()) return kind.status();
           spec.recovery = kind.value();
         } else if (key == "vcpus") {
-          spec.vcpus = static_cast<unsigned>(std::stoul(value));
+          spec.vcpus = static_cast<unsigned>(number(key, value, 1, UINT_MAX));
         } else if (key == "host") {
-          spec.host_index = std::stoi(value);
+          spec.host_index = static_cast<int>(number(key, value, 1, INT_MAX));
         } else {
+          // Journal sizes are read inside the attach barrier; malformed
+          // ones must not get that far.
+          if (key.starts_with("journal_") && key.ends_with("_kb")) {
+            number(key, value, 1024, SIZE_MAX);
+          }
           spec.params[key] = value;
         }
       }
@@ -140,21 +176,18 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
       QuorumSpec& quorum = current_volume->chain.back().quorum;
       quorum.enabled = true;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        auto eq = tokens[i].find('=');
-        if (eq == std::string::npos) {
-          return fail("expected key=value, got: " + tokens[i]);
-        }
-        std::string key = tokens[i].substr(0, eq);
-        std::string value = tokens[i].substr(eq + 1);
+        auto kv = split_key_value(tokens[i]);
+        if (!kv) return fail("expected key=value, got: " + tokens[i]);
+        const auto& [key, value] = *kv;
         if (key == "w") {
-          quorum.write_quorum = static_cast<unsigned>(std::stoul(value));
+          quorum.write_quorum =
+              static_cast<unsigned>(number(key, value, 1, UINT_MAX));
         } else if (key == "rebuild_mbps") {
-          quorum.rebuild_rate_bytes_per_sec =
-              std::stoull(value) * 1'000'000ull;
+          quorum.rebuild_rate_bytes_per_sec = number(key, value, 1'000'000);
         } else if (key == "rebuild_bytes_per_sec") {
-          quorum.rebuild_rate_bytes_per_sec = std::stoull(value);
+          quorum.rebuild_rate_bytes_per_sec = number(key, value);
         } else if (key == "rebuild_burst_kb") {
-          quorum.rebuild_burst_bytes = std::stoull(value) * 1024ull;
+          quorum.rebuild_burst_bytes = number(key, value, 1024);
         } else {
           return fail("unknown quorum key: " + key);
         }
@@ -168,20 +201,20 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
       }
       ReplicaSpec& replicas = current_volume->chain.back().replicas;
       replicas.enabled = true;
-      replicas.count = static_cast<unsigned>(std::stoul(tokens[1]));
+      replicas.count =
+          static_cast<unsigned>(number("replicas", tokens[1], 1, UINT_MAX));
       replicas.min_count = 1;
       replicas.max_count = replicas.count;
       for (std::size_t i = 2; i < tokens.size(); ++i) {
-        auto eq = tokens[i].find('=');
-        if (eq == std::string::npos) {
-          return fail("expected key=value, got: " + tokens[i]);
-        }
-        std::string key = tokens[i].substr(0, eq);
-        std::string value = tokens[i].substr(eq + 1);
+        auto kv = split_key_value(tokens[i]);
+        if (!kv) return fail("expected key=value, got: " + tokens[i]);
+        const auto& [key, value] = *kv;
         if (key == "min") {
-          replicas.min_count = static_cast<unsigned>(std::stoul(value));
+          replicas.min_count =
+              static_cast<unsigned>(number(key, value, 1, UINT_MAX));
         } else if (key == "max") {
-          replicas.max_count = static_cast<unsigned>(std::stoul(value));
+          replicas.max_count =
+              static_cast<unsigned>(number(key, value, 1, UINT_MAX));
         } else {
           return fail("unknown replicas key: " + key);
         }
@@ -189,6 +222,7 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
     } else {
       return fail("unknown directive: " + tokens[0]);
     }
+    if (!bad_number.is_ok()) return bad_number;
   }
   if (policy.tenant.empty()) {
     return error(ErrorCode::kParseError, "missing 'tenant' directive");

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,6 +131,14 @@ struct TenantPolicy {
 /// which names its backup volumes.) Blank lines and '#' comments are
 /// ignored.
 Result<TenantPolicy> parse_policy(const std::string& text);
+
+/// Strict decimal parse of a tenant-supplied number: digits only (no
+/// sign, blanks or suffix), and the value times `scale` may not exceed
+/// `max`. Returns the scaled value; nullopt for anything else, including
+/// the empty string.
+std::optional<std::uint64_t> parse_count(
+    const std::string& text, std::uint64_t scale = 1,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Validate structural rules (each volume has >= 1 service, relay modes
 /// compatible with service types, etc.).

@@ -35,77 +35,4 @@ std::string Packet::summary() const {
   return out.str();
 }
 
-Bytes serialize(const Packet& pkt) {
-  Bytes out;
-  out.reserve(pkt.codec_size());
-  ByteWriter w(out);
-  // Ethernet
-  w.u16(static_cast<std::uint16_t>(pkt.eth.dst.value >> 32));
-  w.u32(static_cast<std::uint32_t>(pkt.eth.dst.value));
-  w.u16(static_cast<std::uint16_t>(pkt.eth.src.value >> 32));
-  w.u32(static_cast<std::uint32_t>(pkt.eth.src.value));
-  w.u16(static_cast<std::uint16_t>(pkt.eth.type));
-  // IPv4 (fixed 20-byte header; length/checksum filled for realism)
-  w.u8(0x45);  // version=4, ihl=5
-  w.u8(0);     // dscp/ecn
-  w.u16(static_cast<std::uint16_t>(Ipv4Header::kWireSize +
-                                   TcpHeader::kCodecSize +
-                                   pkt.payload.size()));
-  w.u16(0);  // identification
-  w.u16(0);  // flags/fragment
-  w.u8(pkt.ip.ttl);
-  w.u8(static_cast<std::uint8_t>(pkt.ip.proto));
-  w.u16(0);  // header checksum (not modeled)
-  w.u32(pkt.ip.src.value);
-  w.u32(pkt.ip.dst.value);
-  // TCP (seq/ack widened to u64; see TcpHeader)
-  w.u16(pkt.tcp.src_port);
-  w.u16(pkt.tcp.dst_port);
-  w.u64(pkt.tcp.seq);
-  w.u64(pkt.tcp.ack);
-  w.u8(0x50);  // data offset = 5 words
-  w.u8(pkt.tcp.flags);
-  w.u32(pkt.tcp.window);
-  w.u32(pkt.tcp.checksum);
-  w.u16(0);  // urgent
-  w.raw(pkt.payload);
-  return out;
-}
-
-Packet parse_packet(std::span<const std::uint8_t> wire) {
-  ByteReader r(wire);
-  Packet pkt;
-  std::uint64_t dst_hi = r.u16();
-  pkt.eth.dst.value = (dst_hi << 32) | r.u32();
-  std::uint64_t src_hi = r.u16();
-  pkt.eth.src.value = (src_hi << 32) | r.u32();
-  pkt.eth.type = static_cast<EtherType>(r.u16());
-
-  std::uint8_t ver_ihl = r.u8();
-  if ((ver_ihl >> 4) != 4) throw std::out_of_range("not IPv4");
-  r.skip(1);
-  std::uint16_t total_len = r.u16();
-  r.skip(4);
-  pkt.ip.ttl = r.u8();
-  pkt.ip.proto = static_cast<IpProto>(r.u8());
-  r.skip(2);
-  pkt.ip.src.value = r.u32();
-  pkt.ip.dst.value = r.u32();
-
-  pkt.tcp.src_port = r.u16();
-  pkt.tcp.dst_port = r.u16();
-  pkt.tcp.seq = r.u64();
-  pkt.tcp.ack = r.u64();
-  r.skip(1);
-  pkt.tcp.flags = r.u8();
-  pkt.tcp.window = r.u32();
-  pkt.tcp.checksum = r.u32();
-  r.skip(2);
-
-  std::size_t payload_len =
-      total_len - Ipv4Header::kWireSize - TcpHeader::kCodecSize;
-  pkt.payload = r.raw(payload_len);
-  return pkt;
-}
-
 }  // namespace storm::net

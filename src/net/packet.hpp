@@ -1,6 +1,6 @@
 // Packet model: Ethernet/IPv4/TCP headers plus a real payload. The fabric
-// passes structured packets for speed, but the codec (serialize/parse) is
-// real and round-trip tested — wire size is always computed from it.
+// passes structured packets; they never take a wire form, and the modeled
+// wire size is the canonical header sizes plus the payload.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,9 @@ inline constexpr std::uint8_t kTcpAck = 0x10;
 struct TcpHeader {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
-  // seq/ack are 64-bit in this simulation (the codec writes them as u64)
-  // so multi-gigabyte benchmark transfers need no 32-bit wraparound logic.
-  // The *modeled* wire size stays at the canonical 20 bytes.
+  // seq/ack are 64-bit in this simulation so multi-gigabyte benchmark
+  // transfers need no 32-bit wraparound logic. The *modeled* wire size
+  // stays at the canonical 20 bytes.
   std::uint64_t seq = 0;
   std::uint64_t ack = 0;
   std::uint8_t flags = 0;
@@ -55,8 +55,7 @@ struct TcpHeader {
   // in-flight corruption).
   std::uint32_t checksum = 0;
 
-  static constexpr std::size_t kWireSize = 20;       // timing model
-  static constexpr std::size_t kCodecSize = 32;      // serialized bytes
+  static constexpr std::size_t kWireSize = 20;
 };
 
 struct Packet {
@@ -72,24 +71,12 @@ struct Packet {
            TcpHeader::kWireSize + payload.size();
   }
 
-  /// Exact serialized size (the codec's TCP header is wider than the
-  /// modeled wire size; see TcpHeader::kCodecSize).
-  std::size_t codec_size() const {
-    return EthernetHeader::kWireSize + Ipv4Header::kWireSize +
-           TcpHeader::kCodecSize + payload.size();
-  }
-
   FourTuple four_tuple() const {
     return FourTuple{{ip.src, tcp.src_port}, {ip.dst, tcp.dst_port}};
   }
 
   std::string summary() const;
 };
-
-/// Wire codec (big-endian network order). parse() throws
-/// std::out_of_range on truncated buffers.
-Bytes serialize(const Packet& pkt);
-Packet parse_packet(std::span<const std::uint8_t> wire);
 
 /// Checksum over the NAT-invariant TCP fields (seq, ack, flags, window)
 /// and the payload. Computed by TcpStack::transmit, validated on receive;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+
 #include "core/active_relay.hpp"
 #include "core/attribution.hpp"
 #include "core/platform.hpp"
@@ -48,6 +51,57 @@ TEST(Policy, RejectsMalformedInput) {
   EXPECT_FALSE(parse_policy("tenant t\nvolume vm1 vol1\n"
                             "  service replication relay=passive").is_ok())
       << "replication must demand an active relay";
+
+  // Numeric values: empty, non-digit, negative or overflowing text is a
+  // parse error naming the line, never an exception.
+  const char* bad_numbers[] = {
+      "  service noop vcpus=abc\n",
+      "  service noop vcpus=\n",
+      "  service noop vcpus=99999999999\n",
+      "  service noop host=-1\n",
+      "  service noop host=2x\n",
+      "  service noop journal_hwm_kb=12k\n",
+      "  service noop journal_lwm_kb=-4\n",
+      "  service noop journal_segment_kb=\n",
+      "  service noop journal_checkpoint_kb=99999999999999999999\n",
+      "  service noop\n  replicas x\n",
+      "  service noop\n  replicas 2 min=one\n",
+      "  service replication replicas=r1\n  quorum w=two\n",
+      "  service replication replicas=r1\n  quorum rebuild_mbps=-1\n",
+  };
+  for (const char* service : bad_numbers) {
+    auto parsed =
+        parse_policy(std::string("tenant t\nvolume vm1 vol1\n") + service);
+    ASSERT_FALSE(parsed.is_ok()) << service;
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError) << service;
+    EXPECT_NE(parsed.status().message().find("line "), std::string::npos)
+        << parsed.status().to_string();
+  }
+  const char* bad_qos[] = {"qos rate_mbps=\n", "qos rate_mbps=-8\n",
+                           "qos rate_mbps=99999999999999999999\n",
+                           "qos rate_mbps=18446744073709551615\n",
+                           "qos rate_bytes=1e6\n", "qos burst_kb=+4\n"};
+  for (const char* qos : bad_qos) {
+    auto parsed = parse_policy(std::string("tenant t\n") + qos +
+                               "volume vm1 vol1\n  service noop\n");
+    ASSERT_FALSE(parsed.is_ok()) << qos;
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError) << qos;
+  }
+}
+
+TEST(Policy, ParseCountIsStrict) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("4096"), 4096u);
+  EXPECT_EQ(parse_count("8", 1024), 8192u);
+  EXPECT_EQ(parse_count("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parse_count("18446744073709551616"));
+  EXPECT_FALSE(parse_count("18014398509481984", 1024));  // 2^54 KiB
+  EXPECT_EQ(parse_count("2147483647", 1, INT_MAX), 2147483647u);
+  EXPECT_FALSE(parse_count("2147483648", 1, INT_MAX));
+  EXPECT_FALSE(parse_count(""));
+  EXPECT_FALSE(parse_count("-1"));
+  EXPECT_FALSE(parse_count(" 1"));
+  EXPECT_FALSE(parse_count("1.5"));
 }
 
 TEST(Policy, ParsesQosStanza) {
@@ -621,6 +675,23 @@ TEST_F(StormTest, UnknownServiceTypeFailsDeploy) {
       [&](Result<DeploymentHandle> r) { status = r.status(); });
   sim_.run();
   EXPECT_EQ(status.code(), ErrorCode::kNotFound);
+}
+
+TEST_F(StormTest, OutOfRangeHostFailsDeployBeforeAnyVm) {
+  cloud_.create_vm("vm1", "alice", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol1", 10'000).is_ok());
+  auto policy = parse_policy(
+      "tenant alice\nvolume vm1 vol1\n  service noop host=99\n");
+  ASSERT_TRUE(policy.is_ok()) << policy.status().to_string();
+  Status status = Status::ok();
+  platform_.attach_with_chain(
+      "vm1", "vol1", policy.value().volumes[0].chain,
+      [&](Result<DeploymentHandle> r) { status = r.status(); });
+  sim_.run();
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << status.to_string();
+  EXPECT_EQ(cloud_.find_vm("mb-1-noop"), nullptr)
+      << "no middle-box VM may be created for an unknown host";
+  EXPECT_FALSE(platform_.find_deployment("vm1", "vol1").valid());
 }
 
 // --- semantics reconstruction -----------------------------------------------------

@@ -317,6 +317,40 @@ TEST_F(FailureTest, DetachMidWriteDrainsWithoutLossOrDuplication) {
   }
 }
 
+// The drain poll's deadline branch: a chain whose relay died with writes
+// in flight can never go quiescent, so detach must force the teardown
+// once the drain timeout passes — not before — and invalidate the handle.
+TEST_F(FailureTest, DetachOfDeadChainForcesTeardownAtDrainTimeout) {
+  cloud::Vm& vm = cloud_.create_vm("vm", "t", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol", 40'000).is_ok());
+  DeploymentHandle dep = deploy_active("vm", "vol");
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    vm.disk()->write(i * 16, testutil::pattern_bytes(16 * block::kSectorSize),
+                     [](Status) {});
+  }
+  sim_.run_for(sim::microseconds(200));  // mid-flight
+  ASSERT_GT(dep.attachment()->initiator->outstanding(), 0u);
+  ASSERT_TRUE(dep.crash_middlebox(0).is_ok());
+
+  constexpr sim::Duration kTimeout = sim::milliseconds(5);
+  platform_.set_drain_timeout(kTimeout);
+  const sim::Time begin = sim_.now();
+  ASSERT_TRUE(dep.detach().is_ok());
+  sim_.run_until(begin + kTimeout - sim::microseconds(200));
+  EXPECT_TRUE(dep.valid()) << "teardown forced before the drain timeout";
+  EXPECT_TRUE(dep.draining());
+
+  sim_.run_until(begin + kTimeout + sim::microseconds(200));
+  EXPECT_FALSE(dep.valid()) << "a wedged chain must not pin the deployment";
+  EXPECT_FALSE(platform_.find_deployment("vm", "vol").valid());
+  bool forced = false;
+  for (const auto& event : sim_.telemetry().recorder().events()) {
+    forced = forced || event.what.find("drain timeout); forcing detach") !=
+                           std::string::npos;
+  }
+  EXPECT_TRUE(forced) << "the forced teardown must be recorded";
+}
+
 // Seeded chaos: kill a replica's backing session in the middle of a
 // read burst. Reads that were in flight against the dying copy must be
 // re-served from survivors with byte-identical payloads, and the read

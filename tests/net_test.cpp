@@ -28,46 +28,6 @@ Packet make_packet(Ipv4Addr src, std::uint16_t sport, Ipv4Addr dst,
   return pkt;
 }
 
-// --- codec ------------------------------------------------------------------
-
-TEST(PacketCodec, RoundTrips) {
-  Packet pkt;
-  pkt.eth.src = mac(0x001122334455);
-  pkt.eth.dst = mac(0xAABBCCDDEEFF);
-  pkt.ip.src = ip("10.1.2.3");
-  pkt.ip.dst = ip("10.4.5.6");
-  pkt.ip.ttl = 17;
-  pkt.tcp.src_port = 49152;
-  pkt.tcp.dst_port = 3260;
-  pkt.tcp.seq = 0x123456789ull;
-  pkt.tcp.ack = 0xABCDEFull;
-  pkt.tcp.flags = kTcpAck | kTcpSyn;
-  pkt.tcp.window = 128 * 1024;
-  pkt.payload = testutil::pattern_bytes(777);
-
-  Bytes wire = serialize(pkt);
-  Packet back = parse_packet(wire);
-  EXPECT_EQ(back.eth.src, pkt.eth.src);
-  EXPECT_EQ(back.eth.dst, pkt.eth.dst);
-  EXPECT_EQ(back.ip.src, pkt.ip.src);
-  EXPECT_EQ(back.ip.dst, pkt.ip.dst);
-  EXPECT_EQ(back.ip.ttl, pkt.ip.ttl);
-  EXPECT_EQ(back.tcp.src_port, pkt.tcp.src_port);
-  EXPECT_EQ(back.tcp.dst_port, pkt.tcp.dst_port);
-  EXPECT_EQ(back.tcp.seq, pkt.tcp.seq);
-  EXPECT_EQ(back.tcp.ack, pkt.tcp.ack);
-  EXPECT_EQ(back.tcp.flags, pkt.tcp.flags);
-  EXPECT_EQ(back.tcp.window, pkt.tcp.window);
-  EXPECT_EQ(back.payload, pkt.payload);
-}
-
-TEST(PacketCodec, ParseRejectsTruncated) {
-  Packet pkt = make_packet(ip("1.2.3.4"), 1, ip("5.6.7.8"), 2, 100);
-  Bytes wire = serialize(pkt);
-  wire.resize(wire.size() - 50);
-  EXPECT_THROW(parse_packet(wire), std::out_of_range);
-}
-
 TEST(Packet, WireSizeIsHeadersPlusPayload) {
   Packet pkt = make_packet(ip("1.1.1.1"), 1, ip("2.2.2.2"), 2, 1000);
   EXPECT_EQ(pkt.wire_size(), 14u + 20u + 20u + 1000u);

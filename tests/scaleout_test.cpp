@@ -301,6 +301,63 @@ TEST_F(ScaleoutTest, DrainBasedScaleDownParksVictimsWithoutDroppingWrites) {
   EXPECT_TRUE(roundtrip(*vms[0], 128));
 }
 
+// The migration poll's deadline branch: the scale-down victim's relay
+// died with a write in flight and no health manager runs to recover it,
+// so its flow can never drain. The migration gives up at the drain
+// timeout and reopens the initiator's gate; the flow stays pinned to the
+// victim, which keeps its ring arc and is not parked. The resize reports
+// the migration's error.
+TEST_F(ScaleoutTest, ScaleDownWithWedgedVictimTimesOutAndKeepsIt) {
+  std::vector<cloud::Vm*> vms;
+  std::vector<DeploymentHandle> deps;
+  for (unsigned t = 0; t < 6; ++t) {
+    vms.push_back(&cloud_.create_vm("vm" + std::to_string(t), "t", t % 4));
+    ASSERT_TRUE(
+        cloud_.create_volume("vol" + std::to_string(t), 20'000).is_ok());
+    deps.push_back(deploy("vm" + std::to_string(t),
+                          "vol" + std::to_string(t), {pooled_spec(2, 1, 2)}));
+  }
+  const ReplicaSet* set = platform_.replica_set("t", "noop");
+  ASSERT_NE(set, nullptr);
+  ASSERT_EQ(set->replicas.size(), 2u);
+  const auto victim = set->replicas[1];  // newest: the scale-down victim
+  std::size_t wedged = deps.size();
+  for (std::size_t i = 0; i < deps.size(); ++i) {
+    if (set->assignments.at(deps[i].cookie()) == victim->replica_label) {
+      wedged = i;
+    }
+  }
+  ASSERT_LT(wedged, deps.size()) << "no flow pinned to the victim";
+  iscsi::Initiator* initiator = deps[wedged].attachment()->initiator;
+
+  vms[wedged]->disk()->write(0, Bytes(16 * block::kSectorSize, 0xAB),
+                             [](Status) {});
+  sim_.run_for(sim::microseconds(200));  // mid-flight
+  ASSERT_GT(initiator->outstanding(), 0u);
+  victim->active_relay->crash();
+
+  platform_.set_drain_timeout(sim::milliseconds(5));
+  Status scale = Status::ok();
+  bool scaled = false;
+  platform_.scale_service_replicas("t", "noop", 1, [&](Status s) {
+    scale = s;
+    scaled = true;
+  });
+  sim_.run_for(sim::milliseconds(50));
+
+  ASSERT_TRUE(scaled);
+  EXPECT_EQ(scale.code(), ErrorCode::kDeadlineExceeded) << scale.to_string();
+  EXPECT_EQ(scale.message(), "migration drain timeout");
+  EXPECT_EQ(initiator->admission_mode(), iscsi::AdmissionMode::kOpen)
+      << "a failed migration must reopen the initiator's gate";
+  EXPECT_EQ(set->assignments.at(deps[wedged].cookie()),
+            victim->replica_label);
+  EXPECT_EQ(deps[wedged].mb_vm(0), victim->vm) << "the flow must not move";
+  EXPECT_EQ(set->replicas.size(), 2u);
+  EXPECT_TRUE(set->parked.empty()) << "a victim that owns flows is kept";
+  EXPECT_EQ(set->ring.node_count(), 2u) << "the victim's arcs come back";
+}
+
 TEST_F(ScaleoutTest, DetachReleasesOnlyItsOwnFlow) {
   cloud_.create_vm("vm0", "t", 0);
   cloud::Vm& vm1 = cloud_.create_vm("vm1", "t", 1);
