@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/async.hpp"
 #include "common/log.hpp"
 #include "core/health_manager.hpp"
 
@@ -290,33 +291,9 @@ void start_relay(MiddleboxInstance& box, net::SocketAddr upstream,
 // reported — with OK or the first error.
 void initialize_services(const std::vector<StorageService*>& services,
                          std::function<void(Status)> done) {
-  auto remaining = std::make_shared<std::size_t>(1);
-  auto first_error = std::make_shared<Status>(Status::ok());
-  auto on_ready = [remaining, first_error, done](Status status) {
-    if (!status.is_ok() && first_error->is_ok()) *first_error = status;
-    if (--*remaining == 0) done(*first_error);
-  };
-  for (StorageService* service : services) {
-    ++*remaining;
-    service->initialize(on_ready);
-  }
-  on_ready(Status::ok());  // release the initial hold
-}
-
-// One step of an asynchronous loop: handles item `i`, then calls `next`
-// to go on (or drops it to stop early).
-using Step = std::function<void(std::size_t i, std::function<void()> next)>;
-
-// Runs steps i..n-1 one after another, then `finish`. Each pending
-// closure holds copies of what it needs and none refers to itself, so
-// the loop's state is freed as soon as the loop ends.
-void run_steps(std::size_t i, std::size_t n, Step step,
-               std::function<void()> finish) {
-  if (i == n) {
-    finish();
-    return;
-  }
-  step(i, [i, n, step, finish] { run_steps(i + 1, n, step, finish); });
+  auto join = Joiner::make(std::move(done));
+  for (StorageService* service : services) service->initialize(join->begin());
+  join->seal();
 }
 
 }  // namespace
@@ -576,8 +553,7 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
   }
   const std::string set_key = set.key();
   auto first_error = std::make_shared<Status>(Status::ok());
-  Step step = [this, set_key, moves, first_error](
-                  std::size_t i, std::function<void()> next) {
+  Step step = [this, set_key, moves, first_error](std::size_t i, Next next) {
     const Move& move = (*moves)[i];
     ReplicaSet* set = find_replica_set(set_key);
     Deployment* dep = set != nullptr ? deployment_by_cookie(move.cookie)
@@ -613,7 +589,7 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
                    next();
                  });
   };
-  run_steps(0, moves->size(), std::move(step),
+  run_steps(moves->size(), std::move(step),
             [first_error, done] { done(*first_error); });
 }
 
@@ -898,8 +874,7 @@ void StormPlatform::apply_policy(
   if (policy.qos.enabled) set_tenant_qos(policy.tenant, policy.qos);
   auto volumes = std::make_shared<std::vector<VolumePolicy>>(policy.volumes);
   auto handles = std::make_shared<std::vector<DeploymentHandle>>();
-  Step step = [this, volumes, handles, done](std::size_t i,
-                                             std::function<void()> next) {
+  Step step = [this, volumes, handles, done](std::size_t i, Next next) {
     const VolumePolicy& vp = (*volumes)[i];
     attach_with_chain(vp.vm, vp.volume, vp.chain,
                       [handles, done, next](Result<DeploymentHandle> result) {
@@ -911,7 +886,7 @@ void StormPlatform::apply_policy(
                         next();
                       });
   };
-  run_steps(0, volumes->size(), std::move(step), [handles, done] {
+  run_steps(volumes->size(), std::move(step), [handles, done] {
     done(Result<std::vector<DeploymentHandle>>(std::move(*handles)));
   });
 }

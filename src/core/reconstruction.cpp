@@ -8,17 +8,6 @@
 
 namespace storm::core {
 
-namespace {
-
-std::uint32_t read_u32(std::span<const std::uint8_t> data,
-                       std::uint32_t index) {
-  const std::uint8_t* p = data.data() + index * 4;
-  return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
-         (std::uint32_t(p[2]) << 8) | p[3];
-}
-
-}  // namespace
-
 std::string FileOp::to_string() const {
   std::ostringstream out;
   switch (kind) {
@@ -125,14 +114,14 @@ void SemanticsReconstructor::index_inode_blocks(
     auto data = table_content(table);
     if (!data) return;  // content arrives as later writes
     for (std::uint32_t i = 0; i < fs::kPointersPerBlock; ++i) {
-      std::uint32_t value = read_u32(*data, i);
+      std::uint32_t value = fs::pointer_slot(*data, i);
       if (value == 0) continue;
       if (is_l1_of_dindirect) {
         pointer_block_owner_[value] = ino;
         auto level2 = table_content(value);
         if (!level2) continue;
         for (std::uint32_t j = 0; j < fs::kPointersPerBlock; ++j) {
-          std::uint32_t leaf = read_u32(*level2, j);
+          std::uint32_t leaf = fs::pointer_slot(*level2, j);
           if (leaf == 0) continue;
           block_owner_[leaf] = ino;
           info.blocks.insert(leaf);
@@ -426,7 +415,7 @@ void SemanticsReconstructor::apply_pointer_block_write(
   FileInfo& info = inodes_[owner];
   const bool is_l1 = dindirect_l1_.contains(block);
   for (std::uint32_t i = 0; i < fs::kPointersPerBlock; ++i) {
-    std::uint32_t value = read_u32(data, i);
+    std::uint32_t value = fs::pointer_slot(data, i);
     if (value == 0) continue;
     if (is_l1) {
       // Children of a double-indirect L1 are L2 pointer blocks. Any

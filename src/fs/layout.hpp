@@ -118,6 +118,23 @@ std::uint32_t first_inode_of_table_block(const SuperBlock& sb,
                                          std::uint32_t group,
                                          std::uint32_t table_index);
 
+/// Pointer-table blocks (the indirect block and both levels of the
+/// double-indirect tree) hold kPointersPerBlock big-endian block numbers.
+inline std::uint32_t pointer_slot(std::span<const std::uint8_t> table,
+                                  std::uint32_t i) {
+  const std::uint8_t* p = table.data() + i * 4;
+  return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
+         (std::uint32_t(p[2]) << 8) | p[3];
+}
+inline void set_pointer_slot(std::span<std::uint8_t> table, std::uint32_t i,
+                             std::uint32_t block) {
+  std::uint8_t* p = table.data() + i * 4;
+  p[0] = static_cast<std::uint8_t>(block >> 24);
+  p[1] = static_cast<std::uint8_t>(block >> 16);
+  p[2] = static_cast<std::uint8_t>(block >> 8);
+  p[3] = static_cast<std::uint8_t>(block);
+}
+
 /// Bitmap helpers operating on a raw 4096-byte bitmap block.
 bool bitmap_get(std::span<const std::uint8_t> bitmap, std::uint32_t index);
 void bitmap_set(std::span<std::uint8_t> bitmap, std::uint32_t index,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/async.hpp"
 #include "common/log.hpp"
 
 namespace storm::fs {
@@ -30,46 +31,18 @@ Result<std::vector<std::string>> split_path(const std::string& path) {
   return parts;
 }
 
-/// Join N async sub-operations into one completion with first-error-wins.
-struct SimExt::Joiner : std::enable_shared_from_this<SimExt::Joiner> {
-  int outstanding = 0;
-  bool sealed = false;
-  Status first_error = Status::ok();
-  std::function<void(Status)> on_done;
+namespace {
 
-  static std::shared_ptr<Joiner> make(std::function<void(Status)> done) {
-    auto joiner = std::make_shared<Joiner>();
-    joiner->on_done = std::move(done);
-    return joiner;
-  }
+// dir_scan predicates.
+std::function<bool(const DirEntry&)> named(const std::string& name) {
+  return [name](const DirEntry& entry) {
+    return entry.inode != 0 && entry.name == name;
+  };
+}
+bool unused(const DirEntry& entry) { return entry.inode == 0; }
+bool in_use(const DirEntry& entry) { return entry.inode != 0; }
 
-  /// Register one sub-operation; call the returned functor on completion.
-  std::function<void(Status)> begin() {
-    ++outstanding;
-    auto self = shared_from_this();
-    return [self](Status status) {
-      if (!status.is_ok() && self->first_error.is_ok()) {
-        self->first_error = status;
-      }
-      --self->outstanding;
-      self->maybe_fire();
-    };
-  }
-
-  void seal() {
-    sealed = true;
-    maybe_fire();
-  }
-
- private:
-  void maybe_fire() {
-    if (sealed && outstanding == 0 && on_done) {
-      auto done = std::move(on_done);
-      on_done = nullptr;
-      done(first_error);
-    }
-  }
-};
+}  // namespace
 
 // ------------------------------------------------------------------- mkfs
 
@@ -233,13 +206,16 @@ void SimExt::mark_dirty(std::uint32_t block,
     return;
   }
   dirty_.insert(block);
-  if (!flush_scheduled_) {
-    flush_scheduled_ = true;
-    sim_.schedule_in(options_.writeback_delay, [this] {
-      flush_scheduled_ = false;
-      flush_dirty([](Status) {});
-    });
-  }
+  schedule_writeback();
+}
+
+void SimExt::schedule_writeback() {
+  if (flush_scheduled_) return;
+  flush_scheduled_ = true;
+  sim_.schedule_in(options_.writeback_delay, [this] {
+    flush_scheduled_ = false;
+    flush_dirty([](Status) {});
+  });
 }
 
 void SimExt::flush_dirty(DoneCb done) {
@@ -389,15 +365,15 @@ void SimExt::resolve_step(std::shared_ptr<std::vector<std::string>> parts,
       done(error(ErrorCode::kInvalidArgument, "not a directory"), {});
       return;
     }
-    const std::string& name = (*parts)[index];
-    dir_scan(dir, name,
-             [this, parts, index, current, name, done](
-                 Status scan_status, std::uint32_t ino, std::uint32_t,
-                 std::uint32_t) {
+    dir_scan(dir, named((*parts)[index]),
+             [this, parts, index, current, done](Status scan_status,
+                                                 std::optional<DirSlot> slot) {
                if (!scan_status.is_ok()) {
                  done(scan_status, {});
                  return;
                }
+               const std::string& name = (*parts)[index];
+               std::uint32_t ino = slot ? slot->entry.inode : 0;
                bool last = index + 1 == parts->size();
                if (last) {
                  done(Status::ok(), Resolved{current, ino, name});
@@ -414,31 +390,50 @@ void SimExt::resolve_step(std::shared_ptr<std::vector<std::string>> parts,
   });
 }
 
-void SimExt::dir_scan(
-    const Inode& dir, const std::string& name,
-    std::function<void(Status, std::uint32_t, std::uint32_t, std::uint32_t)>
-        done) {
+void SimExt::resolve_inode(const std::string& path, const char* missing,
+                           InodeCb done) {
+  resolve(path, [this, missing, done = std::move(done)](
+                    Status status, Resolved resolved) mutable {
+    if (status.is_ok() && resolved.inode == 0) {
+      status = error(ErrorCode::kNotFound, missing);
+    }
+    if (!status.is_ok()) {
+      done(status, {}, {});
+      return;
+    }
+    ensure_block(inode_block(resolved.inode),
+                 [this, resolved, done = std::move(done)](Status s) {
+      done(s, resolved, s.is_ok() ? get_inode(resolved.inode) : Inode{});
+    });
+  });
+}
+
+void SimExt::dir_scan(const Inode& dir,
+                      std::function<bool(const DirEntry&)> match,
+                      ScanCb done) {
+  // Directories use direct blocks only.
   std::vector<std::uint32_t> blocks;
   for (std::uint32_t block : dir.direct) {
     if (block != 0) blocks.push_back(block);
   }
-  ensure_blocks(blocks, [this, blocks, name, done](Status status) {
+  ensure_blocks(blocks, [this, blocks, match, done](Status status) {
     if (!status.is_ok()) {
-      done(status, 0, 0, 0);
+      done(status, std::nullopt);
       return;
     }
     for (std::uint32_t block : blocks) {
       const Bytes& data = cached(block);
-      for (std::uint32_t slot = 0; slot < kDirEntriesPerBlock; ++slot) {
+      for (std::uint32_t offset = 0; offset < kBlockSize;
+           offset += kDirEntrySize) {
         DirEntry entry = DirEntry::parse(std::span<const std::uint8_t>(
-            data.data() + slot * kDirEntrySize, kDirEntrySize));
-        if (entry.inode != 0 && entry.name == name) {
-          done(Status::ok(), entry.inode, block, slot * kDirEntrySize);
+            data.data() + offset, kDirEntrySize));
+        if (match(entry)) {
+          done(Status::ok(), DirSlot{block, offset, std::move(entry)});
           return;
         }
       }
     }
-    done(Status::ok(), 0, 0, 0);
+    done(Status::ok(), std::nullopt);
   });
 }
 
@@ -450,41 +445,29 @@ void SimExt::dir_add_entry(std::uint32_t dir_ino, const DirEntry& entry,
       done(status);
       return;
     }
-    Inode dir = get_inode(dir_ino);
-    std::vector<std::uint32_t> blocks;
-    for (std::uint32_t block : dir.direct) {
-      if (block != 0) blocks.push_back(block);
-    }
-    ensure_blocks(blocks, [this, dir_ino, entry, done](Status s) {
+    dir_scan(get_inode(dir_ino), unused,
+             [this, dir_ino, entry, done](Status s,
+                                          std::optional<DirSlot> free_slot) {
       if (!s.is_ok()) {
         done(s);
         return;
       }
       auto join = Joiner::make(done);
-      Inode dir = get_inode(dir_ino);
-      // Find a free slot in existing blocks.
-      for (std::uint32_t block : dir.direct) {
-        if (block == 0) continue;
-        Bytes& data = cached(block);
-        for (std::uint32_t slot = 0; slot < kDirEntriesPerBlock; ++slot) {
-          DirEntry existing = DirEntry::parse(std::span<const std::uint8_t>(
-              data.data() + slot * kDirEntrySize, kDirEntrySize));
-          if (existing.inode == 0) {
-            entry.serialize_into(std::span<std::uint8_t>(
-                data.data() + slot * kDirEntrySize, kDirEntrySize));
-            mark_dirty(block, join);
-            join->seal();
-            return;
-          }
-        }
+      if (free_slot) {
+        Bytes& data = cached(free_slot->block);
+        entry.serialize_into(std::span<std::uint8_t>(
+            data.data() + free_slot->offset, kDirEntrySize));
+        mark_dirty(free_slot->block, join);
+        join->seal();
+        return;
       }
       // All blocks full: grow the directory by one block.
+      Inode dir = get_inode(dir_ino);
       for (auto& slot : dir.direct) {
         if (slot != 0) continue;
         auto block = alloc_block(join);
         if (!block.is_ok()) {
-          join->begin()(block.status());
-          join->seal();
+          join->fail(block.status());
           return;
         }
         slot = block.value();
@@ -501,8 +484,7 @@ void SimExt::dir_add_entry(std::uint32_t dir_ino, const DirEntry& entry,
         join->seal();
         return;
       }
-      join->begin()(error(ErrorCode::kOutOfSpace, "directory full"));
-      join->seal();
+      join->fail(error(ErrorCode::kOutOfSpace, "directory full"));
     });
   });
 }
@@ -515,22 +497,20 @@ void SimExt::dir_remove_entry(std::uint32_t dir_ino, const std::string& name,
       done(status);
       return;
     }
-    Inode dir = get_inode(dir_ino);
-    dir_scan(dir, name,
-             [this, done](Status s, std::uint32_t ino, std::uint32_t block,
-                          std::uint32_t offset) {
+    dir_scan(get_inode(dir_ino), named(name),
+             [this, done](Status s, std::optional<DirSlot> slot) {
                if (!s.is_ok()) {
                  done(s);
                  return;
                }
-               if (ino == 0) {
+               if (!slot) {
                  done(error(ErrorCode::kNotFound, "entry not found"));
                  return;
                }
                auto join = Joiner::make(done);
-               Bytes& data = cached(block);
-               std::memset(data.data() + offset, 0, kDirEntrySize);
-               mark_dirty(block, join);
+               Bytes& data = cached(slot->block);
+               std::memset(data.data() + slot->offset, 0, kDirEntrySize);
+               mark_dirty(slot->block, join);
                join->seal();
              });
   });
@@ -539,230 +519,124 @@ void SimExt::dir_remove_entry(std::uint32_t dir_ino, const std::string& name,
 // ---------------------------------------------------------- block mapping
 
 void SimExt::map_block(Inode& inode, std::uint32_t index, bool allocate,
-                       std::shared_ptr<Joiner> join,
-                       std::function<void(Status, std::uint32_t)> done) {
-  auto alloc_table_block = [this, join](std::uint32_t& slot) -> Status {
-    auto block = alloc_block(join);
-    if (!block.is_ok()) return block.status();
-    slot = block.value();
-    cache_[slot] = Bytes(kBlockSize, 0);
-    mark_dirty(slot, join);
-    return Status::ok();
-  };
-
-  if (index < kDirectBlocks) {
-    if (inode.direct[index] == 0 && allocate) {
-      auto block = alloc_block(join);
-      if (!block.is_ok()) {
-        done(block.status(), 0);
-        return;
-      }
-      inode.direct[index] = block.value();
-    }
-    done(Status::ok(), inode.direct[index]);
-    return;
-  }
-
-  std::uint32_t rel = index - kDirectBlocks;
-  if (rel < kPointersPerBlock) {
-    if (inode.indirect == 0) {
-      if (!allocate) {
-        done(Status::ok(), 0);
-        return;
-      }
-      Status s = alloc_table_block(inode.indirect);
-      if (!s.is_ok()) {
-        done(s, 0);
-        return;
-      }
-    }
-    std::uint32_t table = inode.indirect;
-    ensure_block(table, [this, table, rel, allocate, join,
-                         done](Status status) {
-      if (!status.is_ok()) {
-        done(status, 0);
-        return;
-      }
-      Bytes& data = cached(table);
-      std::uint8_t* slot = data.data() + rel * 4;
-      std::uint32_t value = (std::uint32_t(slot[0]) << 24) |
-                            (std::uint32_t(slot[1]) << 16) |
-                            (std::uint32_t(slot[2]) << 8) | slot[3];
-      if (value == 0 && allocate) {
-        auto block = alloc_block(join);
-        if (!block.is_ok()) {
-          done(block.status(), 0);
-          return;
-        }
-        value = block.value();
-        slot[0] = static_cast<std::uint8_t>(value >> 24);
-        slot[1] = static_cast<std::uint8_t>(value >> 16);
-        slot[2] = static_cast<std::uint8_t>(value >> 8);
-        slot[3] = static_cast<std::uint8_t>(value);
-        mark_dirty(table, join);
-      }
-      done(Status::ok(), value);
-    });
-    return;
-  }
-
-  rel -= kPointersPerBlock;
-  if (rel >= kPointersPerBlock * kPointersPerBlock) {
+                       std::shared_ptr<Joiner> join, MapCb done) {
+  // The pointer for `index` sits in the inode (`root`), `depth` pointer
+  // table levels above the data block.
+  std::uint32_t* root = nullptr;
+  std::uint32_t depth = 0;
+  std::uint32_t rel = index;
+  if (rel < kDirectBlocks) {
+    root = &inode.direct[rel];
+  } else if ((rel -= kDirectBlocks) < kPointersPerBlock) {
+    root = &inode.indirect;
+    depth = 1;
+  } else if ((rel -= kPointersPerBlock) <
+             kPointersPerBlock * kPointersPerBlock) {
+    root = &inode.dindirect;
+    depth = 2;
+  } else {
     done(error(ErrorCode::kInvalidArgument, "file too large"), 0);
     return;
   }
-  if (inode.dindirect == 0) {
-    if (!allocate) {
-      done(Status::ok(), 0);
-      return;
-    }
-    Status s = alloc_table_block(inode.dindirect);
+  if (*root == 0 && allocate) {
+    Status s = alloc_pointer(*root, depth > 0, join);
     if (!s.is_ok()) {
       done(s, 0);
       return;
     }
   }
-  std::uint32_t l1_block = inode.dindirect;
-  std::uint32_t l1_index = rel / kPointersPerBlock;
-  std::uint32_t l2_index = rel % kPointersPerBlock;
-  ensure_block(l1_block, [this, l1_block, l1_index, l2_index, allocate, join,
-                          done, alloc_table_block](Status status) mutable {
+  if (depth == 0 || *root == 0) {
+    done(Status::ok(), *root);
+    return;
+  }
+  walk_tables(*root, rel, depth, allocate, std::move(join), std::move(done));
+}
+
+void SimExt::walk_tables(std::uint32_t table, std::uint32_t rel,
+                         std::uint32_t depth, bool allocate,
+                         std::shared_ptr<Joiner> join, MapCb done) {
+  ensure_block(table, [this, table, rel, depth, allocate, join,
+                       done](Status status) {
     if (!status.is_ok()) {
       done(status, 0);
       return;
     }
-    Bytes& l1 = cached(l1_block);
-    std::uint8_t* l1_slot = l1.data() + l1_index * 4;
-    std::uint32_t l2_block = (std::uint32_t(l1_slot[0]) << 24) |
-                             (std::uint32_t(l1_slot[1]) << 16) |
-                             (std::uint32_t(l1_slot[2]) << 8) | l1_slot[3];
-    if (l2_block == 0) {
-      if (!allocate) {
-        done(Status::ok(), 0);
-        return;
-      }
-      Status s = alloc_table_block(l2_block);
+    std::uint32_t slot =
+        depth == 2 ? rel / kPointersPerBlock : rel % kPointersPerBlock;
+    Bytes& data = cached(table);
+    std::uint32_t child = pointer_slot(data, slot);
+    if (child == 0 && allocate) {
+      Status s = alloc_pointer(child, depth > 1, join);
       if (!s.is_ok()) {
         done(s, 0);
         return;
       }
-      l1_slot[0] = static_cast<std::uint8_t>(l2_block >> 24);
-      l1_slot[1] = static_cast<std::uint8_t>(l2_block >> 16);
-      l1_slot[2] = static_cast<std::uint8_t>(l2_block >> 8);
-      l1_slot[3] = static_cast<std::uint8_t>(l2_block);
-      mark_dirty(l1_block, join);
+      set_pointer_slot(data, slot, child);
+      mark_dirty(table, join);
     }
-    ensure_block(l2_block, [this, l2_block, l2_index, allocate, join,
-                            done](Status s2) {
-      if (!s2.is_ok()) {
-        done(s2, 0);
-        return;
-      }
-      Bytes& l2 = cached(l2_block);
-      std::uint8_t* slot = l2.data() + l2_index * 4;
-      std::uint32_t value = (std::uint32_t(slot[0]) << 24) |
-                            (std::uint32_t(slot[1]) << 16) |
-                            (std::uint32_t(slot[2]) << 8) | slot[3];
-      if (value == 0 && allocate) {
-        auto block = alloc_block(join);
-        if (!block.is_ok()) {
-          done(block.status(), 0);
-          return;
-        }
-        value = block.value();
-        slot[0] = static_cast<std::uint8_t>(value >> 24);
-        slot[1] = static_cast<std::uint8_t>(value >> 16);
-        slot[2] = static_cast<std::uint8_t>(value >> 8);
-        slot[3] = static_cast<std::uint8_t>(value);
-        mark_dirty(l2_block, join);
-      }
-      done(Status::ok(), value);
-    });
+    if (depth == 1 || child == 0) {
+      done(Status::ok(), child);
+      return;
+    }
+    walk_tables(child, rel, depth - 1, allocate, join, done);
   });
+}
+
+Status SimExt::alloc_pointer(std::uint32_t& slot, bool table,
+                             const std::shared_ptr<Joiner>& join) {
+  auto block = alloc_block(join);
+  if (!block.is_ok()) return block.status();
+  slot = block.value();
+  if (table) {
+    cache_[slot] = Bytes(kBlockSize, 0);
+    mark_dirty(slot, join);
+  }
+  return Status::ok();
 }
 
 void SimExt::free_file_blocks(const Inode& inode,
                               std::shared_ptr<Joiner> join, DoneCb done) {
+  // The direct blocks, then the indirect tree, then the double-indirect.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> trees;
   for (std::uint32_t block : inode.direct) {
-    if (block != 0) free_block(block, join);
+    if (block != 0) trees.emplace_back(block, 0);
   }
-  auto free_table = [this, join](std::uint32_t table, auto&& next) {
-    ensure_block(table, [this, table, join, next](Status status) {
-      if (!status.is_ok()) {
-        next(status);
-        return;
-      }
-      const Bytes& data = cached(table);
-      std::vector<std::uint32_t> children;
-      for (std::uint32_t i = 0; i < kPointersPerBlock; ++i) {
-        const std::uint8_t* slot = data.data() + i * 4;
-        std::uint32_t value = (std::uint32_t(slot[0]) << 24) |
-                              (std::uint32_t(slot[1]) << 16) |
-                              (std::uint32_t(slot[2]) << 8) | slot[3];
-        if (value != 0) children.push_back(value);
-      }
-      for (std::uint32_t child : children) free_block(child, join);
-      free_block(table, join);
-      next(Status::ok());
-    });
-  };
+  if (inode.indirect != 0) trees.emplace_back(inode.indirect, 1);
+  if (inode.dindirect != 0) trees.emplace_back(inode.dindirect, 2);
+  run_steps(trees.size(), [this, trees, join, done](std::size_t i, Next next) {
+    free_tree(trees[i].first, trees[i].second, join,
+              next_or_fail(std::move(next), done));
+  }, [done] { done(Status::ok()); });
+}
 
-  if (inode.indirect == 0 && inode.dindirect == 0) {
+void SimExt::free_tree(std::uint32_t block, std::uint32_t depth,
+                       std::shared_ptr<Joiner> join, DoneCb done) {
+  if (depth == 0) {
+    free_block(block, join);
     done(Status::ok());
     return;
   }
-  auto after_indirect = [this, inode, join, done, free_table](Status status) {
+  ensure_block(block, [this, block, depth, join, done](Status status) {
     if (!status.is_ok()) {
       done(status);
       return;
     }
-    if (inode.dindirect == 0) {
-      done(Status::ok());
-      return;
+    auto children = std::make_shared<std::vector<std::uint32_t>>();
+    const Bytes& table = cached(block);
+    for (std::uint32_t i = 0; i < kPointersPerBlock; ++i) {
+      if (std::uint32_t child = pointer_slot(table, i)) {
+        children->push_back(child);
+      }
     }
-    // Double indirect: free each L2 table (and its children), then the L1.
-    std::uint32_t l1_block = inode.dindirect;
-    ensure_block(l1_block, [this, l1_block, join, done,
-                            free_table](Status s) {
-      if (!s.is_ok()) {
-        done(s);
-        return;
-      }
-      const Bytes& l1 = cached(l1_block);
-      auto l2_blocks = std::make_shared<std::vector<std::uint32_t>>();
-      for (std::uint32_t i = 0; i < kPointersPerBlock; ++i) {
-        const std::uint8_t* slot = l1.data() + i * 4;
-        std::uint32_t value = (std::uint32_t(slot[0]) << 24) |
-                              (std::uint32_t(slot[1]) << 16) |
-                              (std::uint32_t(slot[2]) << 8) | slot[3];
-        if (value != 0) l2_blocks->push_back(value);
-      }
-      // Free L2 tables sequentially.
-      auto step = std::make_shared<std::function<void(std::size_t)>>();
-      *step = [this, l2_blocks, l1_block, join, done, free_table,
-               step](std::size_t i) {
-        if (i == l2_blocks->size()) {
-          free_block(l1_block, join);
-          done(Status::ok());
-          return;
-        }
-        free_table((*l2_blocks)[i], [step, i, done](Status s2) {
-          if (!s2.is_ok()) {
-            done(s2);
-            return;
-          }
-          (*step)(i + 1);
-        });
-      };
-      (*step)(0);
+    run_steps(children->size(),
+              [this, children, depth, join, done](std::size_t i, Next next) {
+      free_tree((*children)[i], depth - 1, join,
+                next_or_fail(std::move(next), done));
+    }, [this, block, join, done] {
+      free_block(block, join);
+      done(Status::ok());
     });
-  };
-
-  if (inode.indirect != 0) {
-    free_table(inode.indirect, after_indirect);
-  } else {
-    after_indirect(Status::ok());
-  }
+  });
 }
 
 // --------------------------------------------------------------- op bodies
@@ -792,16 +666,14 @@ void SimExt::do_create(const std::string& path, InodeType type, DoneCb done) {
     auto join = Joiner::make(done);
     auto ino = alloc_inode(join);
     if (!ino.is_ok()) {
-      join->begin()(ino.status());
-      join->seal();
+      join->fail(ino.status());
       return;
     }
     std::uint32_t new_ino = ino.value();
     ensure_block(inode_block(new_ino), [this, new_ino, type, resolved,
                                         join](Status s) {
       if (!s.is_ok()) {
-        join->begin()(s);
-        join->seal();
+        join->fail(s);
         return;
       }
       Inode inode;
@@ -827,151 +699,110 @@ void SimExt::write_file(const std::string& path, std::uint64_t offset,
 
 void SimExt::do_write(const std::string& path, std::uint64_t offset,
                       Bytes data, DoneCb done) {
-  resolve(path, [this, offset, data = std::move(data),
-                 done](Status status, Resolved resolved) mutable {
+  resolve_inode(path, "no such file",
+                [this, offset, data = std::move(data), done](
+                    Status status, Resolved resolved, Inode file) mutable {
+    if (status.is_ok() && file.type != InodeType::kFile) {
+      status = error(ErrorCode::kInvalidArgument, "not a regular file");
+    }
     if (!status.is_ok()) {
       done(status);
       return;
     }
-    if (resolved.inode == 0) {
-      done(error(ErrorCode::kNotFound, "no such file"));
-      return;
-    }
     std::uint32_t ino = resolved.inode;
-    ensure_block(inode_block(ino), [this, ino, offset,
-                                    data = std::move(data),
-                                    done](Status s) mutable {
-      if (!s.is_ok()) {
-        done(s);
-        return;
-      }
-      auto inode = std::make_shared<Inode>(get_inode(ino));
-      if (inode->type != InodeType::kFile) {
-        done(error(ErrorCode::kInvalidArgument, "not a regular file"));
-        return;
-      }
-      auto join = Joiner::make(done);
-      auto payload = std::make_shared<Bytes>(std::move(data));
-      std::uint64_t end = offset + payload->size();
-      std::uint32_t first_block = static_cast<std::uint32_t>(offset / kBlockSize);
-      std::uint32_t last_block =
-          payload->empty() ? first_block
-                           : static_cast<std::uint32_t>((end - 1) / kBlockSize);
+    auto inode = std::make_shared<Inode>(file);
+    auto join = Joiner::make(done);
+    auto payload = std::make_shared<Bytes>(std::move(data));
+    std::uint64_t end = offset + payload->size();
+    std::uint32_t first_block = static_cast<std::uint32_t>(offset / kBlockSize);
+    std::size_t blocks =
+        payload->empty() ? 0 : (end - 1) / kBlockSize - first_block + 1;
 
-      // Data bytes are staged during the mapping phase and issued only
-      // after the inode (and any pointer blocks) have been written: a
-      // block-level observer can then attribute every data write to its
-      // file — the property StorM's semantics reconstruction depends on.
-      auto staged = std::make_shared<
-          std::vector<std::pair<std::uint64_t, Bytes>>>();
-      auto step = std::make_shared<std::function<void(std::uint32_t)>>();
-      *step = [this, ino, inode, offset, payload, end, first_block,
-               last_block, join, staged, step](std::uint32_t index) {
-        if (payload->empty() || index > last_block) {
-          std::uint64_t old_size = inode->size;
-          inode->size = std::max(old_size, end);
-          put_inode(ino, *inode, join);
-          // Merge contiguous staged writes into single device I/Os, as a
-          // kernel block layer would merge bios.
-          std::vector<std::pair<std::uint64_t, Bytes>> merged;
-          for (auto& [lba, bytes] : *staged) {
-            if (!merged.empty() &&
-                merged.back().first + merged.back().second.size() / 512 ==
-                    lba) {
-              merged.back().second.insert(merged.back().second.end(),
-                                          bytes.begin(), bytes.end());
-            } else {
-              merged.emplace_back(lba, std::move(bytes));
-            }
-          }
-          // Issue data after the same-tick metadata flush (see
-          // mark_dirty): the post below runs after the pending-meta posts
-          // already scheduled by put_inode/alloc, keeping the
-          // metadata-before-data device order reconstruction relies on.
-          for (auto& [lba, bytes] : merged) {
-            if (options_.writeback_delay == 0) {
-              sim_.schedule_in(0, [this, lba = lba, bytes = std::move(bytes),
-                         cb = join->begin()]() mutable {
-                dev_.write(lba, std::move(bytes), std::move(cb));
-              });
-            } else {
-              pending_data_.emplace_back(lba, std::move(bytes));
-              if (!flush_scheduled_) {
-                flush_scheduled_ = true;
-                sim_.schedule_in(options_.writeback_delay, [this] {
-                  flush_scheduled_ = false;
-                  flush_dirty([](Status) {});
-                });
-              }
-            }
-          }
-          join->seal();
+    // Data bytes are staged during the mapping phase and issued only
+    // after the inode (and any pointer blocks) have been written: a
+    // block-level observer can then attribute every data write to its
+    // file — the property StorM's semantics reconstruction depends on.
+    auto staged = std::make_shared<
+        std::vector<std::pair<std::uint64_t, Bytes>>>();
+    Step step = [this, inode, offset, payload, end, first_block, join,
+                 staged](std::size_t i, Next next) {
+      std::uint32_t index = first_block + static_cast<std::uint32_t>(i);
+      std::uint64_t block_start =
+          static_cast<std::uint64_t>(index) * kBlockSize;
+      std::uint64_t copy_from = std::max<std::uint64_t>(offset, block_start);
+      std::uint64_t copy_to = std::min<std::uint64_t>(end, block_start + kBlockSize);
+      bool full_block = (copy_from == block_start) &&
+                        (copy_to == block_start + kBlockSize);
+      bool existed_before =
+          block_start < inode->size;  // may contain old data
+
+      map_block(*inode, index, /*allocate=*/true, join,
+                [this, payload, offset, block_start, copy_from, copy_to,
+                 full_block, existed_before, join, staged,
+                 next](Status ms, std::uint32_t block) {
+        if (!ms.is_ok()) {
+          join->fail(ms);
           return;
         }
-        std::uint64_t block_start =
-            static_cast<std::uint64_t>(index) * kBlockSize;
-        std::uint64_t copy_from = std::max<std::uint64_t>(offset, block_start);
-        std::uint64_t copy_to = std::min<std::uint64_t>(end, block_start + kBlockSize);
-        bool full_block = (copy_from == block_start) &&
-                          (copy_to == block_start + kBlockSize);
-        bool existed_before =
-            block_start < inode->size;  // may contain old data
-
-        map_block(*inode, index, /*allocate=*/true, join,
-                  [this, inode, index, payload, offset, block_start,
-                   copy_from, copy_to, full_block, existed_before, join,
-                   staged, step](Status ms, std::uint32_t block) {
-          if (!ms.is_ok()) {
-            join->begin()(ms);
-            join->seal();
+        std::uint64_t lba =
+            static_cast<std::uint64_t>(block) * kSectorsPerBlock;
+        // Lays this block's slice of the payload over `bytes`.
+        auto stage = [payload, offset, block_start, copy_from, copy_to,
+                      lba, staged, next](Bytes bytes) {
+          std::memcpy(bytes.data() + (copy_from - block_start),
+                      payload->data() + (copy_from - offset),
+                      copy_to - copy_from);
+          staged->emplace_back(lba, std::move(bytes));
+          next();
+        };
+        if (full_block || !existed_before) {
+          stage(Bytes(kBlockSize, 0));
+          return;
+        }
+        // Read-modify-write of an existing partial block.
+        dev_.read(lba, kSectorsPerBlock,
+                  [stage, join](Status rs, Bytes old) {
+          if (!rs.is_ok()) {
+            join->fail(rs);
             return;
           }
-          auto issue_write = [block, staged](Bytes bytes) {
-            staged->emplace_back(
-                static_cast<std::uint64_t>(block) * kSectorsPerBlock,
-                std::move(bytes));
-          };
-          auto slice = [payload, offset](std::uint64_t from,
-                                         std::uint64_t to) {
-            return std::span<const std::uint8_t>(
-                payload->data() + (from - offset), to - from);
-          };
-          if (full_block) {
-            Bytes bytes(slice(copy_from, copy_to).begin(),
-                        slice(copy_from, copy_to).end());
-            issue_write(std::move(bytes));
-            (*step)(index + 1);
-            return;
-          }
-          if (!existed_before) {
-            Bytes bytes(kBlockSize, 0);
-            auto src = slice(copy_from, copy_to);
-            std::memcpy(bytes.data() + (copy_from - block_start), src.data(),
-                        src.size());
-            issue_write(std::move(bytes));
-            (*step)(index + 1);
-            return;
-          }
-          // Read-modify-write of an existing partial block.
-          std::uint64_t lba =
-              static_cast<std::uint64_t>(block) * kSectorsPerBlock;
-          dev_.read(lba, kSectorsPerBlock,
-                    [slice, copy_from, copy_to, block_start, issue_write,
-                     step, index, join](Status rs, Bytes old) {
-            if (!rs.is_ok()) {
-              join->begin()(rs);
-              join->seal();
-              return;
-            }
-            auto src = slice(copy_from, copy_to);
-            std::memcpy(old.data() + (copy_from - block_start), src.data(),
-                        src.size());
-            issue_write(std::move(old));
-            (*step)(index + 1);
-          });
+          stage(std::move(old));
         });
-      };
-      (*step)(first_block);
+      });
+    };
+    run_steps(blocks, std::move(step), [this, ino, inode, end, join,
+                                        staged] {
+      inode->size = std::max(inode->size, end);
+      put_inode(ino, *inode, join);
+      // Merge contiguous staged writes into single device I/Os, as a
+      // kernel block layer would merge bios.
+      std::vector<std::pair<std::uint64_t, Bytes>> merged;
+      for (auto& [lba, bytes] : *staged) {
+        if (!merged.empty() &&
+            merged.back().first + merged.back().second.size() / 512 ==
+                lba) {
+          merged.back().second.insert(merged.back().second.end(),
+                                      bytes.begin(), bytes.end());
+        } else {
+          merged.emplace_back(lba, std::move(bytes));
+        }
+      }
+      // Issue data after the same-tick metadata flush (see
+      // mark_dirty): the post below runs after the pending-meta posts
+      // already scheduled by put_inode/alloc, keeping the
+      // metadata-before-data device order reconstruction relies on.
+      for (auto& [lba, bytes] : merged) {
+        if (options_.writeback_delay == 0) {
+          sim_.schedule_in(0, [this, lba = lba, bytes = std::move(bytes),
+                     cb = join->begin()]() mutable {
+            dev_.write(lba, std::move(bytes), std::move(cb));
+          });
+        } else {
+          pending_data_.emplace_back(lba, std::move(bytes));
+          schedule_writeback();
+        }
+      }
+      join->seal();
     });
   });
 }
@@ -989,122 +820,97 @@ void SimExt::read_file(const std::string& path, std::uint64_t offset,
 
 void SimExt::do_read(const std::string& path, std::uint64_t offset,
                      std::uint32_t length, ReadCb done) {
-  resolve(path, [this, offset, length, done](Status status,
-                                             Resolved resolved) {
-    if (!status.is_ok()) {
+  resolve_inode(path, "no such file",
+                [this, offset, length, done](Status status, Resolved,
+                                             Inode file) {
+    if (status.is_ok() && file.type != InodeType::kFile) {
+      status = error(ErrorCode::kInvalidArgument, "not a regular file");
+    }
+    if (!status.is_ok() || offset >= file.size || length == 0) {
       done(status, {});
       return;
     }
-    if (resolved.inode == 0) {
-      done(error(ErrorCode::kNotFound, "no such file"), {});
-      return;
-    }
-    std::uint32_t ino = resolved.inode;
-    ensure_block(inode_block(ino), [this, ino, offset, length,
-                                    done](Status s) {
-      if (!s.is_ok()) {
-        done(s, {});
-        return;
-      }
-      auto inode = std::make_shared<Inode>(get_inode(ino));
-      if (inode->type != InodeType::kFile) {
-        done(error(ErrorCode::kInvalidArgument, "not a regular file"), {});
-        return;
-      }
-      if (offset >= inode->size) {
-        done(Status::ok(), {});
-        return;
-      }
-      std::uint64_t end =
-          std::min<std::uint64_t>(inode->size, offset + length);
-      auto result = std::make_shared<Bytes>();
-      result->reserve(end - offset);
-      std::uint32_t first_block = static_cast<std::uint32_t>(offset / kBlockSize);
-      std::uint32_t last_block = static_cast<std::uint32_t>((end - 1) / kBlockSize);
+    auto inode = std::make_shared<Inode>(file);
+    std::uint64_t end =
+        std::min<std::uint64_t>(inode->size, offset + length);
+    auto result = std::make_shared<Bytes>();
+    result->reserve(end - offset);
+    std::uint32_t first_block = static_cast<std::uint32_t>(offset / kBlockSize);
+    std::size_t count = (end - 1) / kBlockSize - first_block + 1;
 
-      // Phase 1: map every affected file block (metadata only — the
-      // pointer blocks are cached after the first touch).
-      auto blocks = std::make_shared<std::vector<std::uint32_t>>();
-      auto map_step = std::make_shared<std::function<void(std::uint32_t)>>();
-      // Phase 2 (run after mapping): merge contiguous runs into large
-      // device reads, as the kernel block layer merges bios.
-      auto read_phase = [this, offset, end, first_block, last_block,
-                         result, blocks, done] {
-        struct Run {
-          std::uint32_t first_index;
-          std::uint32_t first_block;  // 0 = hole
-          std::uint32_t count;
-        };
-        auto runs = std::make_shared<std::vector<Run>>();
-        for (std::uint32_t i = 0; i < blocks->size(); ++i) {
-          std::uint32_t block = (*blocks)[i];
-          bool contiguous =
-              !runs->empty() &&
-              ((block == 0 && runs->back().first_block == 0) ||
-               (block != 0 && runs->back().first_block != 0 &&
-                runs->back().first_block + runs->back().count == block));
-          if (contiguous) {
-            ++runs->back().count;
-          } else {
-            runs->push_back(Run{first_block + i, block, 1});
-          }
-        }
-        auto run_step = std::make_shared<std::function<void(std::size_t)>>();
-        *run_step = [this, offset, end, result, runs, done,
-                     run_step](std::size_t run_index) {
-          if (run_index == runs->size()) {
-            done(Status::ok(), std::move(*result));
-            return;
-          }
-          const Run& run = (*runs)[run_index];
-          std::uint64_t run_start =
-              static_cast<std::uint64_t>(run.first_index) * kBlockSize;
-          std::uint64_t from = std::max<std::uint64_t>(offset, run_start);
-          std::uint64_t to = std::min<std::uint64_t>(
-              end, run_start + static_cast<std::uint64_t>(run.count) *
-                                   kBlockSize);
-          if (run.first_block == 0) {  // hole
-            result->insert(result->end(), to - from, 0);
-            (*run_step)(run_index + 1);
-            return;
-          }
-          std::uint64_t lba =
-              static_cast<std::uint64_t>(run.first_block) * kSectorsPerBlock;
-          dev_.read(lba, run.count * kSectorsPerBlock,
-                    [from, to, run_start, result, done, run_step,
-                     run_index](Status rs, Bytes data) {
-            if (!rs.is_ok()) {
-              done(rs, {});
-              return;
-            }
-            result->insert(
-                result->end(),
-                data.begin() + static_cast<std::ptrdiff_t>(from - run_start),
-                data.begin() + static_cast<std::ptrdiff_t>(to - run_start));
-            (*run_step)(run_index + 1);
-          });
-        };
-        (*run_step)(0);
-      };
-      *map_step = [this, inode, last_block, blocks, done, map_step,
-                   read_phase, first_block](std::uint32_t index) {
-        if (index > last_block) {
-          read_phase();
+    // Phase 1: map every affected file block (metadata only — the
+    // pointer blocks are cached after the first touch).
+    auto blocks = std::make_shared<std::vector<std::uint32_t>>();
+    Step map_step = [this, inode, first_block, blocks, done](std::size_t i,
+                                                             Next next) {
+      map_block(*inode, first_block + static_cast<std::uint32_t>(i),
+                /*allocate=*/false, nullptr,
+                [blocks, done, next](Status ms, std::uint32_t block) {
+        if (!ms.is_ok()) {
+          done(ms, {});
           return;
         }
-        map_block(*inode, index, /*allocate=*/false, nullptr,
-                  [blocks, done, map_step, index](Status ms,
-                                                  std::uint32_t block) {
-          if (!ms.is_ok()) {
-            done(ms, {});
+        blocks->push_back(block);
+        next();
+      });
+    };
+    // Phase 2: merge contiguous runs into large device reads, as the
+    // kernel block layer merges bios.
+    auto read_phase = [this, offset, end, first_block, result, blocks,
+                       done] {
+      struct Run {
+        std::uint32_t first_index;
+        std::uint32_t first_block;  // 0 = hole
+        std::uint32_t count;
+      };
+      auto runs = std::make_shared<std::vector<Run>>();
+      for (std::uint32_t i = 0; i < blocks->size(); ++i) {
+        std::uint32_t block = (*blocks)[i];
+        bool contiguous =
+            !runs->empty() &&
+            ((block == 0 && runs->back().first_block == 0) ||
+             (block != 0 && runs->back().first_block != 0 &&
+              runs->back().first_block + runs->back().count == block));
+        if (contiguous) {
+          ++runs->back().count;
+        } else {
+          runs->push_back(Run{first_block + i, block, 1});
+        }
+      }
+      Step run_step = [this, offset, end, result, runs, done](
+                          std::size_t i, Next next) {
+        const Run& run = (*runs)[i];
+        std::uint64_t run_start =
+            static_cast<std::uint64_t>(run.first_index) * kBlockSize;
+        std::uint64_t from = std::max<std::uint64_t>(offset, run_start);
+        std::uint64_t to = std::min<std::uint64_t>(
+            end, run_start + static_cast<std::uint64_t>(run.count) *
+                                 kBlockSize);
+        if (run.first_block == 0) {  // hole
+          result->insert(result->end(), to - from, 0);
+          next();
+          return;
+        }
+        std::uint64_t lba =
+            static_cast<std::uint64_t>(run.first_block) * kSectorsPerBlock;
+        dev_.read(lba, run.count * kSectorsPerBlock,
+                  [from, to, run_start, result, done,
+                   next](Status rs, Bytes data) {
+          if (!rs.is_ok()) {
+            done(rs, {});
             return;
           }
-          blocks->push_back(block);
-          (*map_step)(index + 1);
+          result->insert(
+              result->end(),
+              data.begin() + static_cast<std::ptrdiff_t>(from - run_start),
+              data.begin() + static_cast<std::ptrdiff_t>(to - run_start));
+          next();
         });
       };
-      (*map_step)(first_block);
-    });
+      run_steps(runs->size(), std::move(run_step),
+                [result, done] { done(Status::ok(), std::move(*result)); });
+    };
+    run_steps(count, std::move(map_step), std::move(read_phase));
   });
 }
 
@@ -1131,55 +937,39 @@ void SimExt::do_unlink(const std::string& path, DoneCb done) {
         return;
       }
       Inode inode = get_inode(ino);
-      auto finish_removal = [this, ino, resolved, inode, done](Status fs) {
-        if (!fs.is_ok()) {
-          done(fs);
-          return;
-        }
-        auto join = Joiner::make(done);
-        dir_remove_entry(resolved.parent, resolved.leaf, join->begin());
-        free_inode(ino, join);
-        Inode cleared;  // type kFree, all zero
-        put_inode(ino, cleared, join);
-        join->seal();
-      };
-      if (inode.type == InodeType::kDirectory) {
-        // Directories must be empty (we reuse dir_scan over all entries).
-        std::vector<std::uint32_t> blocks;
-        for (std::uint32_t block : inode.direct) {
-          if (block != 0) blocks.push_back(block);
-        }
-        ensure_blocks(blocks, [this, blocks, inode, finish_removal,
-                               done](Status es) {
-          if (!es.is_ok()) {
-            done(es);
+      auto remove = [this, ino, resolved, inode, done] {
+        auto freed = Joiner::make([this, ino, resolved, done](Status fs) {
+          if (!fs.is_ok()) {
+            done(fs);
             return;
           }
-          for (std::uint32_t block : blocks) {
-            const Bytes& data = cached(block);
-            for (std::uint32_t slot = 0; slot < kDirEntriesPerBlock; ++slot) {
-              DirEntry entry = DirEntry::parse(std::span<const std::uint8_t>(
-                  data.data() + slot * kDirEntrySize, kDirEntrySize));
-              if (entry.inode != 0) {
-                done(error(ErrorCode::kFailedPrecondition,
-                           "directory not empty"));
-                return;
-              }
-            }
-          }
-          auto join2 = Joiner::make([finish_removal](Status js) {
-            finish_removal(js);
-          });
-          for (std::uint32_t block : blocks) free_block(block, join2);
-          join2->seal();
+          auto join = Joiner::make(done);
+          dir_remove_entry(resolved.parent, resolved.leaf, join->begin());
+          free_inode(ino, join);
+          Inode cleared;  // type kFree, all zero
+          put_inode(ino, cleared, join);
+          join->seal();
         });
+        free_file_blocks(inode, freed, freed->begin());
+        freed->seal();
+      };
+      if (inode.type != InodeType::kDirectory) {
+        remove();
         return;
       }
-      auto join = Joiner::make([finish_removal](Status js) {
-        finish_removal(js);
+      // Directories must be empty.
+      dir_scan(inode, in_use,
+               [remove, done](Status es, std::optional<DirSlot> used) {
+        if (!es.is_ok()) {
+          done(es);
+          return;
+        }
+        if (used) {
+          done(error(ErrorCode::kFailedPrecondition, "directory not empty"));
+          return;
+        }
+        remove();
       });
-      free_file_blocks(inode, join, join->begin());
-      join->seal();
     });
   });
 }
@@ -1241,50 +1031,29 @@ void SimExt::readdir(const std::string& path, ListCb done) {
       done(status, {});
       finish(status);
     };
-    resolve(path, [this, done, finish, fail](Status status,
-                                             Resolved resolved) {
+    resolve_inode(path, "no such directory", [this, done, finish, fail](
+                                                 Status status, Resolved,
+                                                 Inode dir) {
+      if (status.is_ok() && dir.type != InodeType::kDirectory) {
+        status = error(ErrorCode::kInvalidArgument, "not a directory");
+      }
       if (!status.is_ok()) {
         fail(status);
         return;
       }
-      if (resolved.inode == 0) {
-        fail(error(ErrorCode::kNotFound, "no such directory"));
-        return;
-      }
-      ensure_block(inode_block(resolved.inode),
-                   [this, resolved, done, finish, fail](Status s) {
-        if (!s.is_ok()) {
-          fail(s);
+      auto entries = std::make_shared<std::vector<DirEntry>>();
+      auto collect = [entries](const DirEntry& entry) {
+        if (in_use(entry)) entries->push_back(entry);
+        return false;
+      };
+      dir_scan(dir, collect, [entries, done, finish,
+                              fail](Status es, std::optional<DirSlot>) {
+        if (!es.is_ok()) {
+          fail(es);
           return;
         }
-        Inode dir = get_inode(resolved.inode);
-        if (dir.type != InodeType::kDirectory) {
-          fail(error(ErrorCode::kInvalidArgument, "not a directory"));
-          return;
-        }
-        std::vector<std::uint32_t> blocks;
-        for (std::uint32_t block : dir.direct) {
-          if (block != 0) blocks.push_back(block);
-        }
-        ensure_blocks(blocks, [this, blocks, done, finish,
-                               fail](Status es) {
-          if (!es.is_ok()) {
-            fail(es);
-            return;
-          }
-          std::vector<DirEntry> entries;
-          for (std::uint32_t block : blocks) {
-            const Bytes& data = cached(block);
-            for (std::uint32_t slot = 0; slot < kDirEntriesPerBlock;
-                 ++slot) {
-              DirEntry entry = DirEntry::parse(std::span<const std::uint8_t>(
-                  data.data() + slot * kDirEntrySize, kDirEntrySize));
-              if (entry.inode != 0) entries.push_back(std::move(entry));
-            }
-          }
-          done(Status::ok(), std::move(entries));
-          finish(Status::ok());
-        });
+        done(Status::ok(), std::move(*entries));
+        finish(Status::ok());
       });
     });
   }, [](Status) {});
@@ -1292,33 +1061,17 @@ void SimExt::readdir(const std::string& path, ListCb done) {
 
 void SimExt::stat(const std::string& path, StatCb done) {
   enqueue([this, path, done](DoneCb finish) {
-    resolve(path, [this, done, finish](Status status, Resolved resolved) {
-      if (!status.is_ok()) {
-        done(status, {});
-        finish(status);
-        return;
-      }
-      if (resolved.inode == 0) {
-        Status nf = error(ErrorCode::kNotFound, "no such path");
-        done(nf, {});
-        finish(nf);
-        return;
-      }
-      ensure_block(inode_block(resolved.inode),
-                   [this, resolved, done, finish](Status s) {
-        if (!s.is_ok()) {
-          done(s, {});
-          finish(s);
-          return;
-        }
-        Inode inode = get_inode(resolved.inode);
-        StatInfo info;
+    resolve_inode(path, "no such path", [done, finish](Status status,
+                                                       Resolved resolved,
+                                                       Inode inode) {
+      StatInfo info;
+      if (status.is_ok()) {
         info.type = inode.type;
         info.size = inode.size;
         info.inode = resolved.inode;
-        done(Status::ok(), info);
-        finish(Status::ok());
-      });
+      }
+      done(status, info);
+      finish(status);
     });
   }, [](Status) {});
 }

@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,6 +25,10 @@
 #include "block/block_device.hpp"
 #include "fs/layout.hpp"
 #include "sim/simulator.hpp"
+
+namespace storm {
+struct Joiner;
+}  // namespace storm
 
 namespace storm::fs {
 
@@ -85,8 +90,6 @@ class SimExt {
   std::uint32_t free_data_blocks() const;
 
  private:
-  struct Joiner;
-
   // --- op queue (VFS lock) ---
   void enqueue(std::function<void(DoneCb)> op, DoneCb user_done);
   void run_next();
@@ -96,6 +99,8 @@ class SimExt {
   void ensure_blocks(std::vector<std::uint32_t> blocks, DoneCb done);
   Bytes& cached(std::uint32_t block);
   void mark_dirty(std::uint32_t block, const std::shared_ptr<Joiner>& join);
+  /// Writeback mode: flush everything buffered `writeback_delay` from now.
+  void schedule_writeback();
   void flush_dirty(DoneCb done);
 
   // --- inode helpers (blocks must be ensured first) ---
@@ -120,26 +125,50 @@ class SimExt {
   void resolve(const std::string& path, ResolveCb done);
   void resolve_step(std::shared_ptr<std::vector<std::string>> parts,
                     std::size_t index, std::uint32_t current, ResolveCb done);
-  /// Scan `dir` for `name`; requires dir data blocks ensured. Returns slot
-  /// position via out-params.
-  void dir_scan(const Inode& dir, const std::string& name,
-                std::function<void(Status, std::uint32_t /*ino*/,
-                                   std::uint32_t /*block*/,
-                                   std::uint32_t /*slot_off*/)> done);
+  using InodeCb = std::function<void(Status, Resolved, Inode)>;
+  /// Resolve `path` to an existing inode and load it; a missing leaf is
+  /// kNotFound with message `missing`.
+  void resolve_inode(const std::string& path, const char* missing,
+                     InodeCb done);
+  /// A directory-entry slot: its block, byte offset there, and content.
+  struct DirSlot {
+    std::uint32_t block = 0;
+    std::uint32_t offset = 0;
+    DirEntry entry;
+  };
+  using ScanCb = std::function<void(Status, std::optional<DirSlot>)>;
+  /// Load `dir`'s blocks and report the first slot whose entry satisfies
+  /// `match` (nullopt when none does).
+  void dir_scan(const Inode& dir, std::function<bool(const DirEntry&)> match,
+                ScanCb done);
   void dir_add_entry(std::uint32_t dir_ino, const DirEntry& entry,
                      DoneCb done);
   void dir_remove_entry(std::uint32_t dir_ino, const std::string& name,
                         DoneCb done);
 
   // --- file block mapping ---
+  using MapCb = std::function<void(Status, std::uint32_t)>;
   /// Absolute block number for file-block `index` (0 when unmapped and
   /// !allocate). With allocate, extends the mapping, updating `inode`
   /// in place (caller persists it).
   void map_block(Inode& inode, std::uint32_t index, bool allocate,
-                 std::shared_ptr<Joiner> join,
-                 std::function<void(Status, std::uint32_t)> done);
+                 std::shared_ptr<Joiner> join, MapCb done);
+  /// The part of map_block below pointer table `table`, which is `depth`
+  /// table levels above the data blocks; `rel` indexes the blocks the
+  /// table's tree maps.
+  void walk_tables(std::uint32_t table, std::uint32_t rel,
+                   std::uint32_t depth, bool allocate,
+                   std::shared_ptr<Joiner> join, MapCb done);
+  /// Point the empty `slot` at a fresh block; a fresh pointer table
+  /// starts zeroed and dirty.
+  Status alloc_pointer(std::uint32_t& slot, bool table,
+                       const std::shared_ptr<Joiner>& join);
   void free_file_blocks(const Inode& inode, std::shared_ptr<Joiner> join,
                         DoneCb done);
+  /// Free `block` after everything below it; `depth` counts the pointer
+  /// table levels from it down to the data blocks (0 = a data block).
+  void free_tree(std::uint32_t block, std::uint32_t depth,
+                 std::shared_ptr<Joiner> join, DoneCb done);
 
   // --- op bodies ---
   void do_create(const std::string& path, InodeType type, DoneCb done);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/async.hpp"
 #include "common/log.hpp"
 
 namespace storm::services {
@@ -99,18 +100,9 @@ void ReplicationService::bind_host(const core::ServiceHost& host) {
 }
 
 void ReplicationService::initialize(std::function<void(Status)> ready) {
-  if (replica_volumes_.empty()) {
-    ready(Status::ok());
-    return;
-  }
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, ready, step](std::size_t index) {
-    if (index == replica_volumes_.size()) {
-      ready(Status::ok());
-      return;
-    }
+  Step step = [this, ready](std::size_t index, Next next) {
     attach_(replica_volumes_[index],
-            [this, ready, step, index](Status status,
+            [this, ready, index, next](Status status,
                                        block::BlockDevice* device) {
               if (!status.is_ok()) {
                 ready(status);
@@ -121,10 +113,11 @@ void ReplicationService::initialize(std::function<void(Status)> ready) {
               replica->device = device;
               replica->version = set_version_;
               replicas_.push_back(std::move(replica));
-              (*step)(index + 1);
+              next();
             });
   };
-  (*step)(0);
+  run_steps(replica_volumes_.size(), std::move(step),
+            [ready] { ready(Status::ok()); });
 }
 
 std::size_t ReplicationService::live_replicas() const {

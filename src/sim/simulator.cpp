@@ -9,8 +9,6 @@
 
 namespace storm::sim {
 
-thread_local Partition* Partition::s_current = nullptr;
-
 Partition::Partition(Simulator& owner, std::uint32_t id)
     : owner_(&owner), id_(id) {}
 

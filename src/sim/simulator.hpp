@@ -244,7 +244,7 @@ class Partition {
                                                 std::memory_order_acq_rel);
   }
 
-  static thread_local Partition* s_current;
+  static inline thread_local constinit Partition* s_current = nullptr;
 
   /// A control-plane callback deferred to the next window barrier
   /// (Simulator::at_barrier). Buffered thread-confined on the posting

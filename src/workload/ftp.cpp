@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/async.hpp"
 #include "common/log.hpp"
 
 namespace storm::workload {
@@ -134,8 +135,8 @@ void FtpServer::serve_download(std::shared_ptr<Session> session,
     session->conn->send(to_bytes(std::to_string(info.size) + "\n"));
     // Stream the file in chunks.
     auto offset = std::make_shared<std::uint64_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, session, name, size = info.size, offset, step] {
+    run_steps([this, session, name, size = info.size, offset](std::size_t,
+                                                             Next next) {
       if (*offset >= size) {
         session->finished = true;
         return;
@@ -143,7 +144,7 @@ void FtpServer::serve_download(std::shared_ptr<Session> session,
       std::uint32_t n = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(kFsChunk, size - *offset));
       fs_.read_file(name, *offset, n,
-                    [this, session, offset, step](Status status, Bytes data) {
+                    [this, session, offset, next](Status status, Bytes data) {
                       if (!status.is_ok()) {
                         session->conn->abort();
                         session->finished = true;
@@ -154,10 +155,9 @@ void FtpServer::serve_download(std::shared_ptr<Session> session,
                       vm_.cpu().burn(static_cast<sim::Duration>(
                           kAppNsPerByte * static_cast<double>(data.size())));
                       session->conn->send(std::move(data));
-                      (*step)();
+                      next();
                     });
-    };
-    (*step)();
+    });
   });
 }
 
@@ -170,23 +170,20 @@ void FtpClient::upload(const std::string& name, std::uint64_t bytes,
       to_bytes("PUT " + name + " " + std::to_string(bytes) + "\n");
   conn.send(std::move(header));
   // Stream the payload in 1 MB application writes.
-  auto sent = std::make_shared<std::uint64_t>(0);
-  auto step = std::make_shared<std::function<void()>>();
   auto conn_ptr = &conn;
-  *step = [conn_ptr, bytes, sent, step, ex] {
-    if (*sent >= bytes) return;
+  run_steps([conn_ptr, bytes, ex](std::size_t i, Next next) {
+    std::uint64_t sent = static_cast<std::uint64_t>(i) * 1024 * 1024;
+    if (sent >= bytes) return;
     std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(1024 * 1024, bytes - *sent));
+        std::min<std::uint64_t>(1024 * 1024, bytes - sent));
     Bytes chunk(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      chunk[i] = static_cast<std::uint8_t>((*sent + i) * 131);
+    for (std::size_t j = 0; j < n; ++j) {
+      chunk[j] = static_cast<std::uint8_t>((sent + j) * 131);
     }
-    *sent += n;
     conn_ptr->send(std::move(chunk));
     // Pace by send-buffer drain: check back shortly.
-    ex.schedule_in(sim::milliseconds(1), [step] { (*step)(); });
-  };
-  (*step)();
+    ex.schedule_in(sim::milliseconds(1), std::move(next));
+  });
 
   conn.set_on_data([done, started, bytes, ex, conn_ptr](Buf reply) {
     if (reply.empty()) return;

@@ -1,5 +1,6 @@
 #include "workload/minidb.hpp"
 
+#include "common/async.hpp"
 #include "common/log.hpp"
 
 namespace storm::workload {
@@ -20,29 +21,21 @@ void MiniDb::init(std::function<void(Status)> done) {
       done(status);
       return;
     }
-    auto step = std::make_shared<std::function<void(std::uint32_t)>>();
-    *step = [this, done, step](std::uint32_t record) {
-      if (record >= config_.records) {
-        done(Status::ok());
-        return;
-      }
-      // Format in 256-sector batches to keep initialization fast.
-      std::uint32_t n = std::min(256u, config_.records - record);
+    // Format in 256-sector batches to keep initialization fast.
+    static constexpr std::uint32_t kBatch = 256;
+    Step step = [this, done](std::size_t i, Next next) {
+      std::uint32_t record = static_cast<std::uint32_t>(i) * kBatch;
+      std::uint32_t n = std::min(kBatch, config_.records - record);
       Bytes batch(static_cast<std::size_t>(n) * block::kSectorSize, 0);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        batch[static_cast<std::size_t>(i) * block::kSectorSize] =
-            static_cast<std::uint8_t>((record + i) & 0xFF);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        batch[static_cast<std::size_t>(j) * block::kSectorSize] =
+            static_cast<std::uint8_t>((record + j) & 0xFF);
       }
       dev_.write(record_lba(record), std::move(batch),
-                 [done, step, record, n](Status status) {
-                   if (!status.is_ok()) {
-                     done(status);
-                     return;
-                   }
-                   (*step)(record + n);
-                 });
+                 next_or_fail(std::move(next), done));
     };
-    (*step)(0);
+    run_steps((config_.records + kBatch - 1) / kBatch, std::move(step),
+              [done] { done(Status::ok()); });
   });
 }
 
@@ -57,63 +50,40 @@ void MiniDb::transaction(Rng& rng, std::function<void(Status)> done) {
     writes->push_back(static_cast<std::uint32_t>(rng.below(config_.records)));
   }
   std::uint64_t txn_id = next_txn_id_++;
+  // The WAL record and every data page carry the transaction id.
+  auto stamped = [txn_id] {
+    Bytes page(block::kSectorSize, 0);
+    for (int i = 0; i < 8; ++i) {
+      page[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(txn_id >> (8 * i));
+    }
+    return page;
+  };
 
   // Phase 1: read the record pages.
-  auto read_step = std::make_shared<std::function<void(std::size_t)>>();
-  *read_step = [this, reads, writes, txn_id, done,
-                read_step](std::size_t index) {
-    if (index == reads->size()) {
-      // Phase 2: WAL append (one sector describing the transaction).
-      Bytes wal(block::kSectorSize, 0);
-      for (int i = 0; i < 8; ++i) {
-        wal[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(txn_id >> (8 * i));
-      }
-      dev_.write(kWalLba, std::move(wal),
-                 [this, writes, txn_id, done](Status status) {
-                   if (!status.is_ok()) {
-                     done(status);
-                     return;
-                   }
-                   // Phase 3: update the data pages.
-                   auto write_step =
-                       std::make_shared<std::function<void(std::size_t)>>();
-                   *write_step = [this, writes, txn_id, done,
-                                  write_step](std::size_t windex) {
-                     if (windex == writes->size()) {
-                       ++committed_;
-                       done(Status::ok());
-                       return;
-                     }
-                     Bytes page(block::kSectorSize, 0);
-                     for (int i = 0; i < 8; ++i) {
-                       page[static_cast<std::size_t>(i)] =
-                           static_cast<std::uint8_t>(txn_id >> (8 * i));
-                     }
-                     dev_.write(record_lba((*writes)[windex]),
-                                std::move(page),
-                                [done, write_step, windex](Status s) {
-                                  if (!s.is_ok()) {
-                                    done(s);
-                                    return;
-                                  }
-                                  (*write_step)(windex + 1);
-                                });
-                   };
-                   (*write_step)(0);
-                 });
-      return;
-    }
-    dev_.read(record_lba((*reads)[index]), 1,
-              [done, read_step, index](Status status, Bytes) {
-                if (!status.is_ok()) {
-                  done(status);
-                  return;
-                }
-                (*read_step)(index + 1);
+  Step read_step = [this, reads, done](std::size_t i, Next next) {
+    dev_.read(record_lba((*reads)[i]), 1,
+              [done, next](Status status, Bytes) {
+                next_or_fail(next, done)(status);
               });
   };
-  (*read_step)(0);
+  run_steps(reads->size(), std::move(read_step),
+            [this, writes, stamped, done] {
+    // Phase 3: update the data pages.
+    Next write_phase = [this, writes, stamped, done] {
+      Step write_step = [this, writes, stamped, done](std::size_t i,
+                                                      Next next) {
+        dev_.write(record_lba((*writes)[i]), stamped(),
+                   next_or_fail(std::move(next), done));
+      };
+      run_steps(writes->size(), std::move(write_step), [this, done] {
+        ++committed_;
+        done(Status::ok());
+      });
+    };
+    // Phase 2: WAL append (one sector describing the transaction).
+    dev_.write(kWalLba, stamped(), next_or_fail(std::move(write_phase), done));
+  });
 }
 
 // ---------------------------------------------------------------- DbServer
@@ -132,20 +102,18 @@ void DbServer::start() {
       }
       // Execute queued requests sequentially (one server worker per
       // connection, like a MySQL session thread).
-      auto step = std::make_shared<std::function<void()>>();
-      *step = [this, &conn, pending, step] {
+      run_steps([this, &conn, pending](std::size_t, Next next) {
         if (*pending == 0) return;
         --*pending;
         // Small query-parse/plan cost on the DB VM's CPU.
-        vm_.cpu().run(sim::microseconds(30), [this, &conn, step] {
-          db_.transaction(rng_, [this, &conn, step](Status status) {
+        vm_.cpu().run(sim::microseconds(30), [this, &conn, next] {
+          db_.transaction(rng_, [this, &conn, next](Status status) {
             ++served_;
             conn.send(to_bytes(status.is_ok() ? "OK\n" : "ERR\n"));
-            (*step)();
+            next();
           });
         });
-      };
-      (*step)();
+      });
     });
   });
 }

@@ -170,6 +170,9 @@ TEST_F(SimExtTest, ReadPastEndTruncates) {
   auto [status2, got2] = read("/f", 200, 10);
   ASSERT_TRUE(status2.is_ok());
   EXPECT_TRUE(got2.empty());
+  auto [status3, got3] = read("/f", 0, 0);
+  ASSERT_TRUE(status3.is_ok());
+  EXPECT_TRUE(got3.empty());
 }
 
 TEST_F(SimExtTest, LargeFileUsesIndirectBlocks) {
@@ -180,6 +183,35 @@ TEST_F(SimExtTest, LargeFileUsesIndirectBlocks) {
   ASSERT_TRUE(write("/big", 0, data).is_ok());
   auto [status, got] = read("/big", 0, 200 * 1024);
   ASSERT_TRUE(status.is_ok());
+  EXPECT_EQ(crypto::sha256(got), crypto::sha256(data));
+}
+
+TEST_F(SimExtTest, SixtyFourMiBFileRoundTripsAtDefaultStack) {
+  // Deep into the double-indirect range, on a device that completes every
+  // I/O synchronously: the per-block loops must not grow the stack.
+  constexpr std::uint32_t kSize = 64u << 20;
+  block::MemDisk disk((kSize + (8u << 20)) / 512);
+  ASSERT_TRUE(SimExt::mkfs(disk).is_ok());
+  SimExt fs(sim_, disk);
+  Status status = error(ErrorCode::kIoError, "unset");
+  fs.mount([&](Status s) { status = s; });
+  sim_.run();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  fs.create("/big", [&](Status s) { status = s; });
+  sim_.run();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+
+  Bytes data = testutil::pattern_bytes(kSize);
+  fs.write_file("/big", 0, data, [&](Status s) { status = s; });
+  sim_.run();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  Bytes got;
+  fs.read_file("/big", 0, kSize, [&](Status s, Bytes d) {
+    status = s;
+    got = std::move(d);
+  });
+  sim_.run();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
   EXPECT_EQ(crypto::sha256(got), crypto::sha256(data));
 }
 

@@ -374,6 +374,7 @@ std::string run_seeded_scenario(std::uint64_t seed, std::uint32_t threads) {
                              [step, p] { (*step)(p); });
   }
   sim.run();
+  *step = nullptr;  // break the step's reference to itself
   EXPECT_EQ(sim.lookahead_violations(), 0u);
   return sim.telemetry_json(/*include_spans=*/true);
 }
