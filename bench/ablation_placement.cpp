@@ -22,11 +22,10 @@ using namespace storm::bench;
 
 namespace {
 
-std::vector<std::string> run_point(unsigned threads) {
+int run() {
   print_header(
       "Ablation: middle-box host placement (256 KB, 1 job, MB-FWD)");
   constexpr std::uint32_t kSize = 256 * 1024;
-  std::vector<std::string> dumps;
 
   struct Case {
     const char* label;
@@ -42,12 +41,7 @@ std::vector<std::string> run_point(unsigned threads) {
       {"2 boxes, both w/ VM", {0, 0}},
   };
 
-  TestbedOptions base_options;
-  base_options.threads = threads;
-  std::string legacy_dump;
-  auto legacy = fio_point(PathMode::kLegacy, kSize, 1, sim::seconds(8),
-                          base_options, &legacy_dump);
-  dumps.push_back(std::move(legacy_dump));
+  auto legacy = fio_point(PathMode::kLegacy, kSize, 1, sim::seconds(8));
   std::printf("%-26s %10s %12s %10s %12s\n", "placement", "iops", "lat_ms",
               "overhead", "recovered");
   std::printf("%-26s %10.0f %12.3f %10s %12s\n", "LEGACY (no middle-box)",
@@ -58,12 +52,10 @@ std::vector<std::string> run_point(unsigned threads) {
   // alone won back (the paper's ~20% claim).
   double worst_overhead[3] = {0, 0, 0};
   for (const Case& c : cases) {
-    TestbedOptions options = base_options;
+    TestbedOptions options;
     options.chain_hosts = c.chain_hosts;
-    std::string dump;
-    auto fwd = fio_point(PathMode::kForward, kSize, 1, sim::seconds(8),
-                         options, &dump);
-    dumps.push_back(std::move(dump));
+    auto fwd =
+        fio_point(PathMode::kForward, kSize, 1, sim::seconds(8), options);
     const std::size_t boxes = c.chain_hosts.size();
     double overhead = fwd.mean_latency_ms / legacy.mean_latency_ms - 1.0;
     if (worst_overhead[boxes] == 0) worst_overhead[boxes] = overhead;
@@ -76,11 +68,9 @@ std::vector<std::string> run_point(unsigned threads) {
   }
   std::printf("\npaper: careful gateway/middle-box placement recovers "
               "~20%% of the routing overhead\n");
-  return dumps;
+  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return run_thread_sweep(argc, argv, run_point);
-}
+int main() { return run(); }

@@ -8,10 +8,7 @@
 #pragma once
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,28 +55,15 @@ struct TestbedOptions {
   std::vector<int> chain_hosts;
   std::string service = "stream_cipher";  // for relay modes
   std::uint64_t volume_sectors = 1ull * 1024 * 1024;  // 512 MiB
-  /// Worker threads for the partitioned kernel. 0 = the classic
-  /// single-partition simulator (byte-identical to the historical
-  /// testbed). >= 1 partitions the cloud host-per-partition via
-  /// cloud::Cloud::parallel_config — the partition count is fixed by
-  /// the topology, so any thread count in [1, partitions] produces
-  /// byte-identical telemetry.
-  unsigned threads = 0;
 };
-
-inline sim::ParallelConfig testbed_parallel_config(
-    const TestbedOptions& options) {
-  if (options.threads == 0) return sim::ParallelConfig{};
-  return cloud::Cloud::parallel_config(options.cloud, options.threads);
-}
 
 /// One fully wired testbed: cloud, platform, one tenant VM, one volume,
 /// attached through the requested path.
 class Testbed {
  public:
   Testbed(PathMode mode, TestbedOptions options = {})
-      : mode_(mode), options_(options), sim_(testbed_parallel_config(options)),
-        cloud_(sim_, options.cloud), platform_(cloud_) {
+      : mode_(mode), options_(options), cloud_(sim_, options.cloud),
+        platform_(cloud_) {
     services::register_builtin_services(platform_);
     vm_ = &cloud_.create_vm("tenant-vm", "tenant1", 0, 2);
     auto volume = cloud_.create_volume("vol1", options_.volume_sectors);
@@ -99,8 +83,6 @@ class Testbed {
   block::Volume* volume() { return volume_; }
 
   workload::FioResult run_fio(workload::FioConfig config) {
-    // The workload generator lives on the tenant VM's partition, like a
-    // real fio process inside the guest.
     workload::FioRunner fio(vm_->node().executor(), *disk(), config);
     workload::FioResult result;
     bool done = false;
@@ -171,25 +153,18 @@ class Testbed {
   core::DeploymentHandle deployment_;
 };
 
-/// Run one fio data point on a fresh testbed. `telemetry_out`, when
-/// given, receives the merged telemetry dump — the byte-identity probe
-/// for the --threads sweep.
+/// Run one fio data point on a fresh testbed.
 inline workload::FioResult fio_point(PathMode mode,
                                      std::uint32_t request_bytes,
                                      unsigned jobs,
                                      sim::Duration duration = sim::seconds(8),
-                                     TestbedOptions options = {},
-                                     std::string* telemetry_out = nullptr) {
+                                     TestbedOptions options = {}) {
   Testbed testbed(mode, options);
   workload::FioConfig config;
   config.request_bytes = request_bytes;
   config.jobs = jobs;
   config.duration = duration;
-  workload::FioResult result = testbed.run_fio(config);
-  if (telemetry_out != nullptr) {
-    *telemetry_out = testbed.simulator().telemetry_json();
-  }
-  return result;
+  return testbed.run_fio(config);
 }
 
 inline void print_header(const std::string& title) {
@@ -203,77 +178,6 @@ inline void write_telemetry_json(sim::Simulator& sim, const std::string& path,
                                  bool include_spans = false) {
   std::ofstream out(path);
   out << sim.telemetry_json(include_spans) << "\n";
-}
-
-/// Sum one counter across every partition's registry. Hot-path metrics
-/// are partition-local (see Simulator::telemetry_json); a bench that
-/// reads a counter directly must merge the shards itself.
-inline std::uint64_t merged_counter(sim::Simulator& sim,
-                                    const std::string& name) {
-  std::uint64_t total = 0;
-  for (std::uint32_t p = 0; p < sim.partition_count(); ++p) {
-    total += sim.executor(p).telemetry().counter(name).value();
-  }
-  return total;
-}
-
-/// Parse a `--threads 1,4,8` flag. Empty result = no flag given.
-inline std::vector<unsigned> parse_thread_flag(int argc, char** argv) {
-  std::vector<unsigned> threads;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads.clear();
-      unsigned v = 0;
-      for (const char* s = argv[i + 1]; ; ++s) {
-        if (*s == ',' || *s == '\0') {
-          threads.push_back(v);
-          v = 0;
-          if (*s == '\0') break;
-        } else if (*s >= '0' && *s <= '9') {
-          v = v * 10 + static_cast<unsigned>(*s - '0');
-        }
-      }
-    }
-  }
-  return threads;
-}
-
-/// --threads sweep driver for the paper benches. Without the flag,
-/// `body(0)` runs once on the classic single-partition kernel (the
-/// historical behavior). With `--threads 1,4,8` the body runs once per
-/// count on the partitioned cloud and every telemetry dump it returns
-/// must be byte-identical across counts — the determinism contract of
-/// the conservative-lookahead kernel, enforced as a hard gate.
-inline int run_thread_sweep(
-    int argc, char** argv,
-    const std::function<std::vector<std::string>(unsigned)>& body) {
-  const std::vector<unsigned> counts = parse_thread_flag(argc, argv);
-  if (counts.empty()) {
-    body(0);
-    return 0;
-  }
-  int rc = 0;
-  std::vector<std::string> base;
-  unsigned base_threads = 0;
-  for (unsigned t : counts) {
-    std::printf("--- threads=%u ---\n", t);
-    std::vector<std::string> dumps = body(t);
-    if (base.empty()) {
-      base = std::move(dumps);
-      base_threads = t;
-      continue;
-    }
-    if (dumps != base) {
-      std::fprintf(stderr,
-                   "FAIL: telemetry at %u threads differs from %u threads\n",
-                   t, base_threads);
-      rc = 1;
-    }
-  }
-  if (rc == 0 && counts.size() > 1) {
-    std::printf("telemetry byte-identical across thread counts: yes\n");
-  }
-  return rc;
 }
 
 }  // namespace storm::bench

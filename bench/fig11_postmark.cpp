@@ -17,10 +17,8 @@ using namespace storm::bench;
 
 namespace {
 
-workload::PostmarkResult run_case(bool tenant_side, unsigned threads,
-                                  std::string* telemetry_out) {
+workload::PostmarkResult run_case(bool tenant_side) {
   TestbedOptions options;
-  options.threads = threads;
   options.service = "encryption";
   options.volume_sectors = 2ull * 1024 * 1024;
   // The mail-store volume is warmer than the fio volume (small working
@@ -56,7 +54,6 @@ workload::PostmarkResult run_case(bool tenant_side, unsigned threads,
     sim.run();
     if (!ok) throw std::runtime_error("format write failed");
   }
-  // The filesystem and workload both live on the tenant VM's partition.
   fs::SimExt fs(testbed.vm().node().executor(), *disk);
   fs.mount([](Status s) {
     if (!s.is_ok()) throw std::runtime_error("mount: " + s.to_string());
@@ -85,15 +82,13 @@ workload::PostmarkResult run_case(bool tenant_side, unsigned threads,
     throw std::runtime_error("postmark failed (errors=" +
                              std::to_string(result.errors) + ")");
   }
-  if (telemetry_out != nullptr) *telemetry_out = sim.telemetry_json();
   return result;
 }
 
-std::vector<std::string> run_point(unsigned threads) {
+void run() {
   print_header("Figure 11: PostMark, tenant-VM vs middle-box encryption");
-  std::vector<std::string> dumps(2);
-  workload::PostmarkResult vm_side = run_case(true, threads, &dumps[0]);
-  workload::PostmarkResult mb_side = run_case(false, threads, &dumps[1]);
+  workload::PostmarkResult vm_side = run_case(true);
+  workload::PostmarkResult mb_side = run_case(false);
 
   auto row = [](const char* label, double vm_value, double mb_value) {
     std::printf("%-18s %12.1f %12.1f %10.2fx\n", label, vm_value, mb_value,
@@ -108,11 +103,11 @@ std::vector<std::string> run_point(unsigned threads) {
   row("read MB/s", vm_side.read_mb_per_s, mb_side.read_mb_per_s);
   row("write MB/s", vm_side.write_mb_per_s, mb_side.write_mb_per_s);
   std::printf("\npaper Fig.11 speedups: 1.34 1.34 1.34 1.34 1.29 1.23\n");
-  return dumps;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return run_thread_sweep(argc, argv, run_point);
+int main() {
+  run();
+  return 0;
 }

@@ -31,19 +31,16 @@ namespace {
 struct RunResult {
   std::vector<double> tps_timeline;  // per second
   double steady_tps = 0;             // mean of seconds 10..55
-  std::string telemetry;             // --threads identity witness
 };
 
 RunResult run_case(unsigned replicas, bool inject_failure,
-                   unsigned run_seconds, unsigned threads) {
+                   unsigned run_seconds) {
   cloud::CloudConfig config = testbed_config();
   // OLTP I/O is small and latency-bound: a faster volume backend keeps
   // the database disk from hiding the read-striping effect.
   config.disk_profile.base_latency = sim::milliseconds(2);
   config.disk_profile.queue_depth = 4;
-  sim::Simulator sim(threads == 0
-                         ? sim::ParallelConfig{}
-                         : cloud::Cloud::parallel_config(config, threads));
+  sim::Simulator sim;
   cloud::Cloud cloud(sim, config);
   core::StormPlatform platform(cloud);
   services::register_builtin_services(platform);
@@ -102,17 +99,12 @@ RunResult run_case(unsigned replicas, bool inject_failure,
   }
 
   if (inject_failure && replicas > 0) {
-    // The chaos hook fires as a partition-0 event but pokes the storage
-    // host's target; at_barrier defers the poke to the next window
-    // barrier where every partition is quiescent.
     sim.schedule_in(sim::seconds(60), [&] {
-      sim.at_barrier([&] {
-        auto attachment =
-            cloud.find_attachment(deployment.mb_vm(0)->name(), "dbvol-r0");
-        if (attachment) {
-          cloud.storage(0).target().close_sessions_for(attachment->iqn);
-        }
-      });
+      auto attachment =
+          cloud.find_attachment(deployment.mb_vm(0)->name(), "dbvol-r0");
+      if (attachment) {
+        cloud.storage(0).target().close_sessions_for(attachment->iqn);
+      }
     });
   }
   sim.run();
@@ -133,7 +125,6 @@ RunResult run_case(unsigned replicas, bool inject_failure,
     ++n;
   }
   result.steady_tps = n ? sum / n : 0;
-  result.telemetry = sim.telemetry_json();
   return result;
 }
 
@@ -480,7 +471,8 @@ int run_failover_suite() {
 
   RebuildResult run1 = run_rebuild_case(/*seed=*/11);
   RebuildResult run2 = run_rebuild_case(/*seed=*/11);
-  const bool deterministic = run1.telemetry == run2.telemetry;
+  const bool deterministic =
+      !run1.telemetry.empty() && run1.telemetry == run2.telemetry;
   int rc = report_rebuild(run1, deterministic);
   write_failover_json(mttr, run1, deterministic);
   return rc;
@@ -499,35 +491,10 @@ int main(int argc, char** argv) {
 
   print_header("Figure 13: MySQL-like TPS with replication, replica failure at t=60s");
 
-  // --threads 1,4,8 sweeps the TPS scenario over the partitioned cloud
-  // (chaos included) and gates byte-identical telemetry across counts.
-  // Without the flag the classic single-partition kernel runs once. The
-  // failover drills below always run on the classic kernel.
-  const std::vector<unsigned> counts = parse_thread_flag(argc, argv);
-  RunResult three, one;
-  if (counts.empty()) {
-    three = run_case(/*replicas=*/2, /*inject_failure=*/true, 120, 0);
-    one = run_case(/*replicas=*/0, /*inject_failure=*/false, 120, 0);
-  } else {
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      std::printf("--- threads=%u ---\n", counts[i]);
-      RunResult t = run_case(2, true, 120, counts[i]);
-      RunResult o = run_case(0, false, 120, counts[i]);
-      if (i == 0) {
-        three = std::move(t);
-        one = std::move(o);
-      } else if (t.telemetry != three.telemetry ||
-                 o.telemetry != one.telemetry) {
-        std::fprintf(stderr,
-                     "FAIL: fig13 telemetry at %u threads differs from %u\n",
-                     counts[i], counts[0]);
-        return 1;
-      }
-    }
-    if (counts.size() > 1) {
-      std::printf("telemetry byte-identical across thread counts: yes\n");
-    }
-  }
+  const RunResult three =
+      run_case(/*replicas=*/2, /*inject_failure=*/true, 120);
+  const RunResult one =
+      run_case(/*replicas=*/0, /*inject_failure=*/false, 120);
 
   std::printf("time(s)  tps_3replica  tps_1replica\n");
   for (std::size_t s = 0; s < three.tps_timeline.size(); s += 5) {

@@ -18,13 +18,7 @@ using namespace storm::bench;
 
 namespace {
 
-int g_rc = 0;
-
-std::vector<std::string> run_point(unsigned threads) {
-  TestbedOptions options;
-  options.threads = threads;
-  std::vector<std::string> dumps;
-
+int run() {
   const std::vector<std::uint32_t> sizes = {4 * 1024, 16 * 1024, 64 * 1024,
                                             256 * 1024};
   print_header("Figure 4 + 7: routing overhead (LEGACY vs MB-FWD)");
@@ -32,13 +26,8 @@ std::vector<std::string> run_point(unsigned threads) {
               "legacy_iops", "mbfwd_iops", "norm_iops", "legacy_ms",
               "mbfwd_ms", "norm_lat");
   for (std::uint32_t size : sizes) {
-    std::string legacy_dump, fwd_dump;
-    auto legacy = fio_point(PathMode::kLegacy, size, 1, sim::seconds(8),
-                            options, &legacy_dump);
-    auto fwd = fio_point(PathMode::kForward, size, 1, sim::seconds(8),
-                         options, &fwd_dump);
-    dumps.push_back(std::move(legacy_dump));
-    dumps.push_back(std::move(fwd_dump));
+    auto legacy = fio_point(PathMode::kLegacy, size, 1, sim::seconds(8));
+    auto fwd = fio_point(PathMode::kForward, size, 1, sim::seconds(8));
     std::printf("%-8u %12.0f %12.0f %10.2f | %12.3f %12.3f %10.2f\n",
                 size / 1024, legacy.iops, fwd.iops, fwd.iops / legacy.iops,
                 legacy.mean_latency_ms, fwd.mean_latency_ms,
@@ -50,16 +39,15 @@ std::vector<std::string> run_point(unsigned threads) {
   // Flow-table fast path: a long-lived iSCSI flow through the gateways'
   // FlowSwitches should be almost entirely exact-match cache hits — the
   // linear rule scan runs once per flow, not once per packet.
-  Testbed testbed(PathMode::kForward, options);
+  Testbed testbed(PathMode::kForward);
   workload::FioConfig config;
   config.request_bytes = 64 * 1024;
   config.jobs = 1;
   config.duration = sim::seconds(4);
   testbed.run_fio(config);
-  const std::uint64_t hits =
-      merged_counter(testbed.simulator(), "net.flow.cache_hits");
-  const std::uint64_t misses =
-      merged_counter(testbed.simulator(), "net.flow.cache_misses");
+  obs::Registry& reg = testbed.simulator().telemetry();
+  const std::uint64_t hits = reg.counter("net.flow.cache_hits").value();
+  const std::uint64_t misses = reg.counter("net.flow.cache_misses").value();
   const double hit_rate =
       hits + misses ? static_cast<double>(hits) /
                           static_cast<double>(hits + misses)
@@ -70,15 +58,11 @@ std::vector<std::string> run_point(unsigned threads) {
               static_cast<unsigned long long>(misses), hit_rate);
   if (hit_rate < 0.90) {
     std::fprintf(stderr, "FAIL: flow cache hit rate %.4f < 0.90\n", hit_rate);
-    g_rc = 1;
+    return 1;
   }
-  dumps.push_back(testbed.simulator().telemetry_json());
-  return dumps;
+  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int rc = run_thread_sweep(argc, argv, run_point);
-  return rc != 0 ? rc : g_rc;
-}
+int main() { return run(); }

@@ -74,10 +74,7 @@ std::string breakdown_json(std::uint32_t io_size, const Breakdown& b) {
   return json;
 }
 
-std::vector<std::string> run_table(unsigned threads) {
-  TestbedOptions options;
-  options.threads = threads;
-  std::vector<std::string> dumps;
+void run_table() {
   const std::vector<std::uint32_t> sizes = {4 * 1024, 16 * 1024, 64 * 1024,
                                             256 * 1024};
   print_header("Figure 5 + 8: processing overhead vs I/O size");
@@ -85,16 +82,9 @@ std::vector<std::string> run_table(unsigned threads) {
               "fwd_iops", "pass_iops", "act_iops", "pass_n", "act_n",
               "pass_lat", "act_lat");
   for (std::uint32_t size : sizes) {
-    std::string fwd_dump, passive_dump, active_dump;
-    auto fwd = fio_point(PathMode::kForward, size, 1, sim::seconds(8),
-                         options, &fwd_dump);
-    auto passive = fio_point(PathMode::kPassive, size, 1, sim::seconds(8),
-                             options, &passive_dump);
-    auto active = fio_point(PathMode::kActive, size, 1, sim::seconds(8),
-                            options, &active_dump);
-    dumps.push_back(std::move(fwd_dump));
-    dumps.push_back(std::move(passive_dump));
-    dumps.push_back(std::move(active_dump));
+    auto fwd = fio_point(PathMode::kForward, size, 1, sim::seconds(8));
+    auto passive = fio_point(PathMode::kPassive, size, 1, sim::seconds(8));
+    auto active = fio_point(PathMode::kActive, size, 1, sim::seconds(8));
     std::printf("%-8u %10.0f %10.0f %10.0f | %9.2f %9.2f | %9.2f %9.2f\n",
                 size / 1024, fwd.iops, passive.iops, active.iops,
                 passive.iops / fwd.iops, active.iops / fwd.iops,
@@ -104,21 +94,14 @@ std::vector<std::string> run_table(unsigned threads) {
   std::printf("\npaper Fig.5 norm IOPS: ACTIVE 1.01 1.00 1.06 1.14; "
               "PASSIVE ~0.97..0.87\n");
   std::printf("paper Fig.8 norm lat : ACTIVE 0.98 1.01 0.94 0.89\n");
-  return dumps;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int sweep_rc = run_thread_sweep(argc, argv, run_table);
-  if (sweep_rc != 0) return sweep_rc;
+int main() {
+  run_table();
 
   // --- per-layer latency breakdown from the telemetry trace spans ---
-  // Always on the classic single-partition kernel: command-trace span
-  // assembly stitches events from every hop (initiator, relay, target)
-  // onto one root span, which needs the single shared registry —
-  // partitioned runs keep registries partition-local and skip the
-  // cross-hop stamps.
   const std::uint32_t kBreakdownIoSize = 64 * 1024;
   Testbed testbed(PathMode::kActive);
   workload::FioConfig config;

@@ -19,10 +19,7 @@ using namespace storm::bench;
 
 namespace {
 
-std::vector<std::string> run_point(unsigned threads) {
-  TestbedOptions options;
-  options.threads = threads;
-  std::vector<std::string> dumps;
+int run() {
   const std::vector<unsigned> jobs = {4, 8, 16, 32};
   constexpr std::uint32_t kSize = 16 * 1024;
   print_header("Figure 6 + 9: processing overhead vs fio threads (16 KB)");
@@ -30,19 +27,10 @@ std::vector<std::string> run_point(unsigned threads) {
               "fwd_iops", "pass_iops", "act_iops", "pass_n", "act_n",
               "pass_lat", "act_lat", "act/leg");
   for (unsigned n : jobs) {
-    std::string d0, d1, d2, d3;
-    auto legacy =
-        fio_point(PathMode::kLegacy, kSize, n, sim::seconds(5), options, &d0);
-    auto fwd =
-        fio_point(PathMode::kForward, kSize, n, sim::seconds(5), options, &d1);
-    auto passive =
-        fio_point(PathMode::kPassive, kSize, n, sim::seconds(5), options, &d2);
-    auto active =
-        fio_point(PathMode::kActive, kSize, n, sim::seconds(5), options, &d3);
-    dumps.push_back(std::move(d0));
-    dumps.push_back(std::move(d1));
-    dumps.push_back(std::move(d2));
-    dumps.push_back(std::move(d3));
+    auto legacy = fio_point(PathMode::kLegacy, kSize, n, sim::seconds(5));
+    auto fwd = fio_point(PathMode::kForward, kSize, n, sim::seconds(5));
+    auto passive = fio_point(PathMode::kPassive, kSize, n, sim::seconds(5));
+    auto active = fio_point(PathMode::kActive, kSize, n, sim::seconds(5));
     std::printf("%-8u %10.0f %10.0f %10.0f | %9.2f %9.2f | %9.2f %9.2f | %9.2f\n",
                 n, fwd.iops, passive.iops, active.iops,
                 passive.iops / fwd.iops, active.iops / fwd.iops,
@@ -52,11 +40,9 @@ std::vector<std::string> run_point(unsigned threads) {
   }
   std::printf("\npaper Fig.6 norm IOPS: ACTIVE 1.06 1.10 1.27 1.39\n");
   std::printf("paper Fig.9 norm lat : ACTIVE 0.95 0.91 0.79 0.70\n");
-  return dumps;
+  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return run_thread_sweep(argc, argv, run_point);
-}
+int main() { return run(); }

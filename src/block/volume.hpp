@@ -44,9 +44,8 @@ class Volume {
 /// on the host's physical pool and resolves IQNs for the iSCSI target.
 class VolumeManager {
  public:
-  /// `executor` places the backing SimDisks (converts implicitly from
-  /// Simulator&, i.e. partition 0); the Cloud passes the owning storage
-  /// host's partition executor.
+  /// `executor` schedules the backing SimDisks (converts implicitly
+  /// from Simulator&).
   VolumeManager(sim::Executor executor, std::string host_name,
                 std::uint64_t pool_sectors, DiskProfile profile = {})
       : sim_(executor), host_name_(std::move(host_name)),

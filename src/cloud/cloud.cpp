@@ -27,30 +27,23 @@ constexpr std::uint32_t kGatewayInstanceBase = (10u << 24) | (2u << 16) | (2u <<
 
 // ------------------------------------------------------------------- hosts
 
-// Everything a host owns is constructed on the host's partition
-// executor; the links toward the shared fabric (partition 0) get their
-// switch-side end rebound afterwards, which reports the propagation
-// delay for auto-lookahead when the ends land in different partitions.
-
 ComputeHost::ComputeHost(Cloud& cloud, unsigned index)
     : index_(index),
       storage_ip_(make_ip(kHostStorageBase, index)),
-      cpu_(std::make_unique<sim::Cpu>(cloud.host_executor(index),
+      cpu_(std::make_unique<sim::Cpu>(cloud.simulator(),
                                       "host" + std::to_string(index),
                                       cloud.config().host_cores)),
-      node_(std::make_unique<net::NetNode>(cloud.host_executor(index),
+      node_(std::make_unique<net::NetNode>(cloud.simulator(),
                                            "host" + std::to_string(index),
                                            cloud.arp())),
-      ovs_(std::make_unique<net::FlowSwitch>(cloud.host_executor(index),
+      ovs_(std::make_unique<net::FlowSwitch>(cloud.simulator(),
                                              "ovs" + std::to_string(index))),
-      storage_link_(std::make_unique<net::Link>(cloud.host_executor(index),
+      storage_link_(std::make_unique<net::Link>(cloud.simulator(),
                                                 cloud.config().link_bps,
                                                 cloud.config().link_delay)),
-      uplink_(std::make_unique<net::Link>(cloud.host_executor(index),
+      uplink_(std::make_unique<net::Link>(cloud.simulator(),
                                           cloud.config().instance_link_bps,
                                           cloud.config().link_delay)) {
-  storage_link_->set_end_executor(1, cloud.control_executor());
-  uplink_->set_end_executor(1, cloud.control_executor());
   cloud.storage_switch().attach(*storage_link_, 1);
   node_->add_nic(cloud.next_mac(), storage_ip_, kStorageSubnet,
                  *storage_link_, 0);
@@ -67,20 +60,19 @@ ComputeHost::ComputeHost(Cloud& cloud, unsigned index)
 StorageHost::StorageHost(Cloud& cloud, unsigned index)
     : index_(index),
       storage_ip_(make_ip(kStorageHostBase, index)),
-      cpu_(std::make_unique<sim::Cpu>(cloud.storage_executor(index),
+      cpu_(std::make_unique<sim::Cpu>(cloud.simulator(),
                                       "storage" + std::to_string(index),
                                       cloud.config().host_cores)),
-      node_(std::make_unique<net::NetNode>(cloud.storage_executor(index),
+      node_(std::make_unique<net::NetNode>(cloud.simulator(),
                                            "storage" + std::to_string(index),
                                            cloud.arp())),
-      storage_link_(std::make_unique<net::Link>(cloud.storage_executor(index),
+      storage_link_(std::make_unique<net::Link>(cloud.simulator(),
                                                 cloud.config().link_bps,
                                                 cloud.config().link_delay)),
       volumes_(std::make_unique<block::VolumeManager>(
-          cloud.storage_executor(index), "storage" + std::to_string(index),
+          cloud.simulator(), "storage" + std::to_string(index),
           cloud.config().storage_pool_sectors, cloud.config().disk_profile)),
       target_(std::make_unique<iscsi::Target>(*node_, *volumes_)) {
-  storage_link_->set_end_executor(1, cloud.control_executor());
   cloud.storage_switch().attach(*storage_link_, 1);
   node_->add_nic(cloud.next_mac(), storage_ip_, kStorageSubnet,
                  *storage_link_, 0);
@@ -93,20 +85,14 @@ StorageHost::StorageHost(Cloud& cloud, unsigned index)
 
 // --------------------------------------------------------------------- VM
 
-// A VM lives entirely on its host's partition: the virtio link has zero
-// propagation delay, so splitting it across partitions would violate any
-// lookahead. Middle-box VMs therefore execute on the same partition as
-// the host whose OVS captures their traffic.
-
 Vm::Vm(Cloud& cloud, std::string name, std::string tenant,
        unsigned host_index, unsigned vcpus)
     : name_(std::move(name)), tenant_(std::move(tenant)),
       host_index_(host_index),
-      cpu_(std::make_unique<sim::Cpu>(cloud.host_executor(host_index), name_,
-                                      vcpus)),
-      node_(std::make_unique<net::NetNode>(cloud.host_executor(host_index),
-                                           name_, cloud.arp())),
-      link_(std::make_unique<net::Link>(cloud.host_executor(host_index),
+      cpu_(std::make_unique<sim::Cpu>(cloud.simulator(), name_, vcpus)),
+      node_(std::make_unique<net::NetNode>(cloud.simulator(), name_,
+                                           cloud.arp())),
+      link_(std::make_unique<net::Link>(cloud.simulator(),
                                         // Virtio links are fast; the cost
                                         // is the per-packet copy below.
                                         10'000'000'000ull, 0)) {
@@ -130,23 +116,6 @@ Cloud::Cloud(sim::Simulator& simulator, CloudConfig config)
   for (unsigned i = 0; i < config_.storage_hosts; ++i) {
     storage_.push_back(std::make_unique<StorageHost>(*this, i));
   }
-}
-
-// ------------------------------------------------------------- placement
-
-// Deterministic host → partition mapping (documented in the header): a
-// pure function of (partition count, host counts), so two runs of the
-// same topology always place identically.
-
-std::uint32_t Cloud::host_partition(unsigned index) const {
-  const std::uint32_t parts = sim_.partition_count();
-  if (parts <= 1) return 0;
-  const std::uint32_t data = parts - 1;
-  return 1 + (index % data);
-}
-
-std::uint32_t Cloud::storage_partition(unsigned index) const {
-  return host_partition(config_.compute_hosts + index);
 }
 
 std::vector<net::FlowSwitch*> Cloud::flow_switches() {
@@ -227,19 +196,10 @@ Result<std::pair<block::Volume*, unsigned>> Cloud::locate_volume(
 void Cloud::attach_volume(Vm& vm, const std::string& volume_name,
                           std::function<void(Status, Attachment)> done,
                           AttachHooks hooks) {
-  // Attachment is a control-plane operation: it reads volumes on the
-  // storage partitions, spins up an initiator on the host partition and
-  // mutates the hypervisor registry. Deferring to the window barrier
-  // makes all of that race-free on a partitioned topology; on a
-  // single-partition simulator at_barrier runs inline and this is
-  // byte-identical to the historical path.
-  sim_.at_barrier([this, &vm, volume_name, done = std::move(done),
-                   hooks = std::move(hooks)]() mutable {
-    unsigned host_index = vm.host_index();
-    attach_queues_[host_index].push_back(
-        PendingAttach{&vm, volume_name, std::move(done), std::move(hooks)});
-    if (!attach_in_progress_[host_index]) run_attach_queue(host_index);
-  });
+  unsigned host_index = vm.host_index();
+  attach_queues_[host_index].push_back(
+      PendingAttach{&vm, volume_name, std::move(done), std::move(hooks)});
+  if (!attach_in_progress_[host_index]) run_attach_queue(host_index);
 }
 
 void Cloud::run_attach_queue(unsigned host_index) {
@@ -252,23 +212,12 @@ void Cloud::run_attach_queue(unsigned host_index) {
   PendingAttach pending = std::move(queue.front());
   queue.erase(queue.begin());
 
-  // `finish` may fire from the host partition's thread (the login
-  // callback); hop to the barrier before touching control state. Inline
-  // on a single-partition simulator, where the schedule_in(0) deferral
-  // preserves the historical event order exactly.
+  // The next queued attach starts in a fresh event once this one is
+  // reported.
   auto finish = [this, host_index, done = std::move(pending.done)](
                     Status status, Attachment attachment) {
-    sim_.at_barrier([this, host_index, done, status,
-                     attachment = std::move(attachment)]() mutable {
-      done(status, std::move(attachment));
-      if (sim_.partition_count() == 1) {
-        sim_.schedule_in(0,
-                         [this, host_index] { run_attach_queue(host_index); });
-      } else {
-        // Already quiescent at the barrier: start the next attach now.
-        run_attach_queue(host_index);
-      }
-    });
+    done(status, std::move(attachment));
+    sim_.schedule_in(0, [this, host_index] { run_attach_queue(host_index); });
   };
 
   auto located = locate_volume(pending.volume);
@@ -316,48 +265,26 @@ void Cloud::run_attach_queue(unsigned host_index) {
     complete.source_port = init_ptr->source_port();
     complete.initiator = init_ptr;
     // --- atomic attachment window closes (StorM removes NAT rules) ---
-    // Host-local by design: the callback fires on the host's partition,
-    // which is exactly where the NAT rules live.
     if (hooks.after_login) hooks.after_login(host, complete);
     if (!status.is_ok()) {
       finish(status, {});
       return;
     }
-    // The registry bookkeeping crosses partitions (the volume's state
-    // lives with its storage host); hop to the barrier like finish does.
-    sim_.at_barrier([this, finish, complete, init_ptr, volume,
-                     &vm]() mutable {
-      auto disk = std::make_unique<iscsi::RemoteDisk>(
-          *init_ptr, volume->disk().num_sectors());
-      complete.disk = disk.get();
-      vm.disks_.push_back(std::move(disk));
-      volume->set_attached(true);
-      attachments_.push_back(complete);
-      log_info("cloud") << "attached " << complete.volume << " to "
-                        << complete.vm << " (iqn=" << complete.iqn
-                        << " port=" << complete.source_port << ")";
-      finish(Status::ok(), complete);
-    });
+    auto disk = std::make_unique<iscsi::RemoteDisk>(
+        *init_ptr, volume->disk().num_sectors());
+    complete.disk = disk.get();
+    vm.disks_.push_back(std::move(disk));
+    volume->set_attached(true);
+    attachments_.push_back(complete);
+    log_info("cloud") << "attached " << complete.volume << " to "
+                      << complete.vm << " (iqn=" << complete.iqn
+                      << " port=" << complete.source_port << ")";
+    finish(Status::ok(), complete);
   });
 }
 
 Status Cloud::detach_volume(const std::string& vm,
                             const std::string& volume_name) {
-  // From a partition thread (a service reacting to a dead replica) the
-  // detach is deferred to the barrier and reported as accepted; the
-  // registry row disappearing is the observable completion. From control
-  // context (and always on a single-partition simulator) it runs inline
-  // and returns the real status.
-  if (sim_.partition_count() > 1 && sim::Simulator::in_partition_context()) {
-    sim_.at_barrier([this, vm, volume_name] {
-      Status status = detach_volume(vm, volume_name);
-      if (!status.is_ok()) {
-        log_warn("cloud") << "deferred detach of " << volume_name << " from "
-                          << vm << " failed: " << status.message();
-      }
-    });
-    return Status::ok();
-  }
   auto it = std::find_if(attachments_.begin(), attachments_.end(),
                          [&](const Attachment& a) {
                            return a.vm == vm && a.volume == volume_name;
@@ -387,20 +314,12 @@ std::optional<Attachment> Cloud::find_attachment(
 }
 
 net::NetNode& Cloud::create_gateway(const std::string& name) {
-  // Gateways carry every spliced flow twice; spreading them round-robin
-  // over the data partitions by creation ordinal (the hosts' arithmetic)
-  // keeps the fabric partition from becoming the serial bottleneck of a
-  // parallel run.
-  sim::Executor exec =
-      sim_.executor(host_partition(static_cast<unsigned>(gateways_.size())));
   GatewayNode gateway;
-  gateway.node = std::make_unique<net::NetNode>(exec, name, arp_);
+  gateway.node = std::make_unique<net::NetNode>(sim_, name, arp_);
   gateway.storage_link = std::make_unique<net::Link>(
-      exec, config_.link_bps, config_.link_delay);
+      sim_, config_.link_bps, config_.link_delay);
   gateway.instance_link = std::make_unique<net::Link>(
-      exec, config_.instance_link_bps, config_.link_delay);
-  gateway.storage_link->set_end_executor(1, control_executor());
-  gateway.instance_link->set_end_executor(1, control_executor());
+      sim_, config_.instance_link_bps, config_.link_delay);
   storage_switch_->attach(*gateway.storage_link, 1);
   gateway.node->add_nic(next_mac(), make_ip(kGatewayStorageBase, next_gw_ip_),
                         kStorageSubnet, *gateway.storage_link, 0);
@@ -420,26 +339,8 @@ net::NetNode& Cloud::create_gateway(const std::string& name) {
   return ref;
 }
 
-bool Cloud::link_fault_safe(net::Link& link) {
-  // A FaultPlan owns a single Rng, so it may only see packets from one
-  // partition's thread (see net/link.hpp). Partition-spanning links are
-  // excluded on a partitioned topology; use Link::set_down / targeted
-  // flaps for those instead.
-  if (link.end_executor(0).partition_id() ==
-      link.end_executor(1).partition_id()) {
-    return true;
-  }
-  if (!warned_fault_span_) {
-    warned_fault_span_ = true;
-    log_warn("cloud") << "fault plan skips partition-spanning links (a "
-                         "FaultPlan's Rng is single-threaded); span faults "
-                         "need Link::set_down or a single-partition run";
-  }
-  return false;
-}
-
 void Cloud::register_link(net::Link& link, std::string label) {
-  if (fault_plan_ != nullptr && link_fault_safe(link)) {
+  if (fault_plan_ != nullptr) {
     link.set_fault(fault_plan_, fault_profile_, label);
   }
   link.set_label(label);  // per-link telemetry under the same name
@@ -450,11 +351,7 @@ void Cloud::set_fault_plan(sim::FaultPlan* plan,
                            sim::PacketFaultProfile profile) {
   fault_plan_ = plan;
   fault_profile_ = profile;
-  for (auto& [link, label] : links_) {
-    if (plan == nullptr || link_fault_safe(*link)) {
-      link->set_fault(plan, profile, label);
-    }
-  }
+  for (auto& [link, label] : links_) link->set_fault(plan, profile, label);
 }
 
 net::Link* Cloud::find_link(const std::string& label) {

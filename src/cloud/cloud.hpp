@@ -176,51 +176,18 @@ class Cloud {
   Cloud(const Cloud&) = delete;
   Cloud& operator=(const Cloud&) = delete;
 
-  /// The ParallelConfig a partition-aware Cloud wants: one data
-  /// partition per host plus the fabric/control partition, lookahead
-  /// derived from the wired topology (link_delay as the fallback).
-  /// Build the Simulator from this, then hand it to the Cloud:
-  ///
-  ///   sim::Simulator sim(cloud::Cloud::parallel_config(config, threads));
-  ///   cloud::Cloud cloud(sim, config);
+  /// Simulator options for a cloud of this shape. Kept for callers
+  /// that still build their Simulator from it; the serial kernel only
+  /// reads back the lookahead (link_delay).
   static sim::ParallelConfig parallel_config(const CloudConfig& config,
                                              std::uint32_t threads = 1) {
     sim::ParallelConfig pc;
-    pc.partitions = 1 + config.compute_hosts + config.storage_hosts;
     pc.threads = threads;
     pc.lookahead = config.link_delay;
-    pc.auto_lookahead = true;
     return pc;
   }
 
   sim::Simulator& simulator() { return sim_; }
-
-  /// Control-plane executor (partition 0): the shared fabric, the SDN
-  /// controller, platform bookkeeping. Data-plane components belong on
-  /// host_executor/storage_executor — placement is deliberate now, not
-  /// a partition-0 default.
-  sim::Executor control_executor() { return sim_.executor(0); }
-
-  /// Host → partition mapping, one partition per physical host group:
-  /// partition 0 keeps the shared fabric (storage switch, instance
-  /// backbone) and the control plane, data partitions 1..P-1 carry the
-  /// hosts. Compute host i goes to 1 + (i mod (P-1)), storage host j to
-  /// 1 + ((compute_hosts + j) mod (P-1)), and gateways round-robin the
-  /// same way by creation ordinal — a pure function of the topology, so
-  /// placement is deterministic and stable across runs.
-  /// Everything a host owns (VMs, virtio links, OVS, NAT, initiators,
-  /// CPUs, disks) lands on the host's partition; inter-host links span
-  /// partitions and feed the auto-lookahead derivation. Every mapping is
-  /// 0 on a single-partition simulator.
-  std::uint32_t host_partition(unsigned index) const;
-  std::uint32_t storage_partition(unsigned index) const;
-
-  sim::Executor host_executor(unsigned index) {
-    return sim_.executor(host_partition(index));
-  }
-  sim::Executor storage_executor(unsigned index) {
-    return sim_.executor(storage_partition(index));
-  }
 
   const CloudConfig& config() const { return config_; }
   std::shared_ptr<net::ArpRegistry> arp() { return arp_; }
@@ -274,9 +241,7 @@ class Cloud {
   /// Attach a volume to a VM: spin up a host-side initiator, log in, and
   /// expose the volume as a virtual disk. Attachments on one host are
   /// serialized (the paper's mutex); hooks bracket the login for StorM's
-  /// atomic NAT window. On a partitioned topology the control-plane
-  /// steps run at window barriers (sim::Simulator::at_barrier); `done`
-  /// fires from barrier context and may safely touch any partition.
+  /// atomic NAT window.
   void attach_volume(Vm& vm, const std::string& volume_name,
                      std::function<void(Status, Attachment)> done,
                      AttachHooks hooks = {});
@@ -284,9 +249,7 @@ class Cloud {
   /// Release an attachment: close any surviving sessions for its IQN,
   /// drop the hypervisor registry row, and mark the volume free for a
   /// fresh attach. This is how a replica whose session died is recycled
-  /// before the replication service re-attaches it. Called from a
-  /// partition thread of a multi-partition run, the detach is deferred
-  /// to the next barrier and this returns OK immediately.
+  /// before the replication service re-attaches it.
   Status detach_volume(const std::string& vm, const std::string& volume_name);
 
   /// All completed attachments (the hypervisor registry).
@@ -319,10 +282,6 @@ class Cloud {
   /// Track a link under `label` and apply the current fault plan to it.
   void register_link(net::Link& link, std::string label);
 
-  /// Whether a fault plan may legally observe this link (both ends in
-  /// one partition); warns once when a spanning link is excluded.
-  bool link_fault_safe(net::Link& link);
-
   sim::Simulator& sim_;
   CloudConfig config_;
   std::shared_ptr<net::ArpRegistry> arp_;
@@ -341,7 +300,6 @@ class Cloud {
 
   sim::FaultPlan* fault_plan_ = nullptr;
   sim::PacketFaultProfile fault_profile_;
-  bool warned_fault_span_ = false;
   std::vector<std::pair<net::Link*, std::string>> links_;
 
   std::vector<Attachment> attachments_;

@@ -1,24 +1,21 @@
 #include "common/buf.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace storm {
 
 namespace bufstats {
 namespace {
-// Relaxed atomic: the simulator is single-threaded, but the TSan CI job
-// may run suites that touch this from test scaffolding.
-std::atomic<std::uint64_t> g_bytes_copied{0};
+std::uint64_t g_bytes_copied = 0;
 }  // namespace
 
 std::uint64_t bytes_copied() {
-  return g_bytes_copied.load(std::memory_order_relaxed);
+  return g_bytes_copied;
 }
 
 void add_bytes_copied(std::size_t n) {
-  g_bytes_copied.fetch_add(n, std::memory_order_relaxed);
+  g_bytes_copied += n;
 }
 
 }  // namespace bufstats

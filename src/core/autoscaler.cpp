@@ -52,16 +52,10 @@ void Autoscaler::stop() {
 
 void Autoscaler::tick() {
   if (!running_) return;
-  // Telemetry reads span partitions (the bucket counts on the gateway's
-  // partition) and a resize rewires chains everywhere: evaluate at the
-  // window barrier, like the health manager's probe.
-  platform_.cloud().simulator().at_barrier([this] {
-    if (!running_) return;
-    for (auto& [tenant, state] : tenants_) {
-      evaluate(tenant, state);
-    }
-  });
-  tick_token_ = platform_.cloud().control_executor().schedule_in(
+  for (auto& [tenant, state] : tenants_) {
+    evaluate(tenant, state);
+  }
+  tick_token_ = platform_.cloud().simulator().schedule_in(
       config_.tick_interval, [this] { tick(); });
 }
 

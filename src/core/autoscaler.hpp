@@ -15,9 +15,8 @@
 //    burst in flight is never dropped.
 //
 // Opt-in like the health manager (start()/stop()): the tick reschedules
-// itself forever. Everything runs on the control executor and mutates at
-// window barriers, so two identically seeded runs scale at identical sim
-// times on any thread count.
+// itself forever. Two identically seeded runs scale at identical sim
+// times.
 #pragma once
 
 #include <cstdint>

@@ -69,35 +69,26 @@ void ChainHealthManager::tick() {
   if (!running_) {
     return;
   }
-  // The probe reads relay/node/initiator state on every partition and
-  // the recovery policies rewire the chain; both belong at the window
-  // barrier (inline on a single-partition simulator). The heartbeat
-  // timer itself lives on the control partition.
-  platform_.cloud_.simulator().at_barrier([this] {
-    if (!running_) {
-      return;
+  for (auto& dep : platform_.deployments_) {
+    ChainHealth& chain = chains_[dep->splice.cookie];
+    if (chain.boxes.size() != dep->boxes.size()) {
+      // First sight of this chain (or an add/remove_middlebox reshaped
+      // it): everything is presumed alive as of now.
+      chain.boxes.assign(dep->boxes.size(), BoxHealth{});
+      for (BoxHealth& bh : chain.boxes) {
+        bh.last_alive = telemetry().now();
+      }
     }
-    for (auto& dep : platform_.deployments_) {
-      ChainHealth& chain = chains_[dep->splice.cookie];
-      if (chain.boxes.size() != dep->boxes.size()) {
-        // First sight of this chain (or an add/remove_middlebox reshaped
-        // it): everything is presumed alive as of now.
-        chain.boxes.assign(dep->boxes.size(), BoxHealth{});
-        for (BoxHealth& bh : chain.boxes) {
-          bh.last_alive = telemetry().now();
-        }
-      }
-      install_stall_hooks(*dep);
-      if (dep->state != DeploymentState::kActive) {
-        continue;
-      }
-      if (chain.recovering) {
-        check_recovery(*dep, chain);
-      }
-      probe_deployment(*dep, chain);
+    install_stall_hooks(*dep);
+    if (dep->state != DeploymentState::kActive) {
+      continue;
     }
-  });
-  tick_token_ = platform_.cloud_.control_executor().schedule_in(
+    if (chain.recovering) {
+      check_recovery(*dep, chain);
+    }
+    probe_deployment(*dep, chain);
+  }
+  tick_token_ = platform_.cloud_.simulator().schedule_in(
       config_.heartbeat_interval, [this] { tick(); });
 }
 
@@ -282,33 +273,16 @@ void ChainHealthManager::on_tcp_stall(const net::FourTuple& flow,
   if (!running_) {
     return;
   }
-  sim::Simulator& sim = platform_.cloud_.simulator();
-  if (sim.partition_count() == 1) {
-    obs::Registry& reg = telemetry();
-    reg.counter("health.tcp_stalls").add();
-    reg.record_event("health: tcp stall on " + net::to_string(flow) + " (" +
-                     std::to_string(retries) + " retries)");
-    // The stall callback fires inside TCP timer processing; the probe may
-    // tear connections down, so defer it to a fresh event.
-    sim.schedule_in(0, [this] {
-      if (running_) {
-        stall_probe();
-      }
-    });
-    return;
-  }
-  // Partitioned run: the callback fires on the stalled stack's partition
-  // thread, but the probe spans the whole chain — record and probe at
-  // the barrier, where tearing connections down is also safe.
-  sim.at_barrier([this, flow, retries] {
-    if (!running_) {
-      return;
+  obs::Registry& reg = telemetry();
+  reg.counter("health.tcp_stalls").add();
+  reg.record_event("health: tcp stall on " + net::to_string(flow) + " (" +
+                   std::to_string(retries) + " retries)");
+  // The stall callback fires inside TCP timer processing; the probe may
+  // tear connections down, so defer it to a fresh event.
+  platform_.cloud_.simulator().schedule_in(0, [this] {
+    if (running_) {
+      stall_probe();
     }
-    obs::Registry& reg = telemetry();
-    reg.counter("health.tcp_stalls").add();
-    reg.record_event("health: tcp stall on " + net::to_string(flow) + " (" +
-                     std::to_string(retries) + " retries)");
-    stall_probe();
   });
 }
 

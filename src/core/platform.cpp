@@ -534,7 +534,7 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
                                     std::function<void(Status)> done) {
   // Collect the flows whose arc changed hands, in deterministic (cookie)
   // order, then migrate them one at a time: concurrent migrations of one
-  // tenant would interleave their barrier mutations.
+  // tenant would interleave their rule swaps.
   struct Move {
     std::uint64_t cookie;
     std::string from;
@@ -614,19 +614,10 @@ void StormPlatform::park_replica(ReplicaSet& set,
 }
 
 void StormPlatform::scale_service_replicas(const std::string& tenant,
-                                           const std::string& service_type,
+                                           const std::string& type,
                                            unsigned target,
                                            std::function<void(Status)> done) {
   if (!done) done = [](Status) {};
-  cloud_.simulator().at_barrier(
-      [this, tenant, service_type, target, done = std::move(done)]() mutable {
-        scale_at_barrier(tenant, service_type, target, std::move(done));
-      });
-}
-
-void StormPlatform::scale_at_barrier(const std::string& tenant,
-                                     const std::string& type, unsigned target,
-                                     std::function<void(Status)> done) {
   ReplicaSet* set = find_replica_set(tenant + "|" + type);
   if (set == nullptr) {
     done(error(ErrorCode::kNotFound,
@@ -714,21 +705,6 @@ void StormPlatform::scale_at_barrier(const std::string& tenant,
 }
 
 void StormPlatform::attach_with_chain(
-    const std::string& vm_name, const std::string& volume_name,
-    std::vector<ServiceSpec> chain,
-    std::function<void(Result<DeploymentHandle>)> done) {
-  // Deployment provisions VMs and installs rules across many partitions;
-  // run the whole control-plane sequence at a window barrier (inline on
-  // a single-partition simulator — the historical behavior).
-  cloud_.simulator().at_barrier([this, vm_name, volume_name,
-                                 chain = std::move(chain),
-                                 done = std::move(done)]() mutable {
-    attach_with_chain_at_barrier(vm_name, volume_name, std::move(chain),
-                                 std::move(done));
-  });
-}
-
-void StormPlatform::attach_with_chain_at_barrier(
     const std::string& vm_name, const std::string& volume_name,
     std::vector<ServiceSpec> chain,
     std::function<void(Result<DeploymentHandle>)> done) {
@@ -899,13 +875,9 @@ void StormPlatform::set_tenant_qos(const std::string& tenant,
     qos_buckets_.erase(tenant);
     return;
   }
-  // The bucket runs where it paces: the ingress gateway's partition.
-  // Its counters live in that partition's registry for the same reason
-  // (hot-path updates stay thread-confined; the merged dump sums them).
-  sim::Executor gw_exec = gateways.ingress->executor();
   auto bucket = std::make_unique<net::TokenBucket>(
-      gw_exec, qos.rate_bytes_per_sec, qos.burst_bytes);
-  obs::Registry& reg = gw_exec.telemetry();
+      cloud_.simulator(), qos.rate_bytes_per_sec, qos.burst_bytes);
+  obs::Registry& reg = telemetry();
   bucket->bind_telemetry(&reg.counter("qos." + tenant + ".throttled_bytes"),
                          &reg.gauge("qos." + tenant + ".queue_bytes"));
   // The bucket paces the ingress gateway's FORWARD path: every spliced
@@ -1021,23 +993,19 @@ void StormPlatform::poll_until(sim::Time deadline, std::function<bool()> ready,
   // Fine-grained enough that a drain adds at most ~100us, coarse enough
   // not to dominate the event queue.
   static constexpr sim::Duration kPollInterval = sim::microseconds(100);
-  // `ready` reads state across partitions, so it runs at the barrier. The
-  // poll's state lives only in the pending closure (each round moves it
-  // on), so it is freed the moment the poll ends.
-  cloud_.simulator().at_barrier([this, deadline, ready = std::move(ready),
-                                 done = std::move(done)]() mutable {
-    if (ready()) {
-      done(true);
-    } else if (cloud_.simulator().now() >= deadline) {
-      done(false);
-    } else {
-      cloud_.control_executor().schedule_in(
-          kPollInterval, [this, deadline, ready = std::move(ready),
-                          done = std::move(done)]() mutable {
-            poll_until(deadline, std::move(ready), std::move(done));
-          });
-    }
-  });
+  // The poll's state lives only in the pending closure (each round moves
+  // it on), so it is freed the moment the poll ends.
+  if (ready()) {
+    done(true);
+  } else if (cloud_.simulator().now() >= deadline) {
+    done(false);
+  } else {
+    cloud_.simulator().schedule_in(
+        kPollInterval, [this, deadline, ready = std::move(ready),
+                        done = std::move(done)]() mutable {
+          poll_until(deadline, std::move(ready), std::move(done));
+        });
+  }
 }
 
 void StormPlatform::rebuild_chain(Deployment& deployment) {
@@ -1163,19 +1131,6 @@ Status StormPlatform::fence_deployment(Deployment& dep,
 
 Status StormPlatform::crash_middlebox(Deployment& deployment,
                                       std::size_t position) {
-  // Chaos injection often fires from a scheduled event on some
-  // partition; the crash touches the box's partition, so defer to the
-  // barrier there and report accepted (the health manager observes the
-  // crash on its next probe either way).
-  if (cloud_.simulator().partition_count() > 1 &&
-      sim::Simulator::in_partition_context()) {
-    const std::uint64_t cookie = deployment.splice.cookie;
-    cloud_.simulator().at_barrier([this, cookie, position] {
-      Deployment* dep = deployment_by_cookie(cookie);
-      if (dep != nullptr) crash_middlebox(*dep, position);
-    });
-    return Status::ok();
-  }
   if (position >= deployment.boxes.size()) {
     return error(ErrorCode::kInvalidArgument, "position out of range");
   }
@@ -1191,15 +1146,6 @@ Status StormPlatform::crash_middlebox(Deployment& deployment,
 
 Status StormPlatform::restart_middlebox(Deployment& deployment,
                                         std::size_t position) {
-  if (cloud_.simulator().partition_count() > 1 &&
-      sim::Simulator::in_partition_context()) {
-    const std::uint64_t cookie = deployment.splice.cookie;
-    cloud_.simulator().at_barrier([this, cookie, position] {
-      Deployment* dep = deployment_by_cookie(cookie);
-      if (dep != nullptr) restart_middlebox(*dep, position);
-    });
-    return Status::ok();
-  }
   if (position >= deployment.boxes.size()) {
     return error(ErrorCode::kInvalidArgument, "position out of range");
   }

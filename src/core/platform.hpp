@@ -227,16 +227,16 @@ class StormPlatform {
   net::TokenBucket* tenant_qos_mutable(const std::string& tenant);
 
   // --- elastic replica sets (scale-out) ---
-  /// Resize the tenant's replica pool for `service_type` to `target`
-  /// active replicas, clamped to the policy's min/max. Runs at a window
-  /// barrier. Scale-up revives/provisions replicas and installs their
-  /// hash arcs; scale-down retires the newest replicas first. Either
+  /// Resize the tenant's replica pool for service `type` to `target`
+  /// active replicas, clamped to the policy's min/max. Scale-up
+  /// revives/provisions replicas and installs their hash arcs;
+  /// scale-down retires the newest replicas first. Either
   /// way, only the flows whose arc changed hands move, each through the
   /// deferred-admission migration drain (commands park, never fail), and
   /// `done` fires once every migration landed — with OK, or the first
   /// migration error. Resizing to the current size is an OK no-op.
   void scale_service_replicas(const std::string& tenant,
-                              const std::string& service_type,
+                              const std::string& type,
                               unsigned target,
                               std::function<void(Status)> done = {});
   /// The tenant's pool for `service_type`, or nullptr when no deployment
@@ -267,12 +267,6 @@ class StormPlatform {
   friend class ChainHealthManager;
 
   std::uint16_t allocate_flow_port() { return next_flow_port_++; }
-  /// attach_with_chain body, run in barrier/control context (the public
-  /// entry point defers itself with sim::Simulator::at_barrier).
-  void attach_with_chain_at_barrier(
-      const std::string& vm_name, const std::string& volume_name,
-      std::vector<ServiceSpec> chain,
-      std::function<void(Result<DeploymentHandle>)> done);
   unsigned place_middlebox(const ServiceSpec& spec, unsigned vm_host);
   Result<std::unique_ptr<MiddleboxInstance>> build_box(
       const ServiceSpec& spec, const std::string& label,
@@ -306,8 +300,6 @@ class StormPlatform {
   void migrate_flow(Deployment& dep, std::size_t position,
                     std::shared_ptr<MiddleboxInstance> target,
                     std::function<void(Status)> done);
-  void scale_at_barrier(const std::string& tenant, const std::string& type,
-                        unsigned target, std::function<void(Status)> done);
   /// After the ring changed: migrate every flow whose assignment no
   /// longer matches its current replica, one at a time (deterministic
   /// order), then run `done`.
@@ -337,8 +329,7 @@ class StormPlatform {
   void handoff(Deployment& dep, std::size_t position,
                std::shared_ptr<MiddleboxInstance> target,
                RelayJournalSnapshot snapshot);
-  /// The one sim-clock poll: every 100us of simulated time (on the
-  /// control executor, evaluated at a window barrier) test `ready`; run
+  /// The one sim-clock poll: every 100us of simulated time test `ready`; run
   /// `done(true)` once it holds, or `done(false)` once `deadline` passed
   /// first. The first test runs right away.
   void poll_until(sim::Time deadline, std::function<bool()> ready,

@@ -160,8 +160,8 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
         } else if (key == "host") {
           spec.host_index = static_cast<int>(number(key, value, 1, INT_MAX));
         } else {
-          // Journal sizes are read inside the attach barrier; malformed
-          // ones must not get that far.
+          // Journal sizes are read while the attach runs; malformed ones
+          // must not get that far.
           if (key.starts_with("journal_") && key.ends_with("_kb")) {
             number(key, value, 1024, SIZE_MAX);
           }

@@ -11,7 +11,7 @@ namespace storm::core {
 
 std::uint64_t FlowHashRing::mix(std::uint64_t x) {
   // splitmix64 finalizer: cheap, deterministic, avalanche-complete —
-  // identical assignment on every platform and thread count.
+  // identical assignment on every platform.
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;

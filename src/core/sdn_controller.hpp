@@ -20,7 +20,7 @@ namespace storm::core {
 /// one replica moves only the flows whose arc changed hands (~1/N of
 /// them) — the property that lets scale-out rebalance without a global
 /// re-pinning storm. Deterministic: same labels + same flows => same
-/// assignment, on any thread count.
+/// assignment.
 class FlowHashRing {
  public:
   /// Vnodes per replica: enough to smooth the arcs to a few percent

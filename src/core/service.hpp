@@ -65,7 +65,7 @@ class ServiceContext {
 };
 
 /// What a hosting relay lends a service beyond the per-PDU context:
-/// a scheduling executor (the middle-box VM's partition), the relay's
+/// a scheduling executor (the middle-box VM's), the relay's
 /// telemetry scope, and — on an active relay — its NVRAM journal device,
 /// so a service can persist its own recovery state (e.g. the replication
 /// version map) next to the relay's streams and survive a power failure

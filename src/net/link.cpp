@@ -6,22 +6,20 @@
 
 namespace storm::net {
 
-void Link::ensure_telemetry(int end) {
-  EndState& st = ends_[static_cast<std::size_t>(end)];
-  if (st.ready) return;
-  st.ready = true;
-  obs::Registry& reg =
-      execs_[static_cast<std::size_t>(end)].telemetry();
-  st.tel_total_packets = &reg.counter("net.link.packets");
-  st.tel_total_bytes = &reg.counter("net.link.bytes");
-  st.tel_faults = &reg.counter("net.link.faults");
-  st.tel_queue_wait = &reg.histogram("net.link.queue_wait_ns");
+void Link::ensure_telemetry() {
+  if (tel_ready_) return;
+  tel_ready_ = true;
+  obs::Registry& reg = exec_.telemetry();
+  tel_total_packets_ = &reg.counter("net.link.packets");
+  tel_total_bytes_ = &reg.counter("net.link.bytes");
+  tel_faults_ = &reg.counter("net.link.faults");
+  tel_queue_wait_ = &reg.histogram("net.link.queue_wait_ns");
   if (!label_.empty()) {
-    st.tel_packets = &reg.counter("net.link." + label_ + ".packets");
-    st.tel_bytes = &reg.counter("net.link." + label_ + ".bytes");
+    tel_packets_ = &reg.counter("net.link." + label_ + ".packets");
+    tel_bytes_ = &reg.counter("net.link." + label_ + ".bytes");
   } else {
-    st.tel_packets = nullptr;
-    st.tel_bytes = nullptr;
+    tel_packets_ = nullptr;
+    tel_bytes_ = nullptr;
   }
 }
 
@@ -30,21 +28,20 @@ void Link::send(int from_end, Packet pkt) {
   const int to_end = 1 - from_end;
   auto& receiver = receivers_.at(static_cast<std::size_t>(to_end));
   if (!receiver) return;
-  ensure_telemetry(from_end);
+  ensure_telemetry();
   EndState& st = ends_[static_cast<std::size_t>(from_end)];
-  sim::Executor from_exec = execs_[static_cast<std::size_t>(from_end)];
 
   sim::PacketFaultDecision fault;
   if (fault_ && fault_profile_.enabled()) {
     fault = fault_->decide(fault_profile_, fault_label_);
     if (fault.drop) {
       ++st.faults;
-      st.tel_faults->add();
+      tel_faults_->add();
       return;
     }
     if (fault.corrupt) {
       ++st.faults;
-      st.tel_faults->add();
+      tel_faults_->add();
       if (!pkt.payload.empty()) {
         // COW: a duplicated/retransmitted sibling of this packet keeps
         // its clean bytes; only this in-flight copy is corrupted.
@@ -57,7 +54,7 @@ void Link::send(int from_end, Packet pkt) {
     }
     if (fault.duplicate || fault.extra_delay > 0) {
       ++st.faults;
-      st.tel_faults->add();
+      tel_faults_->add();
     }
   }
 
@@ -69,29 +66,25 @@ void Link::send(int from_end, Packet pkt) {
 
     // FIFO through the per-direction serializer (a duplicate occupies a
     // second slot, like a real dupe on the wire).
-    const sim::Time now = from_exec.now();
+    const sim::Time now = exec_.now();
     sim::Time start = std::max(now, st.next_free);
-    st.tel_queue_wait->record(static_cast<std::int64_t>(start - now));
+    tel_queue_wait_->record(static_cast<std::int64_t>(start - now));
     st.next_free = start + ser;
     sim::Time deliver_at = st.next_free + prop_ + fault.extra_delay;
 
     st.packets += 1;
     st.bytes += pkt.wire_size();
-    st.tel_total_packets->add();
-    st.tel_total_bytes->add(pkt.wire_size());
-    if (st.tel_packets != nullptr) {
-      st.tel_packets->add();
-      st.tel_bytes->add(pkt.wire_size());
+    tel_total_packets_->add();
+    tel_total_bytes_->add(pkt.wire_size());
+    if (tel_packets_ != nullptr) {
+      tel_packets_->add();
+      tel_bytes_->add(pkt.wire_size());
     }
     Packet p = (copy + 1 < copies) ? pkt : std::move(pkt);
-    // Deliver on the *receiving* end's executor: when the ends live in
-    // different partitions this routes through the mailbox and lands in
-    // the destination's next lookahead window.
-    execs_[static_cast<std::size_t>(to_end)].schedule(
-        deliver_at, [this, to_end, p = std::move(p)]() mutable {
-          if (is_down()) return;  // went down while in flight
-          receivers_[static_cast<std::size_t>(to_end)](std::move(p));
-        });
+    exec_.schedule(deliver_at, [this, to_end, p = std::move(p)]() mutable {
+      if (is_down()) return;  // went down while in flight
+      receivers_[static_cast<std::size_t>(to_end)](std::move(p));
+    });
   }
 }
 

@@ -1,18 +1,8 @@
 // Point-to-point full-duplex link with bandwidth (serialization delay plus
 // FIFO queueing) and propagation delay. Supports failure injection.
-//
-// Each end is bound to a sim::Executor, so a link may span two
-// partitions of a parallel simulation: send() runs on the sending
-// end's thread (per-end serializer, stats, and telemetry keep it
-// race-free) and delivery is scheduled on the *receiving* end's
-// executor, which routes through the cross-partition mailbox when the
-// ends live in different partitions. Fault plans are the exception:
-// a FaultPlan owns one Rng, so only attach one to links whose two ends
-// share a partition (or to a single-partition simulation).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -30,8 +20,7 @@ class Link {
 
   Link(sim::Executor executor, std::uint64_t bits_per_second,
        sim::Duration propagation_delay)
-      : execs_{executor, executor}, bps_(bits_per_second),
-        prop_(propagation_delay) {}
+      : exec_(executor), bps_(bits_per_second), prop_(propagation_delay) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -41,34 +30,16 @@ class Link {
     receivers_.at(static_cast<std::size_t>(end)) = std::move(receiver);
   }
 
-  /// Rebind one end to another partition's executor. Wire-up time only
-  /// (before the simulation runs): delivery to `end` is scheduled on
-  /// this executor from then on. A rebind that makes the link span two
-  /// partitions reports its propagation delay to the simulator — with
-  /// ParallelConfig::auto_lookahead the window lookahead is derived from
-  /// the minimum such delay instead of hand-tuned.
-  void set_end_executor(int end, sim::Executor executor) {
-    execs_.at(static_cast<std::size_t>(end)) = executor;
-    ends_[static_cast<std::size_t>(end)].ready = false;
-    if (execs_[0].valid() && execs_[1].valid() &&
-        execs_[0].partition_id() != execs_[1].partition_id()) {
-      executor.simulator().note_span_delay(prop_);
-    }
-  }
-  sim::Executor end_executor(int end) const {
-    return execs_.at(static_cast<std::size_t>(end));
-  }
-
   /// Transmit from `from_end`; delivered at the opposite end after
   /// queueing + serialization + propagation. Dropped if the link is down.
   void send(int from_end, Packet pkt);
 
-  void set_down(bool down) { down_.store(down, std::memory_order_relaxed); }
-  bool is_down() const { return down_.load(std::memory_order_relaxed); }
+  void set_down(bool down) { down_ = down; }
+  bool is_down() const { return down_; }
 
   /// Attach a fault plan: every packet crossing this link consults it with
   /// `profile`. `label` names the link in the plan's event trace. Pass
-  /// nullptr to detach. Intra-partition links only (see file comment).
+  /// nullptr to detach.
   void set_fault(sim::FaultPlan* plan, sim::PacketFaultProfile profile,
                  std::string label) {
     fault_ = plan;
@@ -82,7 +53,7 @@ class Link {
   /// aggregate net.link.* metrics. Wired from Cloud::register_link.
   void set_label(std::string label) {
     label_ = std::move(label);
-    for (auto& end : ends_) end.ready = false;  // re-resolve under new name
+    tel_ready_ = false;  // re-resolve under the new name
   }
   const std::string& label() const { return label_; }
 
@@ -97,36 +68,34 @@ class Link {
   }
 
  private:
-  // Everything send() mutates, keyed by the *sending* end, so the two
-  // ends can transmit concurrently from different partition threads.
+  // Per-direction state, keyed by the sending end.
   struct EndState {
     sim::Time next_free = 0;  // this direction's serializer
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
     std::uint64_t faults = 0;
-    // Cached metric pointers into this end's partition registry
-    // (stable for the registry's lifetime).
-    bool ready = false;
-    obs::Counter* tel_total_packets = nullptr;
-    obs::Counter* tel_total_bytes = nullptr;
-    obs::Counter* tel_faults = nullptr;
-    obs::Counter* tel_packets = nullptr;  // per-link, only when labeled
-    obs::Counter* tel_bytes = nullptr;
-    obs::Histogram* tel_queue_wait = nullptr;
   };
 
-  void ensure_telemetry(int end);
+  void ensure_telemetry();
 
-  std::array<sim::Executor, 2> execs_;
+  sim::Executor exec_;
   std::uint64_t bps_;
   sim::Duration prop_;
-  std::atomic<bool> down_{false};
+  bool down_ = false;
   std::array<Receiver, 2> receivers_{};
   std::array<EndState, 2> ends_{};
   sim::FaultPlan* fault_ = nullptr;
   sim::PacketFaultProfile fault_profile_;
   std::string fault_label_;
   std::string label_;
+  // Cached metric pointers (stable for the registry's lifetime).
+  bool tel_ready_ = false;
+  obs::Counter* tel_total_packets_ = nullptr;
+  obs::Counter* tel_total_bytes_ = nullptr;
+  obs::Counter* tel_faults_ = nullptr;
+  obs::Counter* tel_packets_ = nullptr;  // per-link, only when labeled
+  obs::Counter* tel_bytes_ = nullptr;
+  obs::Histogram* tel_queue_wait_ = nullptr;
 };
 
 }  // namespace storm::net

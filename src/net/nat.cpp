@@ -76,9 +76,16 @@ bool NatEngine::translate(Packet& pkt) {
 
     ++rule_hits_;
     if (tel_rule_hits_ != nullptr) tel_rule_hits_->add();
+    const FourTuple reply{translated.dst, translated.src};
+    // A new flow translated onto a reply tuple another flow still holds
+    // (a relay re-dialing after a flow handoff) supersedes that flow: drop
+    // its forward entry, or it would keep translating while its replies
+    // go to the new flow.
+    if (auto it = reverse_.find(reply); it != reverse_.end()) {
+      forward_.erase(FourTuple{it->second.to.dst, it->second.to.src});
+    }
     forward_[key] = Conntrack{translated, rule.cookie};
-    reverse_[FourTuple{translated.dst, translated.src}] =
-        Conntrack{FourTuple{key.dst, key.src}, rule.cookie};
+    reverse_[reply] = Conntrack{FourTuple{key.dst, key.src}, rule.cookie};
     apply(pkt, translated);
     return true;
   }

@@ -67,15 +67,6 @@ double Histogram::percentile(double p) const {
   return static_cast<double>(max_);
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
-}
-
 void Histogram::clear() {
   buckets_.clear();
   count_ = 0;

@@ -52,12 +52,6 @@ class Histogram {
 
   void clear();
 
-  /// Fold `other` into this histogram bucket-wise: counts, sums and
-  /// min/max combine exactly; percentiles of the merged histogram are
-  /// identical to recording both sample streams into one histogram.
-  /// Used by the partition-order telemetry merge.
-  void merge(const Histogram& other);
-
   /// Occupied buckets as (representative value -> count), ascending.
   /// Exposed for JSON export.
   std::map<std::int64_t, std::uint64_t> buckets() const;

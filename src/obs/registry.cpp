@@ -1,9 +1,6 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <deque>
-#include <sstream>
 
 #include "common/buf.hpp"
 #include "sim/simulator.hpp"
@@ -41,103 +38,6 @@ void append_double(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   out += buf;
-}
-
-// Shared renderer so the single-registry and merged exports emit exactly
-// the same shape (and stay byte-comparable between the two paths).
-std::string render_json(sim::Time now,
-                        const std::map<std::string, std::uint64_t>& counters,
-                        const std::map<std::string, std::int64_t>& gauges,
-                        const std::map<std::string, const Histogram*>& hists,
-                        const std::vector<FlightRecorder::Event>& events,
-                        const std::vector<const Span*>& spans,
-                        bool include_spans) {
-  std::string out;
-  out += "{\n  \"sim_time_ns\": " + std::to_string(now);
-
-  out += ",\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(out, name);
-    out += ": " + std::to_string(value);
-  }
-  out += first ? "}" : "\n  }";
-
-  out += ",\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(out, name);
-    out += ": " + std::to_string(value);
-  }
-  out += first ? "}" : "\n  }";
-
-  out += ",\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : hists) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(out, name);
-    out += ": {\"count\": " + std::to_string(hist->count());
-    out += ", \"sum\": " + std::to_string(hist->sum());
-    out += ", \"min\": " + std::to_string(hist->min());
-    out += ", \"max\": " + std::to_string(hist->max());
-    out += ", \"mean\": ";
-    append_double(out, hist->mean());
-    for (double p : {50.0, 90.0, 99.0}) {
-      out += ", \"p" + std::to_string(static_cast<int>(p)) + "\": ";
-      append_double(out, hist->percentile(p));
-    }
-    out += "}";
-  }
-  out += first ? "}" : "\n  }";
-
-  out += ",\n  \"flight_recorder\": [";
-  first = true;
-  for (const auto& event : events) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    out += "{\"at\": " + std::to_string(event.at) + ", \"what\": ";
-    append_json_string(out, event.what);
-    out += "}";
-  }
-  out += first ? "]" : "\n  ]";
-
-  if (include_spans) {
-    out += ",\n  \"spans\": [";
-    first = true;
-    for (const Span* span : spans) {
-      out += first ? "\n    " : ",\n    ";
-      first = false;
-      out += "{\"id\": " + std::to_string(span->id);
-      out += ", \"parent\": " + std::to_string(span->parent);
-      out += ", \"name\": ";
-      append_json_string(out, span->name);
-      out += ", \"start\": " + std::to_string(span->start);
-      out +=
-          ", \"end\": " + std::to_string(span->ended ? span->end : span->start);
-      out += ", \"ended\": ";
-      out += span->ended ? "true" : "false";
-      out += ", \"events\": [";
-      bool first_event = true;
-      for (const SpanEvent& event : span->events) {
-        out += first_event ? "" : ", ";
-        first_event = false;
-        out += "{\"label\": ";
-        append_json_string(out, event.label);
-        out += ", \"at\": " + std::to_string(event.at);
-        out += ", \"value\": " + std::to_string(event.value) + "}";
-      }
-      out += "]}";
-    }
-    out += first ? "]" : "\n  ]";
-  }
-
-  out += "\n}\n";
-  return out;
 }
 
 }  // namespace
@@ -208,72 +108,92 @@ std::string Registry::to_json(bool include_spans) {
   const std::uint64_t delta = bufstats::bytes_copied() - copy_baseline_;
   if (delta > copied.value()) copied.add(delta - copied.value());
 
-  std::map<std::string, std::uint64_t> counters;
+  std::string out;
+  out += "{\n  \"sim_time_ns\": " + std::to_string(exec_.now());
+
+  out += ",\n  \"counters\": {";
+  bool first = true;
   for (const auto& [name, counter_ptr] : counters_) {
-    counters[name] = counter_ptr->value();
+    out += first ? "\n    " : ",\n    ";
+    first = false;
+    append_json_string(out, name);
+    out += ": " + std::to_string(counter_ptr->value());
   }
-  std::map<std::string, std::int64_t> gauges;
-  for (const auto& [name, gauge] : gauges_) gauges[name] = gauge->value();
-  std::map<std::string, const Histogram*> hists;
-  for (const auto& [name, hist] : histograms_) hists[name] = hist.get();
-  std::vector<const Span*> spans;
-  for (const Span& span : tracer_.spans()) spans.push_back(&span);
-  return render_json(exec_.now(), counters, gauges, hists, recorder_.events(),
-                     spans, include_spans);
-}
+  out += first ? "}" : "\n  }";
 
-std::string Registry::merged_json(const std::vector<Registry*>& registries,
-                                  sim::Time now, std::uint64_t copied_bytes,
-                                  bool include_spans) {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, Histogram> hists;
-  std::vector<FlightRecorder::Event> events;
-  std::deque<Span> span_storage;  // stable addresses for the view below
-  SpanId id_base = 0;
+  out += ",\n  \"gauges\": {";
+  first = true;
+  for (const auto& [name, gauge] : gauges_) {
+    out += first ? "\n    " : ",\n    ";
+    first = false;
+    append_json_string(out, name);
+    out += ": " + std::to_string(gauge->value());
+  }
+  out += first ? "}" : "\n  }";
 
-  for (Registry* reg : registries) {
-    for (const auto& [name, counter] : reg->counters_) {
-      counters[name] += counter->value();
+  out += ",\n  \"histograms\": {";
+  first = true;
+  for (const auto& [name, hist] : histograms_) {
+    out += first ? "\n    " : ",\n    ";
+    first = false;
+    append_json_string(out, name);
+    out += ": {\"count\": " + std::to_string(hist->count());
+    out += ", \"sum\": " + std::to_string(hist->sum());
+    out += ", \"min\": " + std::to_string(hist->min());
+    out += ", \"max\": " + std::to_string(hist->max());
+    out += ", \"mean\": ";
+    append_double(out, hist->mean());
+    for (double p : {50.0, 90.0, 99.0}) {
+      out += ", \"p" + std::to_string(static_cast<int>(p)) + "\": ";
+      append_double(out, hist->percentile(p));
     }
-    for (const auto& [name, gauge] : reg->gauges_) {
-      gauges[name] += gauge->value();
-    }
-    for (const auto& [name, hist] : reg->histograms_) {
-      hists[name].merge(*hist);
-    }
-    for (FlightRecorder::Event& event : reg->recorder_.events()) {
-      events.push_back(std::move(event));
-    }
-    if (include_spans) {
-      for (const Span& span : reg->tracer_.spans()) {
-        Span copy = span;
-        copy.id += id_base;
-        if (copy.parent != 0) copy.parent += id_base;
-        span_storage.push_back(std::move(copy));
+    out += "}";
+  }
+  out += first ? "}" : "\n  }";
+
+  out += ",\n  \"flight_recorder\": [";
+  first = true;
+  for (const auto& event : recorder_.events()) {
+    out += first ? "\n    " : ",\n    ";
+    first = false;
+    out += "{\"at\": " + std::to_string(event.at) + ", \"what\": ";
+    append_json_string(out, event.what);
+    out += "}";
+  }
+  out += first ? "]" : "\n  ]";
+
+  if (include_spans) {
+    out += ",\n  \"spans\": [";
+    first = true;
+    for (const Span& span : tracer_.spans()) {
+      out += first ? "\n    " : ",\n    ";
+      first = false;
+      out += "{\"id\": " + std::to_string(span.id);
+      out += ", \"parent\": " + std::to_string(span.parent);
+      out += ", \"name\": ";
+      append_json_string(out, span.name);
+      out += ", \"start\": " + std::to_string(span.start);
+      out +=
+          ", \"end\": " + std::to_string(span.ended ? span.end : span.start);
+      out += ", \"ended\": ";
+      out += span.ended ? "true" : "false";
+      out += ", \"events\": [";
+      bool first_event = true;
+      for (const SpanEvent& event : span.events) {
+        out += first_event ? "" : ", ";
+        first_event = false;
+        out += "{\"label\": ";
+        append_json_string(out, event.label);
+        out += ", \"at\": " + std::to_string(event.at);
+        out += ", \"value\": " + std::to_string(event.value) + "}";
       }
-      id_base += reg->tracer_.spans_started();
+      out += "]}";
     }
+    out += first ? "]" : "\n  ]";
   }
-  // The per-process copy tally cannot be split per partition; the
-  // coordinator supplies its own delta (and the per-registry synced
-  // values, if any, are discarded rather than double-counted).
-  counters["net.bytes_copied"] = copied_bytes;
 
-  // Interleave flight-recorder entries by sim-time; stable_sort keeps
-  // partition-id order (then intra-registry order) for equal stamps.
-  std::stable_sort(
-      events.begin(), events.end(),
-      [](const FlightRecorder::Event& a, const FlightRecorder::Event& b) {
-        return a.at < b.at;
-      });
-
-  std::map<std::string, const Histogram*> hist_view;
-  for (const auto& [name, hist] : hists) hist_view[name] = &hist;
-  std::vector<const Span*> span_view;
-  for (const Span& span : span_storage) span_view.push_back(&span);
-  return render_json(now, counters, gauges, hist_view, events, span_view,
-                     include_spans);
+  out += "\n}\n";
+  return out;
 }
 
 std::string command_trace_key(std::uint16_t source_port,

@@ -12,7 +12,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -48,10 +47,8 @@ class Scope {
 
 class Registry {
  public:
-  /// Bound to one partition's executor: timestamps come from that
-  /// partition's clock, and hot-path metric updates stay confined to the
-  /// partition's worker thread. A Simulator& converts implicitly
-  /// (partition 0), preserving the historical one-registry-per-sim use.
+  /// Timestamps come from `executor`'s clock. Every Simulator owns one
+  /// (Simulator::telemetry()); a Simulator& converts implicitly.
   explicit Registry(sim::Executor executor);
 
   Registry(const Registry&) = delete;
@@ -86,23 +83,9 @@ class Registry {
   /// are emitted in name order, values in sim-time units — deterministic
   /// for identically seeded runs. Non-const: it first syncs the
   /// "net.bytes_copied" counter from the process-wide buffer-copy
-  /// tally (delta since this Registry was constructed, so concurrent
+  /// tally (delta since this Registry was constructed, so successive
   /// simulations in one process don't bleed into each other).
   std::string to_json(bool include_spans = false);
-
-  /// Deterministic multi-registry export: merge `registries` **in the
-  /// given (partition-id) order** into one dump with the same shape as
-  /// to_json(). Counters and gauges sum, histograms merge bucket-wise,
-  /// flight-recorder entries interleave by (sim-time, registry order),
-  /// and spans concatenate with ids offset per registry so they stay
-  /// unique. `copied_bytes` replaces the net.bytes_copied counter (the
-  /// process-wide copy tally cannot be attributed per partition).
-  /// Because the merge order is positional — never wall clock — two
-  /// identically seeded runs produce byte-identical output at any
-  /// thread count.
-  static std::string merged_json(const std::vector<Registry*>& registries,
-                                 sim::Time now, std::uint64_t copied_bytes,
-                                 bool include_spans = false);
 
  private:
   sim::Executor exec_;

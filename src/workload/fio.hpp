@@ -35,9 +35,8 @@ struct FioResult {
 
 class FioRunner {
  public:
-  /// `executor` is where the job loops run — pass the partition of the
-  /// VM (or host) driving the device; converts implicitly from
-  /// Simulator& for single-partition callers.
+  /// `executor` is where the job loops run; converts implicitly from
+  /// Simulator&.
   FioRunner(sim::Executor executor, block::BlockDevice& device,
             FioConfig config);
 

@@ -27,8 +27,8 @@ struct MiniDbConfig {
 
 class MiniDb {
  public:
-  /// `executor`: the partition driving the device (implicit from
-  /// Simulator& for single-partition callers).
+  /// `executor` drives the device (converts implicitly from
+  /// Simulator&).
   MiniDb(sim::Executor executor, block::BlockDevice& device,
          MiniDbConfig config = {});
 

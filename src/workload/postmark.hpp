@@ -38,8 +38,8 @@ struct PostmarkResult {
 
 class PostmarkRunner {
  public:
-  /// `executor`: the partition driving the filesystem (implicit from
-  /// Simulator& for single-partition callers).
+  /// `executor` drives the filesystem (converts implicitly from
+  /// Simulator&).
   PostmarkRunner(sim::Executor executor, fs::SimExt& filesystem,
                  PostmarkConfig config);
 

@@ -6,8 +6,10 @@
 // the same seed.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
+#include "cloud/cloud.hpp"
 #include "common/rng.hpp"
 #include "core/active_relay.hpp"
 #include "core/platform.hpp"
@@ -74,6 +76,39 @@ TEST(FaultPlan, FlipRandomBitChangesExactlyOneBit) {
     }
   }
   EXPECT_EQ(diff_bits, 1);
+}
+
+TEST(FaultPlan, ReachesHostAndStorageLinksOfAnyCloud) {
+  // A fault plan armed on a cloud built from Cloud::parallel_config must
+  // observe every link, the host and storage NICs included.
+  cloud::CloudConfig config;
+  config.compute_hosts = 2;
+  config.storage_hosts = 1;
+  sim::Simulator sim(cloud::Cloud::parallel_config(config));
+  cloud::Cloud cloud(sim, config);
+  sim::FaultPlan plan(sim, 11);
+  sim::PacketFaultProfile profile;
+  profile.drop_rate = 0.05;
+  cloud.set_fault_plan(&plan, profile);
+
+  cloud::Vm& vm = cloud.create_vm("vm", "t", 1);
+  ASSERT_TRUE(cloud.create_volume("vol", 4096).is_ok());
+  Status attached = error(ErrorCode::kIoError, "unset");
+  cloud.attach_volume(vm, "vol",
+                      [&](Status s, cloud::Attachment) { attached = s; });
+  sim.run();
+  ASSERT_TRUE(attached.is_ok()) << attached.to_string();
+  for (int i = 0; i < 8; ++i) {
+    vm.disk()->write(static_cast<std::uint64_t>(i) * 8,
+                     Bytes(8 * block::kSectorSize, 0x5A), [](Status) {});
+  }
+  sim.run();
+
+  std::set<std::string> labels;
+  for (const sim::FaultEvent& ev : plan.trace()) labels.insert(ev.label);
+  EXPECT_TRUE(labels.count("drop host1.storage") != 0 ||
+              labels.count("drop storage0.storage") != 0)
+      << plan.trace_string();
 }
 
 TEST(FaultPlan, ScheduledEventsFireInOrderAndTrace) {

@@ -186,8 +186,9 @@ TEST(HexKey, ParsesAndRejects) {
 
 // --- command tracing through the chain ------------------------------------------
 
-TEST(Tracing, TwoBoxChainCommandSpanCarriesBothRelays) {
-  sim::Simulator sim;
+// Both ways of building the simulator must trace identically: the bare
+// default and the one sized by Cloud::parallel_config.
+void check_two_box_command_spans(sim::Simulator& sim) {
   cloud::Cloud cloud(sim, cloud::CloudConfig{});
   core::StormPlatform platform(cloud);
   services::register_builtin_services(platform);
@@ -247,6 +248,19 @@ TEST(Tracing, TwoBoxChainCommandSpanCarriesBothRelays) {
       }
       EXPECT_EQ(hop_sum, span->end - span->start);
     }
+  }
+}
+
+TEST(Tracing, TwoBoxChainCommandSpanCarriesBothRelays) {
+  {
+    SCOPED_TRACE("Simulator{}");
+    sim::Simulator sim;
+    check_two_box_command_spans(sim);
+  }
+  {
+    SCOPED_TRACE("Cloud::parallel_config");
+    sim::Simulator sim(cloud::Cloud::parallel_config(cloud::CloudConfig{}));
+    check_two_box_command_spans(sim);
   }
 }
 

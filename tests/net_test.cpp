@@ -114,58 +114,6 @@ TEST(Link, DropsWhenDown) {
   EXPECT_EQ(got, 1);
 }
 
-TEST(Link, SpanningRebindDerivesAutoLookahead) {
-  sim::ParallelConfig config;
-  config.partitions = 2;
-  config.threads = 1;
-  config.lookahead = sim::microseconds(10);
-  config.auto_lookahead = true;
-  sim::Simulator sim(config);
-
-  // Two partition-spanning links (40us and 25us) plus one link whose
-  // rebind keeps both ends in partition 0 — only the spanning delays
-  // count, and the smallest one wins.
-  Link wide(sim.executor(0), 1'000'000'000ull, sim::microseconds(40));
-  wide.set_end_executor(1, sim.executor(1));
-  Link narrow(sim.executor(0), 1'000'000'000ull, sim::microseconds(25));
-  narrow.set_end_executor(1, sim.executor(1));
-  Link local(sim.executor(0), 1'000'000'000ull, sim::microseconds(3));
-  local.set_end_executor(1, sim.executor(0));
-
-  EXPECT_TRUE(sim.span_delay_seen());
-  int got = 0;
-  narrow.connect(1, [&](Packet) { ++got; });
-  narrow.send(0, make_packet(ip("1.1.1.1"), 1, ip("2.2.2.2"), 2));
-  sim.run();
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(sim.lookahead(), sim::microseconds(25));
-  EXPECT_EQ(sim.lookahead_violations(), 0u);
-}
-
-TEST(Link, AutoLookaheadFallsBackWithoutSpanningLink) {
-  sim::ParallelConfig config;
-  config.partitions = 2;
-  config.threads = 1;
-  config.lookahead = sim::microseconds(10);
-  config.auto_lookahead = true;
-  sim::Simulator sim(config);
-
-  // The only rebind lands both ends in the same partition: nothing
-  // spans, so run() keeps the configured fallback (and warns once).
-  Link local(sim.executor(0), 1'000'000'000ull, sim::microseconds(3));
-  local.set_end_executor(1, sim.executor(0));
-  EXPECT_FALSE(sim.span_delay_seen());
-
-  int got = 0;
-  local.connect(1, [&](Packet) { ++got; });
-  local.send(0, make_packet(ip("1.1.1.1"), 1, ip("2.2.2.2"), 2));
-  sim.run();
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(sim.lookahead(), sim::microseconds(10));
-}
-
-// --- L2 switch -----------------------------------------------------------------
-
 TEST(L2Switch, LearnsAndForwards) {
   sim::Simulator sim;
   L2Switch sw(sim, "sw");
@@ -402,6 +350,29 @@ TEST(Nat, EstablishedFlowsSurviveRuleRemoval) {
   Packet fresh = make_packet(ip("10.1.0.1"), 50000, ip("10.1.0.9"), 3260);
   EXPECT_FALSE(nat.translate(fresh));
   EXPECT_EQ(fresh.ip.dst, ip("10.1.0.9"));
+}
+
+TEST(Nat, FlowOntoAHeldReplyTupleSupersedesTheOldFlow) {
+  // Two relays take turns dialing the same target through one SNAT rule
+  // (a flow handed off and back): both translate to the same tuple, so
+  // the newest flow must own the replies, and a flow that returns must
+  // win them back instead of riding its stale entry.
+  NatEngine nat;
+  NatRule rule;
+  rule.match_dst_port = 3260;
+  rule.snat_ip = ip("10.1.2.2");
+  nat.add_rule(rule);
+  const auto dial = [&](const char* relay) {
+    Packet syn = make_packet(ip(relay), 40000, ip("10.1.1.1"), 3260);
+    nat.translate(syn);
+    Packet reply = make_packet(ip("10.1.1.1"), 3260, ip("10.1.2.2"), 40000);
+    EXPECT_TRUE(nat.translate(reply));
+    return reply.ip.dst;
+  };
+  EXPECT_EQ(dial("10.2.1.1"), ip("10.2.1.1"));
+  EXPECT_EQ(dial("10.2.1.2"), ip("10.2.1.2"));
+  EXPECT_EQ(dial("10.2.1.1"), ip("10.2.1.1"));
+  EXPECT_EQ(nat.conntrack_size(), 1u);
 }
 
 TEST(Nat, FirstMatchingRuleWins) {

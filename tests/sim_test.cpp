@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -112,11 +114,10 @@ TEST(ExecutorApi, ScheduleInZeroPostsToEndOfCurrentTick) {
   EXPECT_EQ(sim.now(), 5u);
 }
 
-TEST(ExecutorApi, ImplicitConversionFromSimulatorIsPartitionZero) {
+TEST(ExecutorApi, ImplicitConversionFromSimulator) {
   Simulator sim;
   Executor exec = sim;  // the migration path for Simulator&-taking ctors
   EXPECT_TRUE(exec.valid());
-  EXPECT_EQ(exec.partition_id(), 0u);
   EXPECT_EQ(&exec.simulator(), &sim);
   int fired = 0;
   exec.schedule_in(7, [&] { fired = 1; });
@@ -171,242 +172,65 @@ TEST(CancelSlot, TokensRecycleWithoutGrowingThePool) {
   EXPECT_EQ(fired, 5'000);
 }
 
-TEST(CancelSlot, CancelAfterMigrationAcrossPartitions) {
-  // A cross-partition event can be cancelled after it has already been
-  // drained into the destination's queue: the generation CAS on the
-  // sender-homed slot wins, and the destination discards the dead event.
-  ParallelConfig config;
-  config.partitions = 2;
-  config.threads = 2;
-  config.lookahead = 100;
-  Simulator sim(config);
-  int fired = 0;
-  CancelToken t;
-  sim.executor(0).schedule(5, [&] {
-    t = sim.executor(1).schedule(500, [&] { ++fired; });
-  });
-  // t=250 is past the first barrier, so the mail has migrated into
-  // partition 1's queue — and still 250ns before it would fire.
-  sim.executor(0).schedule(250, [&] {
-    EXPECT_TRUE(t.armed());
-    t.cancel();
-    EXPECT_FALSE(t.armed());
-  });
-  // Keep partition 1 busy past the would-be firing time.
-  sim.executor(1).schedule(600, [&] {});
-  sim.run();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.lookahead_violations(), 0u);
-}
-
-// --- partitioned execution ---
-
-TEST(Partition, CrossPartitionEventsArriveAtTheirTimestamp) {
-  ParallelConfig config;
-  config.partitions = 2;
-  config.threads = 1;
-  config.lookahead = microseconds(10);
-  Simulator sim(config);
-  Executor p0 = sim.executor(0);
-  Executor p1 = sim.executor(1);
-  Time fired_at = 0;
-  const Time send_at = microseconds(3);
-  const Time arrive_at = microseconds(17);
-  p0.schedule(send_at, [&, p1]() mutable {
-    p1.schedule(arrive_at, [&] { fired_at = sim.executor(1).now(); });
-  });
-  sim.run();
-  EXPECT_EQ(fired_at, arrive_at);
-  EXPECT_EQ(sim.lookahead_violations(), 0u);
-}
-
-TEST(Partition, IdlePartitionDoesNotOutrunTheWindow) {
-  // Regression: an empty-queue partition must advance in lockstep with
-  // the global lookahead window, not jump to the caller's deadline —
-  // otherwise a cross-partition event landing later would be in its past.
-  ParallelConfig config;
-  config.partitions = 2;
-  config.threads = 1;
-  config.lookahead = microseconds(10);
-  Simulator sim(config);
-  Time observed_now = kNever;
-  const Time arrive_at = microseconds(25);
-  sim.executor(0).schedule(microseconds(2), [&] {
-    sim.executor(1).schedule(arrive_at,
-                             [&] { observed_now = sim.executor(1).now(); });
-  });
-  // Partition 1 is idle until the mail lands. A distant deadline must
-  // not have dragged its clock past the arrival time.
-  sim.run_until(seconds(1));
-  EXPECT_EQ(observed_now, arrive_at);
-  EXPECT_EQ(sim.lookahead_violations(), 0u);
-  EXPECT_EQ(sim.now(), seconds(1));
-}
-
-TEST(Partition, SameTimestampMailOrdersBySourcePartitionThenSeq) {
-  // Three partitions all mail partition 0 for the same timestamp; the
-  // merge rule (when, src_partition, src_seq) fixes the execution order
-  // regardless of scheduling order here.
-  ParallelConfig config;
-  config.partitions = 4;
-  config.threads = 1;
-  config.lookahead = microseconds(10);
-  Simulator sim(config);
-  std::vector<int> order;
-  const Time t0 = microseconds(1);
-  const Time when = microseconds(15);
-  // Schedule the senders in reverse partition order to prove the merge
-  // ignores arrival order.
-  for (int src = 3; src >= 1; --src) {
-    sim.executor(static_cast<std::uint32_t>(src)).schedule(t0, [&, src] {
-      Executor dest = sim.executor(0);
-      dest.schedule(when, [&, src] { order.push_back(src * 10); });
-      dest.schedule(when, [&, src] { order.push_back(src * 10 + 1); });
-    });
+TEST(Simulator, RunCountsExecutedEventsOnly) {
+  Simulator sim;
+  for (int i = 0; i < 5; ++i) {
+    sim.schedule(static_cast<Time>(i * 100), [] {});
   }
-  sim.run();
-  // src 1's two sends (in its send order), then src 2's, then src 3's.
-  EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21, 30, 31}));
-}
-
-TEST(Partition, LocalFifoStillHoldsAcrossTheMailboxBoundary) {
-  // A destination-local event and a same-timestamp mailbox event: the
-  // local one was enqueued in an earlier window, so it runs first.
-  ParallelConfig config;
-  config.partitions = 2;
-  config.threads = 1;
-  config.lookahead = microseconds(10);
-  Simulator sim(config);
-  std::vector<std::string> order;
-  const Time when = microseconds(15);
-  sim.executor(0).schedule(when, [&] { order.push_back("local"); });
-  sim.executor(1).schedule(microseconds(1), [&] {
-    sim.executor(0).schedule(when, [&] { order.push_back("mail"); });
-  });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"local", "mail"}));
-}
-
-TEST(Partition, LookaheadViolationsAreClampedAndCounted) {
-  ParallelConfig config;
-  config.partitions = 2;
-  config.threads = 1;
-  config.lookahead = microseconds(10);
-  Simulator sim(config);
-  Time fired_at = 0;
-  sim.executor(0).schedule(microseconds(5), [&] {
-    // One nanosecond ahead: far inside the lookahead window. The mail
-    // arrives after the destination's window already passed that time;
-    // it must clamp (time never regresses) and be counted.
-    sim.executor(1).schedule(microseconds(5) + 1,
-                             [&] { fired_at = sim.executor(1).now(); });
-  });
-  sim.run();
-  EXPECT_GE(fired_at, microseconds(5) + 1);
-  EXPECT_EQ(sim.lookahead_violations(), 1u);
-}
-
-TEST(Partition, RunCountsEventsAcrossAllPartitions) {
-  ParallelConfig config;
-  config.partitions = 3;
-  config.threads = 1;
-  Simulator sim(config);
-  for (std::uint32_t p = 0; p < 3; ++p) {
-    for (int i = 0; i < 5; ++i) {
-      sim.executor(p).schedule(static_cast<Time>(i * 100), [] {});
-    }
-  }
-  EXPECT_EQ(sim.pending(), 15u);
+  sim.schedule(50, [] {}).cancel();
+  EXPECT_EQ(sim.pending(), 6u);  // the dead event waits to be popped
   EXPECT_FALSE(sim.empty());
-  EXPECT_EQ(sim.run(), 15u);
+  EXPECT_EQ(sim.run(), 5u);
   EXPECT_TRUE(sim.empty());
 }
 
-// --- determinism across thread counts ---
+// --- seeded determinism ---
 
-// One seeded multi-partition scenario: per-partition actors burn
-// counters/histograms, record flight-recorder events, and mail random
-// partitions one lookahead (plus jitter) ahead. Returns the merged
-// telemetry dump — the byte-identity probe.
-std::string run_seeded_scenario(std::uint64_t seed, std::uint32_t threads) {
-  ParallelConfig config;
-  config.partitions = 4;
-  config.threads = threads;
-  config.lookahead = microseconds(10);
-  Simulator sim(config);
-
+// One seeded scenario: actors burn counters/histograms, record
+// flight-recorder events and reschedule themselves with seeded jitter.
+// Returns the telemetry dump — the byte-identity probe.
+std::string run_seeded_scenario(std::uint64_t seed) {
+  Simulator sim;
   struct Actor {
     Rng rng;
     int budget = 40;
   };
   auto actors = std::make_shared<std::vector<Actor>>();
-  for (std::uint32_t p = 0; p < 4; ++p) {
-    actors->push_back(Actor{Rng(seed * 1000003u + p), 40});
+  for (std::uint32_t a = 0; a < 4; ++a) {
+    actors->push_back(Actor{Rng(seed * 1000003u + a), 40});
   }
 
-  // step(p) runs inside partition p, does seeded work, then either
-  // reschedules locally or mails a random partition ahead of the window.
   auto step = std::make_shared<std::function<void(std::uint32_t)>>();
-  *step = [&sim, actors, step](std::uint32_t p) {
-    Actor& actor = (*actors)[p];
-    Executor self = sim.executor(p);
-    obs::Registry& reg = self.telemetry();
+  *step = [&sim, actors, step](std::uint32_t a) {
+    Actor& actor = (*actors)[a];
+    obs::Registry& reg = sim.telemetry();
     reg.counter("test.steps").add();
     reg.histogram("test.draw").record(
         static_cast<std::int64_t>(actor.rng.below(1000)));
     if (actor.rng.chance(0.25)) {
-      reg.record_event("p" + std::to_string(p) + " step");
+      reg.record_event("a" + std::to_string(a) + " step");
     }
     if (--actor.budget <= 0) return;
-    const auto target =
-        static_cast<std::uint32_t>(actor.rng.below(4));
     const Duration jitter = actor.rng.between(0, microseconds(5));
-    if (target == p) {
-      self.schedule_in(1 + jitter, [step, p] { (*step)(p); });
-    } else {
-      // Cross-partition: at least one full lookahead ahead.
-      sim.executor(target).schedule_in(
-          microseconds(10) + jitter, [step, target] { (*step)(target); });
-    }
+    sim.schedule_in(1 + jitter, [step, a] { (*step)(a); });
   };
-  for (std::uint32_t p = 0; p < 4; ++p) {
-    sim.executor(p).schedule(microseconds(1) * (p + 1),
-                             [step, p] { (*step)(p); });
+  for (std::uint32_t a = 0; a < 4; ++a) {
+    sim.schedule(microseconds(1) * (a + 1), [step, a] { (*step)(a); });
   }
   sim.run();
   *step = nullptr;  // break the step's reference to itself
-  EXPECT_EQ(sim.lookahead_violations(), 0u);
   return sim.telemetry_json(/*include_spans=*/true);
 }
 
-TEST(ParallelDeterminism, SeededRunsAreByteIdenticalAtAnyThreadCount) {
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    const std::string one = run_seeded_scenario(seed, 1);
-    const std::string four = run_seeded_scenario(seed, 4);
-    const std::string eight = run_seeded_scenario(seed, 8);
-    ASSERT_EQ(one, four) << "seed " << seed << ": 1-thread vs 4-thread";
-    ASSERT_EQ(one, eight) << "seed " << seed << ": 1-thread vs 8-thread";
-  }
-}
-
-TEST(ParallelDeterminism, DistinctSeedsProduceDistinctTelemetry) {
+TEST(Determinism, DistinctSeedsProduceDistinctTelemetry) {
   // Guard against the scenario degenerating into seed-independent output
-  // (which would make the identity assertion above vacuous).
+  // (which would make same-seed identity vacuous).
   std::set<std::string> dumps;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    dumps.insert(run_seeded_scenario(seed, 4));
+    dumps.insert(run_seeded_scenario(seed));
   }
   EXPECT_EQ(dumps.size(), 5u);
-}
-
-TEST(ParallelDeterminism, MergedTelemetryMatchesSinglePartitionShape) {
-  // merged_json must emit the same JSON shape as the classic to_json so
-  // downstream tooling doesn't care how many partitions produced it.
-  Simulator sim;
-  sim.telemetry().counter("x").add(3);
-  const std::string single = sim.telemetry().to_json();
-  const std::string merged = sim.telemetry_json();
-  EXPECT_EQ(single, merged);
+  EXPECT_EQ(run_seeded_scenario(3), run_seeded_scenario(3));
 }
 
 TEST(Cpu, SingleCoreSerializesTasks) {
@@ -482,26 +306,6 @@ TEST(Histogram, ClearResets) {
   h.clear();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(Histogram, MergeMatchesRecordingOneStream) {
-  obs::Histogram a;
-  obs::Histogram b;
-  obs::Histogram combined;
-  Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    const auto v = static_cast<std::int64_t>(rng.below(100'000));
-    ((i % 2 == 0) ? a : b).record(v);
-    combined.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.sum(), combined.sum());
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.max(), combined.max());
-  for (double p : {50.0, 90.0, 99.0}) {
-    EXPECT_DOUBLE_EQ(a.percentile(p), combined.percentile(p));
-  }
 }
 
 }  // namespace
