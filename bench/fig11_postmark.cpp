@@ -34,9 +34,8 @@ workload::PostmarkResult run_case(bool tenant_side) {
   if (tenant_side) {
     // dm-crypt in the guest: cipher work contends with PostMark's
     // "application" on the 2 tenant vCPUs, and writes block on it.
-    services::EncryptedDiskConfig config;
     dmcrypt = std::make_unique<services::EncryptedDisk>(
-        *testbed.disk(), testbed.vm().cpu(), Bytes(64, 0x24), config);
+        *testbed.disk(), testbed.vm().cpu(), Bytes(64, 0x24));
     disk = dmcrypt.get();
   }
   // Format through the data path.

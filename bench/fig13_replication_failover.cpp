@@ -208,9 +208,8 @@ MttrResult run_mttr_case() {
   result.failures = platform.health().failures_detected();
   result.recoveries = platform.health().recoveries_completed();
   result.heartbeat_ms =
-      static_cast<double>(platform.health().config().heartbeat_interval) /
-      1e6;
-  result.miss_threshold = platform.health().config().miss_threshold;
+      static_cast<double>(core::ChainHealthManager::kHeartbeatInterval) / 1e6;
+  result.miss_threshold = core::ChainHealthManager::kMissThreshold;
   return result;
 }
 

@@ -40,8 +40,6 @@ class BlockDevice {
 
   virtual std::uint64_t num_sectors() const = 0;
 
-  std::uint64_t size_bytes() const { return num_sectors() * kSectorSize; }
-
  protected:
   /// Validate an I/O range; shared by implementations.
   Status check_range(std::uint64_t lba, std::uint64_t sectors) const;

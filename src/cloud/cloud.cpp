@@ -23,6 +23,19 @@ constexpr std::uint32_t kVmBase = (10u << 24) | (2u << 16) | 1;
 constexpr std::uint32_t kMbBase = (10u << 24) | (2u << 16) | (1u << 8) | 1;
 constexpr std::uint32_t kGatewayInstanceBase = (10u << 24) | (2u << 16) | (2u << 8) | 1;
 
+constexpr std::uint64_t kStoragePoolSectors = 8ull * 1024 * 1024;  // 4 GiB
+constexpr unsigned kHostCores = 8;
+// Virtio-style per-packet guest copy cost (the paper observes these
+// intra-host copies dominate middle-box routing overhead).
+constexpr sim::Duration kVmPacketCost = sim::microseconds(3);
+constexpr double kVmNsPerByte = 0.4;
+// Middle-box VMs pay more per packet: forwarded traffic crosses the
+// virtio boundary twice (in and out), on a single queue ("the
+// virtualization driver ... uses a single thread per VM's virtual
+// interface", §V-A).
+constexpr sim::Duration kMbPacketCost = sim::microseconds(2);
+constexpr double kMbNsPerByte = 0.25;
+
 }  // namespace
 
 // ------------------------------------------------------------------- hosts
@@ -30,9 +43,8 @@ constexpr std::uint32_t kGatewayInstanceBase = (10u << 24) | (2u << 16) | (2u <<
 ComputeHost::ComputeHost(Cloud& cloud, unsigned index)
     : index_(index),
       storage_ip_(make_ip(kHostStorageBase, index)),
-      cpu_(std::make_unique<sim::Cpu>(cloud.simulator(),
-                                      "host" + std::to_string(index),
-                                      cloud.config().host_cores)),
+      cpu_(std::make_unique<sim::Cpu>(
+          cloud.simulator(), "host" + std::to_string(index), kHostCores)),
       node_(std::make_unique<net::NetNode>(cloud.simulator(),
                                            "host" + std::to_string(index),
                                            cloud.arp())),
@@ -60,9 +72,8 @@ ComputeHost::ComputeHost(Cloud& cloud, unsigned index)
 StorageHost::StorageHost(Cloud& cloud, unsigned index)
     : index_(index),
       storage_ip_(make_ip(kStorageHostBase, index)),
-      cpu_(std::make_unique<sim::Cpu>(cloud.simulator(),
-                                      "storage" + std::to_string(index),
-                                      cloud.config().host_cores)),
+      cpu_(std::make_unique<sim::Cpu>(
+          cloud.simulator(), "storage" + std::to_string(index), kHostCores)),
       node_(std::make_unique<net::NetNode>(cloud.simulator(),
                                            "storage" + std::to_string(index),
                                            cloud.arp())),
@@ -71,7 +82,7 @@ StorageHost::StorageHost(Cloud& cloud, unsigned index)
                                                 cloud.config().link_delay)),
       volumes_(std::make_unique<block::VolumeManager>(
           cloud.simulator(), "storage" + std::to_string(index),
-          cloud.config().storage_pool_sectors, cloud.config().disk_profile)),
+          kStoragePoolSectors, cloud.config().disk_profile)),
       target_(std::make_unique<iscsi::Target>(*node_, *volumes_)) {
   cloud.storage_switch().attach(*storage_link_, 1);
   node_->add_nic(cloud.next_mac(), storage_ip_, kStorageSubnet,
@@ -144,8 +155,8 @@ Vm& Cloud::create_vm(const std::string& name, const std::string& tenant,
   ComputeHost& host = compute(host_index);
   host.ovs().attach(*ref.link_, 1);
   ref.node_->add_nic(ref.mac_, ref.ip_, kInstanceSubnet, *ref.link_, 0);
-  ref.node_->set_packet_processing(ref.cpu_.get(), config_.vm_packet_cost,
-                                   config_.vm_ns_per_byte);
+  ref.node_->set_packet_processing(ref.cpu_.get(), kVmPacketCost,
+                                   kVmNsPerByte);
   ref.node_->tcp().set_default_window(config_.tcp_window);
   register_link(*ref.link_, "vm." + ref.name_);
   vms_.push_back(std::move(vm));
@@ -162,8 +173,8 @@ Vm& Cloud::create_middlebox_vm(const std::string& name,
   ComputeHost& host = compute(host_index);
   host.ovs().attach(*ref.link_, 1);
   ref.node_->add_nic(ref.mac_, ref.ip_, kInstanceSubnet, *ref.link_, 0);
-  ref.node_->set_packet_processing(ref.cpu_.get(), config_.mb_packet_cost,
-                                   config_.mb_ns_per_byte);
+  ref.node_->set_packet_processing(ref.cpu_.get(), kMbPacketCost,
+                                   kMbNsPerByte);
   ref.node_->tcp().set_default_window(config_.tcp_window);
   ref.node_->set_ip_forward(true);
   register_link(*ref.link_, "vm." + ref.name_);
@@ -252,9 +263,17 @@ void Cloud::run_attach_queue(unsigned host_index) {
     pending.hooks.before_login(host, attachment);
   }
 
+  // Un-pinned initiators still bind a port from one cloud-wide counter:
+  // every host stack numbers its ephemeral ports from the same base, and
+  // every initiator its task tags from 1, so per-host ports would give
+  // two hosts' sessions the same command trace keys. Only initiators
+  // connect from compute-host stacks, so nothing else there takes it.
+  const std::uint16_t local_port = pending.hooks.force_source_port != 0
+                                       ? pending.hooks.force_source_port
+                                       : next_initiator_port_++;
   auto initiator = std::make_unique<iscsi::Initiator>(
       host.node(), net::SocketAddr{owner->storage_ip(), iscsi::kIscsiPort},
-      volume->iqn(), pending.hooks.force_source_port);
+      volume->iqn(), local_port);
   iscsi::Initiator* init_ptr = initiator.get();
   host.initiators_.push_back(std::move(initiator));
 

@@ -42,19 +42,7 @@ struct CloudConfig {
   // flow twice (in and out), so OpenStack deployments bond these.
   std::uint64_t instance_link_bps = 2'000'000'000ull;
   sim::Duration link_delay = sim::microseconds(20);
-  std::uint64_t storage_pool_sectors = 8ull * 1024 * 1024;  // 4 GiB/host
   block::DiskProfile disk_profile{};
-  unsigned host_cores = 8;
-  // Virtio-style per-packet guest copy cost (the paper observes these
-  // intra-host copies dominate middle-box routing overhead).
-  sim::Duration vm_packet_cost = sim::microseconds(3);
-  double vm_ns_per_byte = 0.4;
-  // Middle-box VMs pay more per packet: forwarded traffic crosses the
-  // virtio boundary twice (in and out), on a single queue ("the
-  // virtualization driver ... uses a single thread per VM's virtual
-  // interface", §V-A).
-  sim::Duration mb_packet_cost = sim::microseconds(2);
-  double mb_ns_per_byte = 0.25;
   // TCP window for every stack in the cloud (hosts, storage, guests).
   // Small enough that a flow spanning the whole spliced path is
   // ACK-clocked below line rate — the effect StorM's active relay
@@ -81,7 +69,6 @@ class Vm {
 
   /// Disks attached so far, in attach order.
   block::BlockDevice* disk(std::size_t index = 0);
-  std::size_t disk_count() const { return disks_.size(); }
 
  private:
   friend class Cloud;
@@ -313,6 +300,7 @@ class Cloud {
   std::map<unsigned, bool> attach_in_progress_;
 
   std::uint64_t next_mac_ = 0x020000000001ull;  // locally administered
+  std::uint16_t next_initiator_port_ = 49152;  // IANA ephemeral base
   std::uint32_t next_vm_ip_ = 0;
   std::uint32_t next_mb_ip_ = 0;
   std::uint32_t next_gw_ip_ = 0;

@@ -105,7 +105,6 @@ class Buf {
   bool shares_storage_with(const Buf& other) const {
     return storage_ != nullptr && storage_ == other.storage_;
   }
-  long storage_use_count() const { return storage_.use_count(); }
 
  private:
   Buf(std::shared_ptr<Bytes> storage, std::size_t off, std::size_t len)

@@ -7,14 +7,24 @@
 
 namespace storm::core {
 
+namespace {
+
+/// Parse/dispatch cost per PDU (the TCP handler batches several packets
+/// per user/kernel crossing, so cost scales with PDUs, not packets).
+constexpr sim::Duration kPerPduCost = sim::microseconds(2);
+/// Copy cost per byte through the batched TCP path.
+constexpr double kNsPerByte = 0.15;
+
+}  // namespace
+
 // ------------------------------------------------------------- ActiveRelay
 
 ActiveRelay::ActiveRelay(cloud::Vm& mb_vm, net::SocketAddr upstream,
                          std::vector<StorageService*> services,
-                         std::string volume, ActiveRelayCosts costs,
-                         RelayFlowControl flow, journal::Config journal_config)
+                         std::string volume, RelayFlowControl flow,
+                         journal::Config journal_config)
     : vm_(mb_vm), upstream_(upstream), services_(std::move(services)),
-      volume_(std::move(volume)), costs_(costs), flow_(flow),
+      volume_(std::move(volume)), flow_(flow),
       scope_(telemetry().scope("relay." + vm_.name() + ".")),
       journal_dev_(mb_vm.node().executor(),
                    telemetry().scope("relay." + vm_.name() + ".journal."),
@@ -292,8 +302,8 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
   // all charged to the middle-box vCPUs. The source's TCP was already
   // ACKed on receipt, so none of this stalls the sender.
   sim::Duration cost =
-      costs_.per_pdu +
-      static_cast<sim::Duration>(costs_.ns_per_byte *
+      kPerPduCost +
+      static_cast<sim::Duration>(kNsPerByte *
                                  static_cast<double>(pdu.data.size()));
   // One user/kernel crossing in, one out: the payload is copied twice
   // through the relay (socket -> user parse buffer -> socket).

@@ -25,14 +25,6 @@
 
 namespace storm::core {
 
-struct ActiveRelayCosts {
-  /// Parse/dispatch cost per PDU (the TCP handler batches several packets
-  /// per user/kernel crossing, so cost scales with PDUs, not packets).
-  sim::Duration per_pdu = sim::microseconds(2);
-  /// Copy cost per byte through the batched TCP path.
-  double ns_per_byte = 0.15;
-};
-
 /// Ingress flow control: real NVRAM is finite, so the early-ACK relay
 /// must eventually push back. When a direction's journal + processing
 /// queue reach the high watermark the relay stops crediting its ingress
@@ -82,7 +74,7 @@ class ActiveRelay {
   /// services through their ServiceContext.
   ActiveRelay(cloud::Vm& mb_vm, net::SocketAddr upstream,
               std::vector<StorageService*> services, std::string volume = {},
-              ActiveRelayCosts costs = {}, RelayFlowControl flow = {},
+              RelayFlowControl flow = {},
               journal::Config journal_config = {});
 
   ActiveRelay(const ActiveRelay&) = delete;
@@ -285,7 +277,6 @@ class ActiveRelay {
   std::vector<StorageService*> services_;
   std::string volume_;
   std::map<std::uint16_t, std::string> flow_volumes_;  // by pinned port
-  ActiveRelayCosts costs_;
   RelayFlowControl flow_;
   std::size_t peak_buffered_ = 0;
   obs::Scope scope_;  // "relay.<mb-vm>."

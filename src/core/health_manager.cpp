@@ -33,9 +33,8 @@ void dump_flight_recorder(obs::Registry& registry, const std::string& why) {
   log_warn("health") << why << "; flight recorder tail:\n" << dump.str();
 }
 
-ChainHealthManager::ChainHealthManager(StormPlatform& platform,
-                                       HealthConfig config)
-    : platform_(platform), config_(config) {}
+ChainHealthManager::ChainHealthManager(StormPlatform& platform)
+    : platform_(platform) {}
 
 obs::Registry& ChainHealthManager::telemetry() const {
   return platform_.cloud_.simulator().telemetry();
@@ -89,7 +88,7 @@ void ChainHealthManager::tick() {
     probe_deployment(*dep, chain);
   }
   tick_token_ = platform_.cloud_.simulator().schedule_in(
-      config_.heartbeat_interval, [this] { tick(); });
+      kHeartbeatInterval, [this] { tick(); });
 }
 
 bool ChainHealthManager::box_alive(const Deployment& dep,
@@ -136,9 +135,9 @@ void ChainHealthManager::probe_deployment(Deployment& dep,
       bh.state = RelayHealth::kSuspect;
       reg.record_event("health: relay " + dep.boxes[i]->vm->name() +
                        " suspect (" + std::to_string(bh.misses) + "/" +
-                       std::to_string(config_.miss_threshold) + " misses)");
+                       std::to_string(kMissThreshold) + " misses)");
     }
-    if (bh.misses >= config_.miss_threshold) {
+    if (bh.misses >= kMissThreshold) {
       declare_failed(dep, chain, i, "heartbeat deadline");
       break;  // the recovery policy may have reshaped the chain
     }

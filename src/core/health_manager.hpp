@@ -5,8 +5,8 @@
 // volume behind it.
 //
 // Detection is two-pronged, both driven by the sim clock:
-//  * heartbeats: every heartbeat_interval the manager probes each
-//    middle-box (VM power state + relay crash flag); miss_threshold
+//  * heartbeats: every kHeartbeatInterval the manager probes each
+//    middle-box (VM power state + relay crash flag); kMissThreshold
 //    consecutive misses declare the relay failed,
 //  * TCP stall signals: the TCP layer reports exhausted retransmission
 //    backoff (TcpStack::set_on_stall), which short-circuits the heartbeat
@@ -55,14 +55,6 @@ enum class RelayHealth {
 
 const char* to_string(RelayHealth state);
 
-struct HealthConfig {
-  /// Heartbeat cadence. The detection deadline is
-  /// heartbeat_interval * miss_threshold.
-  sim::Duration heartbeat_interval = sim::milliseconds(5);
-  /// Consecutive missed heartbeats before a relay is declared failed.
-  unsigned miss_threshold = 2;
-};
-
 /// Dump the registry's flight-recorder tail to the warning log. Called on
 /// *every* relay failure path — heartbeat miss, TCP stall, fence — not
 /// only on explicit ActiveRelay::crash().
@@ -70,19 +62,22 @@ void dump_flight_recorder(obs::Registry& registry, const std::string& why);
 
 class ChainHealthManager {
  public:
-  explicit ChainHealthManager(StormPlatform& platform, HealthConfig config = {});
+  /// Heartbeat cadence. The detection deadline is
+  /// kHeartbeatInterval * kMissThreshold.
+  static constexpr sim::Duration kHeartbeatInterval = sim::milliseconds(5);
+  /// Consecutive missed heartbeats before a relay is declared failed.
+  static constexpr unsigned kMissThreshold = 2;
+
+  explicit ChainHealthManager(StormPlatform& platform);
 
   ChainHealthManager(const ChainHealthManager&) = delete;
   ChainHealthManager& operator=(const ChainHealthManager&) = delete;
 
   /// Begin monitoring every current and future deployment. Reschedules
-  /// itself each heartbeat_interval until stop().
+  /// itself each kHeartbeatInterval until stop().
   void start();
   void stop();
   bool running() const { return running_; }
-
-  void set_config(HealthConfig config) { config_ = config; }
-  const HealthConfig& config() const { return config_; }
 
   /// Health of one monitored middle-box position; kAlive for unknown
   /// cookies/positions (everything is presumed healthy until monitored).
@@ -143,7 +138,6 @@ class ChainHealthManager {
   obs::Registry& telemetry() const;
 
   StormPlatform& platform_;
-  HealthConfig config_;
   bool running_ = false;
   sim::CancelToken tick_token_;
   std::map<std::uint64_t, ChainHealth> chains_;  // by splice cookie

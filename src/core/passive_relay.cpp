@@ -7,11 +7,20 @@
 
 namespace storm::core {
 
+namespace {
+
+/// Kernel hook + syscall + context switch, per packet.
+constexpr sim::Duration kHookPerPacket = sim::microseconds(2);
+/// Two user/kernel copies per payload byte (in and out).
+constexpr double kCopyNsPerByte = 0.6;
+
+}  // namespace
+
 PassiveRelay::PassiveRelay(cloud::Vm& mb_vm,
                            std::vector<StorageService*> services,
-                           std::string volume, PassiveRelayCosts costs)
+                           std::string volume)
     : vm_(mb_vm), services_(std::move(services)),
-      volume_(std::move(volume)), costs_(costs),
+      volume_(std::move(volume)),
       scope_(mb_vm.node().executor().telemetry().scope("relay." +
                                                         mb_vm.name() + ".")),
       ctx_(std::make_unique<HookContext>(*this)) {
@@ -42,14 +51,13 @@ void PassiveRelay::start() {
 }
 
 bool PassiveRelay::on_packet(net::Packet& pkt) {
-  ++packets_;
   scope_.counter("packets_hooked").add();
   scope_.counter("copied_bytes").add(2 * pkt.payload.size());
   // Pure ACKs / control segments: pay the hook cost, then continue on
   // their way. Reordering a bare ACK ahead of held data is harmless.
   if (pkt.payload.empty()) {
     net::Packet copy = pkt;
-    vm_.cpu().run(costs_.hook_per_packet, [this, copy]() mutable {
+    vm_.cpu().run(kHookPerPacket, [this, copy]() mutable {
       vm_.node().emit_forward(std::move(copy));
     });
     return true;
@@ -91,8 +99,8 @@ void PassiveRelay::pump(const net::FourTuple& key) {
   // Hook + two per-byte copies, then reassembly + services. Serialized
   // per stream so parser feeds keep arrival order even with >1 vCPU.
   sim::Duration cost =
-      costs_.hook_per_packet +
-      static_cast<sim::Duration>(costs_.copy_ns_per_byte *
+      kHookPerPacket +
+      static_cast<sim::Duration>(kCopyNsPerByte *
                                  static_cast<double>(payload.size()));
   vm_.cpu().run(cost, [this, key, dir, payload = std::move(payload)]() mutable {
     auto sit = streams_.find(key);

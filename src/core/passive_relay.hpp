@@ -23,17 +23,10 @@
 
 namespace storm::core {
 
-struct PassiveRelayCosts {
-  /// Kernel hook + syscall + context switch, per packet.
-  sim::Duration hook_per_packet = sim::microseconds(2);
-  /// Two user/kernel copies per payload byte (in and out).
-  double copy_ns_per_byte = 0.6;
-};
-
 class PassiveRelay {
  public:
   PassiveRelay(cloud::Vm& mb_vm, std::vector<StorageService*> services,
-               std::string volume = {}, PassiveRelayCosts costs = {});
+               std::string volume = {});
 
   PassiveRelay(const PassiveRelay&) = delete;
   PassiveRelay& operator=(const PassiveRelay&) = delete;
@@ -43,7 +36,6 @@ class PassiveRelay {
   /// Install the FORWARD-chain hook on the middle-box VM.
   void start();
 
-  std::uint64_t packets_hooked() const { return packets_; }
   std::uint64_t pdus_processed() const { return pdus_; }
 
   /// Payload bytes awaiting service processing across all streams. The
@@ -52,7 +44,6 @@ class PassiveRelay {
   /// window — but the gauge makes that bound observable alongside the
   /// active relay's.
   std::size_t queue_bytes() const { return inbox_bytes_; }
-  std::size_t peak_queue_bytes() const { return peak_inbox_bytes_; }
 
   /// No packet or payload buffered in the hook and nothing mid-service —
   /// the drain protocol polls this before tearing rules.
@@ -108,14 +99,12 @@ class PassiveRelay {
   cloud::Vm& vm_;
   std::vector<StorageService*> services_;
   std::string volume_;
-  PassiveRelayCosts costs_;
   obs::Scope scope_;  // "relay.<mb-vm>."
   std::map<net::FourTuple, StreamState> streams_;
   // Open per-command child spans, keyed by trace key; closed when the
   // final SCSI response is rewritten on its way back to the initiator.
   std::map<std::string, obs::SpanId> cmd_spans_;
   std::unique_ptr<HookContext> ctx_;
-  std::uint64_t packets_ = 0;
   std::uint64_t pdus_ = 0;
   std::size_t inbox_bytes_ = 0;
   std::size_t peak_inbox_bytes_ = 0;

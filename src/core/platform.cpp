@@ -279,8 +279,8 @@ void start_relay(MiddleboxInstance& box, net::SocketAddr upstream,
       break;
     case RelayMode::kActive:
       box.active_relay = std::make_unique<ActiveRelay>(
-          *box.vm, upstream, services, volume, ActiveRelayCosts{},
-          relay_flow_control(box.spec), relay_journal_config(box.spec));
+          *box.vm, upstream, services, volume, relay_flow_control(box.spec),
+          relay_journal_config(box.spec));
       box.active_relay->start();
       break;
   }

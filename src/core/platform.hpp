@@ -35,7 +35,6 @@ namespace storm::core {
 
 class StormPlatform;
 class ChainHealthManager;
-struct HealthConfig;
 
 /// Everything a service factory may need.
 struct ServiceEnv {

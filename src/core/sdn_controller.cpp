@@ -68,10 +68,7 @@ void SdnController::add_rule_everywhere(net::FlowRule rule) {
   // The controller programs every virtual switch; rules only trigger
   // where the flow actually passes (matches carry the previous hop's MAC
   // and the flow's ports, so they are inert elsewhere).
-  for (net::FlowSwitch* fs : cloud_.flow_switches()) {
-    fs->add_rule(rule);
-    ++rules_installed_;
-  }
+  for (net::FlowSwitch* fs : cloud_.flow_switches()) fs->add_rule(rule);
 }
 
 std::vector<net::FlowRule> SdnController::build_chain_rules(
@@ -168,7 +165,6 @@ void SdnController::reprogram_chain(const SpliceContext& ctx) {
   std::vector<net::FlowRule> rules = build_chain_rules(ctx);
   for (net::FlowSwitch* fs : cloud_.flow_switches()) {
     fs->swap_rules_by_cookie(ctx.cookie, rules);
-    rules_installed_ += rules.size();
   }
   ++rule_swaps_;
   log_info("sdn") << "reprogrammed steering for flow port " << ctx.vm_port

@@ -73,7 +73,6 @@ class SdnController {
   /// under active retransmission.
   void reprogram_chain(const SpliceContext& ctx);
 
-  std::uint64_t rules_installed() const { return rules_installed_; }
   /// Completed atomic reprogram operations (scaling + failover swaps).
   std::uint64_t rule_swaps() const { return rule_swaps_; }
 
@@ -81,7 +80,6 @@ class SdnController {
   void add_rule_everywhere(net::FlowRule rule);
 
   cloud::Cloud& cloud_;
-  std::uint64_t rules_installed_ = 0;
   std::uint64_t rule_swaps_ = 0;
 };
 

@@ -1,4 +1,4 @@
-// AES block cipher (FIPS 197) with CTR and XTS modes, implemented from
+// AES block cipher (FIPS 197) with XTS mode, implemented from
 // scratch. This is the cipher the encryption middle-box service applies
 // per sector, mirroring the paper's dm-crypt AES-256 setup.
 //
@@ -29,12 +29,6 @@ class Aes {
   int rounds_;                                  // 10 (AES-128) or 14 (AES-256)
   std::array<std::uint8_t, 16 * 15> round_keys_{};  // (rounds+1) * 16
 };
-
-/// CTR mode keystream: out[i] = in[i] XOR AES(counter_block(i)).
-/// Encryption and decryption are the same operation.
-void aes_ctr_crypt(const Aes& cipher, const std::uint8_t iv[16],
-                   std::span<const std::uint8_t> in,
-                   std::span<std::uint8_t> out);
 
 /// XTS-AES for sector storage (IEEE 1619, without ciphertext stealing:
 /// data length must be a multiple of 16 bytes, which holds for 512-byte

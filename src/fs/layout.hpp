@@ -50,10 +50,6 @@ struct SuperBlock {
   std::uint32_t group_first_block(std::uint32_t group) const {
     return 1 + group * blocks_per_group;
   }
-  std::uint32_t data_blocks_per_group() const {
-    return blocks_per_group - group_meta_blocks();
-  }
-  std::uint32_t total_inodes() const { return num_groups * inodes_per_group; }
 
   Bytes serialize() const;
   static Result<SuperBlock> parse(std::span<const std::uint8_t> block);

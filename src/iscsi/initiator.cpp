@@ -9,6 +9,20 @@
 
 namespace storm::iscsi {
 
+namespace {
+
+/// Consecutive failed reconnect attempts before recovery gives up for
+/// good.
+constexpr unsigned kMaxRecoveryAttempts = 8;
+/// Command watchdog (open-iscsi's NOP/replacement timeout): if commands
+/// are outstanding and no PDU arrives for this long, the session is
+/// declared dead and torn down so recovery can re-dial. Without it, a
+/// peer that crashed with nothing in flight at the TCP level is
+/// undetectable — TCP only notices loss when it has unacked data.
+constexpr sim::Duration kResponseTimeout = sim::milliseconds(500);
+
+}  // namespace
+
 Initiator::Initiator(net::NetNode& node, net::SocketAddr target,
                      std::string iqn, std::uint16_t local_port)
     : node_(node), target_(target), iqn_(std::move(iqn)),
@@ -95,7 +109,6 @@ void Initiator::read(std::uint64_t lba, std::uint32_t sectors,
   std::uint32_t bytes = sectors * block::kSectorSize;
   obs::SpanId span = begin_command_span("cmd.read", tag, bytes);
   pending_reads_[tag] = PendingRead{lba, {}, bytes, std::move(done), span};
-  ++reads_;
   node_.executor().telemetry().counter("iscsi.initiator.reads").add();
   update_outstanding();
   // While disconnected (recovery pending) the command just queues; the
@@ -133,7 +146,6 @@ void Initiator::write(std::uint64_t lba, Bytes data, WriteCallback done) {
   // Wrap once; every segment below is a refcounted slice of this Buf.
   auto [it, inserted] = pending_writes_.emplace(
       tag, PendingWrite{lba, Buf(std::move(data)), std::move(done), span});
-  ++writes_;
   node_.executor().telemetry().counter("iscsi.initiator.writes").add();
   update_outstanding();
   if (logged_in_) {
@@ -193,14 +205,14 @@ void Initiator::arm_watchdog() {
   watchdog_.cancel();
   if (!recovery_.enabled || logging_out_ || failed_) return;
   watchdog_ = node_.executor().schedule_in(
-      recovery_.response_timeout, [this] { on_watchdog(); });
+      kResponseTimeout, [this] { on_watchdog(); });
 }
 
 void Initiator::on_watchdog() {
   if (pending_reads_.empty() && pending_writes_.empty()) return;
   if (conn_ == nullptr) return;
   log_info("iscsi-init") << iqn_ << ": command timeout after "
-                         << recovery_.response_timeout
+                         << kResponseTimeout
                          << "ns; dropping session for recovery";
   conn_->abort();  // enter on_closed -> recovery reconnect path
 }
@@ -305,7 +317,7 @@ void Initiator::on_closed(Status status) {
   conn_ = nullptr;
   watchdog_.cancel();
   if (recovery_.enabled && !logging_out_ &&
-      attempts_ < recovery_.max_attempts) {
+      attempts_ < kMaxRecoveryAttempts) {
     ++attempts_;
     recovering_ = true;
     parser_ = StreamParser{};  // mid-PDU bytes from the old stream are gone
@@ -313,7 +325,7 @@ void Initiator::on_closed(Status status) {
         "iscsi " + iqn_ + ": session dropped (" + status.to_string() + ")");
     log_info("iscsi-init") << iqn_ << ": session dropped ("
                            << status.to_string() << "); reconnect attempt "
-                           << attempts_ << "/" << recovery_.max_attempts;
+                           << attempts_ << "/" << kMaxRecoveryAttempts;
     node_.executor().schedule_in(recovery_.reconnect_delay,
                             [this] { reconnect(); });
     return;

@@ -26,16 +26,8 @@ namespace storm::iscsi {
 /// re-execution is safe.
 struct RecoveryPolicy {
   bool enabled = false;
-  /// Consecutive failed reconnect attempts before giving up for good.
-  unsigned max_attempts = 8;
   /// Wait between a drop and the next dial.
   sim::Duration reconnect_delay = sim::milliseconds(10);
-  /// Command watchdog (open-iscsi's NOP/replacement timeout): if commands
-  /// are outstanding and no PDU arrives for this long, the session is
-  /// declared dead and torn down so recovery can re-dial. Without it, a
-  /// peer that crashed with nothing in flight at the TCP level is
-  /// undetectable — TCP only notices loss when it has unacked data.
-  sim::Duration response_timeout = sim::milliseconds(500);
 };
 
 /// Admission-gate behaviour for new commands (see set_admission_mode).
@@ -93,7 +85,6 @@ class Initiator {
   void set_admission(bool open) {
     set_admission_mode(open ? AdmissionMode::kOpen : AdmissionMode::kClosed);
   }
-  bool admission_open() const { return admission_ == AdmissionMode::kOpen; }
 
   /// Three-state admission gate. kDeferred (open-iscsi's
   /// queue-during-replacement behaviour) parks new commands without
@@ -128,8 +119,6 @@ class Initiator {
   bool logged_in() const { return logged_in_; }
   bool recovering() const { return recovering_; }
 
-  std::uint64_t reads_issued() const { return reads_; }
-  std::uint64_t writes_issued() const { return writes_; }
   /// Successful session re-establishments.
   std::uint64_t recoveries() const { return recoveries_; }
   const RecoveryPolicy& recovery_policy() const { return recovery_; }
@@ -197,8 +186,6 @@ class Initiator {
   std::map<std::uint32_t, PendingRead> pending_reads_;
   std::map<std::uint32_t, PendingWrite> pending_writes_;
 
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
   std::uint64_t recoveries_ = 0;
   obs::Gauge* tel_outstanding_ = nullptr;  // per-session, lazily resolved
 };

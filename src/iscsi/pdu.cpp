@@ -66,22 +66,6 @@ void write_head(ByteWriter& w, const Pdu& pdu, std::size_t body_len) {
 
 }  // namespace
 
-Bytes serialize(const Pdu& pdu) {
-  const std::size_t body_len = serialized_body_size(pdu);
-  Bytes out;
-  out.reserve(4 + body_len);
-  ByteWriter w(out);
-  write_head(w, pdu, body_len);
-  w.raw(pdu.data);
-  bufstats::add_bytes_copied(pdu.data.size());
-  w.u32(pdu.data.empty() ? 0 : crc32(pdu.data));
-  // Trailing digest over the whole body (headers + text + data), so any
-  // single bit flip anywhere in the PDU is detected at parse time — the
-  // data_digest above only covers the data segment.
-  w.u32(crc32(std::span<const std::uint8_t>(out).subspan(4)));
-  return out;
-}
-
 BufChain serialize_chunks(const Pdu& pdu) {
   const std::size_t body_len = serialized_body_size(pdu);
   Bytes head;
@@ -109,6 +93,18 @@ BufChain serialize_chunks(const Pdu& pdu) {
   if (!pdu.data.empty()) chain.push_back(pdu.data);
   chain.push_back(Buf(std::move(tail)));
   return chain;
+}
+
+Bytes serialize(const Pdu& pdu) {
+  Bytes out;
+  out.reserve(serialized_size(pdu));
+  for (const Buf& chunk : serialize_chunks(pdu)) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
+  // Only the data segment counts as a copy: the head and digests are
+  // freshly written either way.
+  bufstats::add_bytes_copied(pdu.data.size());
+  return out;
 }
 
 Result<Pdu> parse_pdu(Buf body) {

@@ -74,16 +74,14 @@ struct Pdu {
 std::size_t serialized_body_size(const Pdu& pdu);
 std::size_t serialized_size(const Pdu& pdu);
 
-/// Serialize with the u32 length prefix included (contiguous buffer,
-/// reserved exactly once). The data segment is copied; the zero-copy data
-/// path uses serialize_chunks instead.
-Bytes serialize(const Pdu& pdu);
-
 /// Zero-copy serialization: [prefix + headers + text, data, digests].
-/// The middle chunk *references* pdu.data — no payload byte is copied —
-/// and the concatenation is byte-identical to serialize(). Feed the chain
-/// to TcpConnection::send(BufChain).
+/// The middle chunk *references* pdu.data — no payload byte is copied.
+/// Feed the chain to TcpConnection::send(BufChain).
 BufChain serialize_chunks(const Pdu& pdu);
+
+/// serialize_chunks flattened into one contiguous buffer (u32 length
+/// prefix included, reserved exactly once). The data segment is copied.
+Bytes serialize(const Pdu& pdu);
 
 /// Parse one PDU from `body` (the bytes after the length prefix).
 /// Returns a parse-error status for malformed bodies. The Buf form sets

@@ -4,6 +4,16 @@
 
 namespace storm::journal {
 
+namespace {
+
+/// Fixed cost of one simulated NVRAM write (the flush/fence the device
+/// charges per write, independent of size) ...
+constexpr sim::Duration kWriteLatency = sim::microseconds(4);
+/// ... plus this much per byte written (device bandwidth).
+constexpr double kNsPerByte = 0.25;
+
+}  // namespace
+
 Device::Device(sim::Executor executor, obs::Scope scope, Config config)
     : sim_(executor), scope_(std::move(scope)), config_(config) {
   if (config_.segment_bytes < kRecordOverhead + 1) {
@@ -109,8 +119,8 @@ void Device::schedule_flush() {
   }
   flush_in_flight_ = true;
   const sim::Duration cost =
-      config_.write_latency +
-      static_cast<sim::Duration>(config_.ns_per_byte *
+      kWriteLatency +
+      static_cast<sim::Duration>(kNsPerByte *
                                  static_cast<double>(batch_bytes));
   const std::uint64_t epoch = epoch_;
   flush_token_ = sim_.schedule_in(cost, [this, epoch, batch] {
@@ -266,12 +276,6 @@ std::size_t Device::stream_bytes(StreamId stream) const {
 std::size_t Device::stream_torn_tail_bytes(StreamId stream) const {
   auto it = streams_.find(stream);
   return it == streams_.end() ? 0 : it->second.torn_tail_bytes;
-}
-
-std::size_t Device::live_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [id, st] : streams_) total += st.bytes;
-  return total;
 }
 
 std::size_t Device::device_bytes() const {

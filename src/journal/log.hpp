@@ -55,11 +55,6 @@ struct Config {
   /// one cannot fit the next record (oversize records get a segment of
   /// their own).
   std::size_t segment_bytes = 256 * 1024;
-  /// Fixed cost of one simulated NVRAM write (the flush/fence the device
-  /// charges per write, independent of size) ...
-  sim::Duration write_latency = sim::microseconds(4);
-  /// ... plus this much per byte written (device bandwidth).
-  double ns_per_byte = 0.25;
   /// Batch all records staged during the in-flight write into the next
   /// write (group commit). false = one NVRAM write per record, the
   /// per-burst baseline the bench compares against.
@@ -135,7 +130,6 @@ class Device {
   }
 
   // --- device totals ---
-  std::size_t live_bytes() const;    // payload bytes across live records
   std::size_t device_bytes() const;  // physical bytes held in segments
   std::size_t segment_count() const { return segments_.size(); }
   std::uint64_t appended_seq() const { return next_seq_ - 1; }

@@ -130,9 +130,6 @@ void FlowSwitch::process(int in_port, Packet pkt) {
       case FlowActionType::kSetDstMac:
         pkt.eth.dst = action.mac;
         break;
-      case FlowActionType::kSetSrcMac:
-        pkt.eth.src = action.mac;
-        break;
       case FlowActionType::kOutput:
         output(action.port, std::move(pkt));
         return;

@@ -30,7 +30,6 @@ struct FlowMatch {
 
 enum class FlowActionType {
   kSetDstMac,   // mod_dst_mac — the steering primitive from paper Fig. 3
-  kSetSrcMac,
   kOutput,      // emit on an explicit port
   kNormal,      // L2 learning pipeline
   kDrop,
@@ -38,14 +37,11 @@ enum class FlowActionType {
 
 struct FlowAction {
   FlowActionType type;
-  MacAddr mac{};  // for kSet*Mac
+  MacAddr mac{};  // for kSetDstMac
   int port = -1;  // for kOutput
 
   static FlowAction set_dst_mac(MacAddr mac) {
     return {FlowActionType::kSetDstMac, mac, -1};
-  }
-  static FlowAction set_src_mac(MacAddr mac) {
-    return {FlowActionType::kSetSrcMac, mac, -1};
   }
   static FlowAction output(int port) {
     return {FlowActionType::kOutput, MacAddr{}, port};

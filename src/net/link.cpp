@@ -29,18 +29,16 @@ void Link::send(int from_end, Packet pkt) {
   auto& receiver = receivers_.at(static_cast<std::size_t>(to_end));
   if (!receiver) return;
   ensure_telemetry();
-  EndState& st = ends_[static_cast<std::size_t>(from_end)];
+  sim::Time& next_free = next_free_[static_cast<std::size_t>(from_end)];
 
   sim::PacketFaultDecision fault;
   if (fault_ && fault_profile_.enabled()) {
     fault = fault_->decide(fault_profile_, fault_label_);
     if (fault.drop) {
-      ++st.faults;
       tel_faults_->add();
       return;
     }
     if (fault.corrupt) {
-      ++st.faults;
       tel_faults_->add();
       if (!pkt.payload.empty()) {
         // COW: a duplicated/retransmitted sibling of this packet keeps
@@ -53,7 +51,6 @@ void Link::send(int from_end, Packet pkt) {
       }
     }
     if (fault.duplicate || fault.extra_delay > 0) {
-      ++st.faults;
       tel_faults_->add();
     }
   }
@@ -67,13 +64,11 @@ void Link::send(int from_end, Packet pkt) {
     // FIFO through the per-direction serializer (a duplicate occupies a
     // second slot, like a real dupe on the wire).
     const sim::Time now = exec_.now();
-    sim::Time start = std::max(now, st.next_free);
+    sim::Time start = std::max(now, next_free);
     tel_queue_wait_->record(static_cast<std::int64_t>(start - now));
-    st.next_free = start + ser;
-    sim::Time deliver_at = st.next_free + prop_ + fault.extra_delay;
+    next_free = start + ser;
+    sim::Time deliver_at = next_free + prop_ + fault.extra_delay;
 
-    st.packets += 1;
-    st.bytes += pkt.wire_size();
     tel_total_packets_->add();
     tel_total_bytes_->add(pkt.wire_size());
     if (tel_packets_ != nullptr) {

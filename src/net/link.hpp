@@ -46,7 +46,6 @@ class Link {
     fault_profile_ = profile;
     fault_label_ = std::move(label);
   }
-  const std::string& fault_label() const { return fault_label_; }
 
   /// Name this link for telemetry ("host0.storage", "vm.web1", ...):
   /// labeled links get per-link packet/byte counters next to the
@@ -57,25 +56,7 @@ class Link {
   }
   const std::string& label() const { return label_; }
 
-  std::uint64_t packets_delivered() const {
-    return ends_[0].packets + ends_[1].packets;
-  }
-  std::uint64_t bytes_delivered() const {
-    return ends_[0].bytes + ends_[1].bytes;
-  }
-  std::uint64_t faults_injected() const {
-    return ends_[0].faults + ends_[1].faults;
-  }
-
  private:
-  // Per-direction state, keyed by the sending end.
-  struct EndState {
-    sim::Time next_free = 0;  // this direction's serializer
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t faults = 0;
-  };
-
   void ensure_telemetry();
 
   sim::Executor exec_;
@@ -83,7 +64,9 @@ class Link {
   sim::Duration prop_;
   bool down_ = false;
   std::array<Receiver, 2> receivers_{};
-  std::array<EndState, 2> ends_{};
+  // Per-direction serializer, keyed by the sending end: when it is next
+  // free.
+  std::array<sim::Time, 2> next_free_{};
   sim::FaultPlan* fault_ = nullptr;
   sim::PacketFaultProfile fault_profile_;
   std::string fault_label_;

@@ -6,6 +6,13 @@
 
 namespace storm::net {
 
+namespace {
+
+/// Forwarding latency of every switch, per packet.
+constexpr sim::Duration kPerPacketLatency = sim::microseconds(2);
+
+}  // namespace
+
 int L2Switch::attach(Link& link, int end) {
   int port = static_cast<int>(ports_.size());
   ports_.push_back(Port{&link, end});
@@ -14,9 +21,8 @@ int L2Switch::attach(Link& link, int end) {
 }
 
 void L2Switch::on_receive(int in_port, Packet pkt) {
-  ++packets_;
   // Model the switch's forwarding latency, then run the data path.
-  sim_.schedule_in(latency_, [this, in_port, p = std::move(pkt)]() mutable {
+  sim_.schedule_in(kPerPacketLatency, [this, in_port, p = std::move(pkt)]() mutable {
     process(in_port, std::move(p));
   });
 }

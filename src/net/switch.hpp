@@ -14,9 +14,8 @@ namespace storm::net {
 
 class L2Switch {
  public:
-  L2Switch(sim::Executor executor, std::string name,
-           sim::Duration per_packet_latency = sim::microseconds(2))
-      : sim_(executor), name_(std::move(name)), latency_(per_packet_latency) {}
+  L2Switch(sim::Executor executor, std::string name)
+      : sim_(executor), name_(std::move(name)) {}
 
   virtual ~L2Switch() = default;
   L2Switch(const L2Switch&) = delete;
@@ -27,8 +26,6 @@ class L2Switch {
 
   int port_count() const { return static_cast<int>(ports_.size()); }
   const std::string& name() const { return name_; }
-
-  std::uint64_t packets_switched() const { return packets_; }
 
  protected:
   /// Default data path: learn + forward. FlowSwitch overrides.
@@ -51,10 +48,8 @@ class L2Switch {
   };
 
   std::string name_;
-  sim::Duration latency_;
   std::vector<Port> ports_;
   std::map<std::uint64_t, int> mac_table_;  // MAC value -> port
-  std::uint64_t packets_ = 0;
 };
 
 }  // namespace storm::net

@@ -281,9 +281,6 @@ void TcpConnection::pump() {
     emit(kTcpAck, slice_send(offset, len), snd_nxt_);
     snd_nxt_ += len;
     if (snd_nxt_ > max_seq_sent_) {
-      // Count only never-before-sent bytes; retransmissions don't inflate
-      // the throughput accounting.
-      bytes_sent_ += snd_nxt_ - std::max(max_seq_sent_, snd_nxt_ - len);
       max_seq_sent_ = snd_nxt_;
       // Karn RTT probe: one fresh-data segment timed at a time; the
       // sample completes when the cumulative ACK covers its end.

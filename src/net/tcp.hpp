@@ -108,9 +108,6 @@ class TcpConnection {
   SocketAddr remote() const { return remote_; }
   FourTuple four_tuple() const { return FourTuple{local_, remote_}; }
 
-  /// Cap on un-ACKed bytes in flight (sender side).
-  void set_send_window(std::uint32_t bytes) { send_window_cap_ = bytes; }
-
   // --- receive-side flow control ------------------------------------
   /// Credit-based delivery: bytes handed to the data callback stay
   /// charged against the advertised receive window until the
@@ -136,7 +133,6 @@ class TcpConnection {
   /// One-byte window probes sent while the peer's window was closed.
   std::uint64_t zero_window_probes() const { return zero_window_probes_; }
 
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
   std::uint64_t retransmits() const { return retransmits_; }
 
@@ -246,7 +242,6 @@ class TcpConnection {
   // Listener callback held until the handshake completes.
   std::function<void(TcpConnection&)> accept_pending_;
 
-  std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
 
   // RTT sampling, Karn's algorithm: one probe in flight at a time, the
@@ -298,7 +293,6 @@ class TcpStack {
 
   /// Default advertised/receive and send window for new connections.
   void set_default_window(std::uint32_t bytes) { default_window_ = bytes; }
-  std::uint32_t default_window() const { return default_window_; }
 
   NetNode& node() { return node_; }
 

@@ -13,15 +13,11 @@ SpanId Tracer::begin_span(std::string name, sim::Time now, SpanId parent) {
   span.parent = parent;
   span.name = std::move(name);
   span.start = now;
-  index_[id] = spans_.size();
   spans_.push_back(std::move(span));
   return id;
 }
 
-Span* Tracer::find(SpanId id) {
-  auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &spans_[it->second];
-}
+Span* Tracer::find(SpanId id) { return const_cast<Span*>(span(id)); }
 
 void Tracer::add_event(SpanId id, std::string label, sim::Time now,
                        std::uint64_t value) {
@@ -42,9 +38,10 @@ SpanId Tracer::lookup(const std::string& key) const {
   return it == bindings_.end() ? 0 : it->second;
 }
 
+// Ids are sequential and only the first max_retained_ spans are stored,
+// so span `id` sits at spans_[id - 1].
 const Span* Tracer::span(SpanId id) const {
-  auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &spans_[it->second];
+  return id >= 1 && id <= spans_.size() ? &spans_[id - 1] : nullptr;
 }
 
 std::vector<const Span*> Tracer::spans_named(const std::string& name) const {

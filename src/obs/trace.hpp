@@ -72,8 +72,7 @@ class Tracer {
   std::size_t max_retained_;
   SpanId next_id_ = 1;
   std::uint64_t dropped_ = 0;
-  std::vector<Span> spans_;
-  std::map<SpanId, std::size_t> index_;
+  std::vector<Span> spans_;  // ids 1..spans_.size(), in order
   std::map<std::string, SpanId> bindings_;
 };
 

@@ -15,18 +15,11 @@
 
 namespace storm::services {
 
-struct EncryptionConfig {
-  /// Software AES-XTS on the middle-box's dedicated vCPUs
-  /// (~160 MB/s per core, 2016-era guests).
-  double ns_per_byte = 4.0;
-  sim::Duration per_io = sim::microseconds(1);
-};
-
 class EncryptionService : public core::StorageService {
  public:
   /// `key` is 32 or 64 bytes (split into data/tweak halves; 64 bytes
   /// gives AES-256-XTS as in the paper).
-  EncryptionService(Bytes key, EncryptionConfig config = {});
+  explicit EncryptionService(Bytes key);
 
   std::string name() const override { return "encryption"; }
   // Bypassing the cipher would put plaintext on the storage network.
@@ -42,7 +35,6 @@ class EncryptionService : public core::StorageService {
              std::span<std::uint8_t> data);
 
   std::unique_ptr<crypto::AesXts> xts_;
-  EncryptionConfig config_;
   IoTracker tracker_;
   /// In-flight write bursts: task tag -> starting LBA (Data-Out PDUs only
   /// carry byte offsets).

@@ -2,10 +2,17 @@
 
 namespace storm::services {
 
+namespace {
+
+/// Per-access analysis cost (hash lookups + log append).
+constexpr sim::Duration kCostPerAccess = sim::nanoseconds(400);
+constexpr std::size_t kMaxLogEntries = 100'000;
+
+}  // namespace
+
 MonitorService::MonitorService(
-    std::unique_ptr<core::SemanticsReconstructor> reconstructor,
-    MonitorConfig config)
-    : recon_(std::move(reconstructor)), config_(config) {}
+    std::unique_ptr<core::SemanticsReconstructor> reconstructor)
+    : recon_(std::move(reconstructor)) {}
 
 void MonitorService::watch(const std::string& path_prefix) {
   watches_.push_back(path_prefix);
@@ -21,7 +28,7 @@ core::ServiceVerdict MonitorService::on_pdu(core::ServiceContext& ctx,
       // enough, the view is not changed by a read.
       record(recon_->on_read(pdu.lba, pdu.transfer_length));
       ctx.scope().counter("monitor.accesses").add();
-      verdict.cpu_cost += config_.cost_per_access;
+      verdict.cpu_cost += kCostPerAccess;
       tracker_.on_to_target(pdu);
       return verdict;
     }
@@ -30,7 +37,7 @@ core::ServiceVerdict MonitorService::on_pdu(core::ServiceContext& ctx,
       // keeps the filesystem view current.
       record(recon_->on_write(burst->lba, burst->data));
       ctx.scope().counter("monitor.accesses").add();
-      verdict.cpu_cost += config_.cost_per_access;
+      verdict.cpu_cost += kCostPerAccess;
     }
     return verdict;
   }
@@ -49,12 +56,11 @@ void MonitorService::record(std::vector<core::FileOp> ops) {
                      : entry.op.path == watch;
       if (hit) {
         alerts_.push_back(entry);
-        if (on_alert_) on_alert_(entry);
         break;
       }
     }
     log_.push_back(std::move(entry));
-    if (log_.size() > config_.max_log_entries) log_.pop_front();
+    if (log_.size() > kMaxLogEntries) log_.pop_front();
   }
 }
 

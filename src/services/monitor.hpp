@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,22 +20,15 @@
 
 namespace storm::services {
 
-struct MonitorConfig {
-  /// Per-access analysis cost (hash lookups + log append).
-  sim::Duration cost_per_access = sim::nanoseconds(400);
-  std::size_t max_log_entries = 100'000;
-};
-
 class MonitorService : public core::StorageService {
  public:
   struct LogEntry {
     std::uint64_t sequence = 0;
     core::FileOp op;
   };
-  using AlertCallback = std::function<void(const LogEntry&)>;
 
-  MonitorService(std::unique_ptr<core::SemanticsReconstructor> reconstructor,
-                 MonitorConfig config = {});
+  explicit MonitorService(
+      std::unique_ptr<core::SemanticsReconstructor> reconstructor);
 
   std::string name() const override { return "monitor"; }
   // The reconstructor mirrors one volume's filesystem; interleaving a
@@ -48,7 +40,6 @@ class MonitorService : public core::StorageService {
   /// Watch a path (or a directory prefix ending in '/'): any access
   /// raises an alert (paper: "set an alert on sensitive files").
   void watch(const std::string& path_prefix);
-  void set_alert_callback(AlertCallback cb) { on_alert_ = std::move(cb); }
 
   const std::deque<LogEntry>& log() const { return log_; }
   const std::vector<LogEntry>& alerts() const { return alerts_; }
@@ -58,12 +49,10 @@ class MonitorService : public core::StorageService {
   void record(std::vector<core::FileOp> ops);
 
   std::unique_ptr<core::SemanticsReconstructor> recon_;
-  MonitorConfig config_;
   IoTracker tracker_;
   std::deque<LogEntry> log_;
   std::vector<LogEntry> alerts_;
   std::vector<std::string> watches_;
-  AlertCallback on_alert_;
   std::uint64_t next_sequence_ = 1;
 };
 

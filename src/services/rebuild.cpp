@@ -142,7 +142,6 @@ void CopyMachine::copy_chunk(std::uint64_t begin, std::uint64_t end) {
               const std::uint64_t sectors = end - begin;
               self->cursor_ = std::max(self->cursor_, end);
               self->bytes_copied_ += sectors * block::kSectorSize;
-              ++self->chunks_copied_;
               if (self->hooks_.on_chunk) self->hooks_.on_chunk(begin, sectors);
               // Yield to the event loop between chunks: foreground I/O
               // interleaves even when the bucket has tokens banked.

@@ -110,7 +110,6 @@ class CopyMachine : public std::enable_shared_from_this<CopyMachine> {
   /// Highest sector copied so far — the resumable rebuild cursor.
   std::uint64_t cursor() const { return cursor_; }
   std::uint64_t bytes_copied() const { return bytes_copied_; }
-  std::uint64_t chunks_copied() const { return chunks_copied_; }
 
  private:
   void step();
@@ -132,7 +131,6 @@ class CopyMachine : public std::enable_shared_from_this<CopyMachine> {
   std::uint64_t active_end_ = 0;
   std::uint64_t cursor_ = 0;
   std::uint64_t bytes_copied_ = 0;
-  std::uint64_t chunks_copied_ = 0;
 };
 
 }  // namespace storm::services

@@ -126,11 +126,10 @@ void register_builtin_services(core::StormPlatform& platform) {
                          status.is_ok() ? attachment.disk : nullptr);
                   });
             };
-        ReplicationConfig config;
-        config.quorum = env.spec->quorum;
         return std::unique_ptr<core::StorageService>(
-            std::make_unique<ReplicationService>(
-                std::move(replica_names), std::move(attach), config));
+            std::make_unique<ReplicationService>(std::move(replica_names),
+                                                 std::move(attach),
+                                                 env.spec->quorum));
       });
 }
 

@@ -1,8 +1,10 @@
 #include "services/replication.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/async.hpp"
+#include "common/bytes.hpp"
 #include "common/log.hpp"
 
 namespace storm::services {
@@ -15,59 +17,10 @@ namespace {
 constexpr std::uint8_t kRecIntent = 1;
 constexpr std::uint8_t kRecState = 2;
 
-void push_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
-
-void push_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void push_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void push_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-struct RecordReader {
-  const Bytes& bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(u(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(u(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(u(4)); }
-  std::uint64_t u64() { return u(8); }
-  std::string str(std::size_t n) {
-    if (pos + n > bytes.size()) {
-      ok = false;
-      return {};
-    }
-    std::string s(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                  bytes.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return s;
-  }
-
- private:
-  std::uint64_t u(std::size_t n) {
-    if (pos + n > bytes.size()) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(bytes[pos + i]) << (8 * i);
-    }
-    pos += n;
-    return v;
-  }
-};
+/// Per-I/O dispatch cost.
+constexpr sim::Duration kPerIoCost = sim::microseconds(2);
+/// Sectors per rebuild copy chunk.
+constexpr std::uint32_t kRebuildChunkSectors = 128;
 
 }  // namespace
 
@@ -85,9 +38,9 @@ const char* to_string(ReplicaState state) {
 
 ReplicationService::ReplicationService(
     std::vector<std::string> replica_volumes, AttachFn attach,
-    ReplicationConfig config)
+    core::QuorumSpec quorum)
     : replica_volumes_(std::move(replica_volumes)),
-      attach_(std::move(attach)), config_(config) {}
+      attach_(std::move(attach)), quorum_(quorum) {}
 
 void ReplicationService::bind_host(const core::ServiceHost& host) {
   executor_ = host.executor;
@@ -167,7 +120,7 @@ core::ServiceVerdict ReplicationService::on_to_target(
     core::ServiceContext& ctx, iscsi::Pdu& pdu) {
   core::ServiceVerdict verdict;
   if (pdu.opcode == iscsi::Opcode::kScsiCommand && pdu.is_read()) {
-    verdict.cpu_cost = config_.per_io;
+    verdict.cpu_cost = kPerIoCost;
     // Round-robin across primary + up-to-date replicas for aggregate
     // read throughput. Slot 0 is the primary (forward unchanged).
     std::size_t readable = 0;
@@ -201,7 +154,7 @@ core::ServiceVerdict ReplicationService::on_to_target(
   }
 
   if (auto burst = tracker_.on_to_target(pdu)) {
-    verdict.cpu_cost = config_.per_io;
+    verdict.cpu_cost = kPerIoCost;
     handle_write_burst(ctx, pdu.task_tag, *burst);
   }
   return verdict;
@@ -219,7 +172,7 @@ core::ServiceVerdict ReplicationService::on_to_initiator(
       // collect it; never forward (the tenant never issued this tag).
       pdu.data.append_to(it->second.data);
       verdict.consume = true;
-      verdict.cpu_cost = config_.per_io;
+      verdict.cpu_cost = kPerIoCost;
     }
     return verdict;
   }
@@ -231,7 +184,7 @@ core::ServiceVerdict ReplicationService::on_to_initiator(
     PrimaryRead read = std::move(pr->second);
     primary_reads_.erase(pr);
     verdict.consume = true;
-    verdict.cpu_cost = config_.per_io;
+    verdict.cpu_cost = kPerIoCost;
     if (pdu.status == iscsi::kStatusGood &&
         read.data.size() >= read.expected) {
       read.done(Status::ok(), std::move(read.data));
@@ -248,7 +201,7 @@ core::ServiceVerdict ReplicationService::on_to_initiator(
   if (pit == pending_.end()) return verdict;
   PendingWrite& pw = pit->second;
   pw.primary_seen = true;
-  verdict.cpu_cost = config_.per_io;
+  verdict.cpu_cost = kPerIoCost;
   if (pdu.status != iscsi::kStatusGood) {
     // The primary failed the write: no replica quorum can make it
     // durable where it counts. Release the failure as-is — unless the
@@ -330,7 +283,7 @@ void ReplicationService::handle_write_burst(
                                 live_targets.size() +
                                 passthrough_targets.size()));
 
-  if (config_.quorum.enabled) {
+  if (quorum_.enabled) {
     PendingWrite pw;
     pw.version = version;
     pw.ctx = &ctx;
@@ -339,9 +292,9 @@ void ReplicationService::handle_write_burst(
     // W counts the primary. When copies are already short, commit at
     // what the set can still deliver instead of failing the write.
     pw.required = std::min<std::uint32_t>(
-        config_.quorum.write_quorum,
+        quorum_.write_quorum,
         static_cast<std::uint32_t>(1 + live_targets.size()));
-    if (pw.required < config_.quorum.write_quorum) {
+    if (pw.required < quorum_.write_quorum) {
       ++quorum_degraded_commits_;
       scope_.counter("replication.quorum_degraded_commits").add();
     }
@@ -350,7 +303,7 @@ void ReplicationService::handle_write_burst(
 
   for (std::size_t i : live_targets) {
     dispatch_replica_write(i, version, begin, end, burst.data,
-                           config_.quorum.enabled, task_tag);
+                           quorum_.enabled, task_tag);
   }
   for (std::size_t i : passthrough_targets) {
     dispatch_replica_write(i, version, begin, end, burst.data, false,
@@ -589,8 +542,8 @@ void ReplicationService::start_rebuild(std::size_t i) {
   replica.rebuild_started = now();
   if (!replica.pacer) {
     replica.pacer = std::make_unique<net::TokenBucket>(
-        executor_, config_.quorum.rebuild_rate_bytes_per_sec,
-        config_.quorum.rebuild_burst_bytes);
+        executor_, quorum_.rebuild_rate_bytes_per_sec,
+        quorum_.rebuild_burst_bytes);
     replica.pacer->bind_telemetry(
         &scope_.counter("replication.rebuild_throttled_bytes"),
         &scope_.gauge("replication.rebuild_queue_bytes"));
@@ -633,7 +586,7 @@ void ReplicationService::start_rebuild(std::size_t i) {
   };
   replica.machine = std::make_shared<CopyMachine>(
       executor_, *replica.pacer, replica.device, replica.dirty,
-      std::move(hooks), CopyMachine::Config{config_.rebuild_chunk_sectors});
+      std::move(hooks), CopyMachine::Config{kRebuildChunkSectors});
   log_info("replication") << "replica " << replica.volume << " rebuilding "
                           << replica.dirty.sectors() << " sectors";
   persist_state();
@@ -704,10 +657,11 @@ void ReplicationService::journal_intent(std::uint64_t version,
   if (journal_ == nullptr) return;
   Bytes rec;
   rec.reserve(1 + 8 + 8 + 4);
-  push_u8(rec, kRecIntent);
-  push_u64(rec, version);
-  push_u64(rec, lba);
-  push_u32(rec, sectors);
+  ByteWriter w(rec);
+  w.u8(kRecIntent);
+  w.u64(version);
+  w.u64(lba);
+  w.u32(sectors);
   intent_stream_.append(BufChain{Buf(std::move(rec))}, version, true);
 }
 
@@ -739,21 +693,21 @@ void ReplicationService::persist_state() {
   if (journal_ == nullptr) return;
   ++state_seq_;
   Bytes rec;
-  push_u8(rec, kRecState);
-  push_u64(rec, state_seq_);
-  push_u64(rec, set_version_);
-  push_u16(rec, static_cast<std::uint16_t>(replicas_.size()));
+  ByteWriter w(rec);
+  w.u8(kRecState);
+  w.u64(state_seq_);
+  w.u64(set_version_);
+  w.u16(static_cast<std::uint16_t>(replicas_.size()));
   for (const auto& replica : replicas_) {
-    push_u16(rec, static_cast<std::uint16_t>(replica->volume.size()));
-    rec.insert(rec.end(), replica->volume.begin(), replica->volume.end());
-    push_u8(rec, static_cast<std::uint8_t>(replica->state));
-    push_u8(rec, replica->device_dead ? 1 : 0);
-    push_u64(rec, replica->version);
-    push_u64(rec, replica->machine ? replica->machine->cursor() : 0);
-    push_u32(rec, static_cast<std::uint32_t>(replica->dirty.count()));
+    w.str(replica->volume);
+    w.u8(static_cast<std::uint8_t>(replica->state));
+    w.u8(replica->device_dead ? 1 : 0);
+    w.u64(replica->version);
+    w.u64(replica->machine ? replica->machine->cursor() : 0);
+    w.u32(static_cast<std::uint32_t>(replica->dirty.count()));
     for (const auto& [begin, end] : replica->dirty.ranges()) {
-      push_u64(rec, begin);
-      push_u64(rec, end);
+      w.u64(begin);
+      w.u64(end);
     }
   }
   state_stream_.append(BufChain{Buf(std::move(rec))}, state_seq_, true);
@@ -790,50 +744,56 @@ void ReplicationService::recover_from_journal() {
   if (journal_ == nullptr) return;
 
   // Latest version-map snapshot (normally exactly one record survives
-  // the trim; tolerate more and take the highest sequence).
+  // the trim; tolerate more and take the highest sequence). ByteReader
+  // throws std::out_of_range on a short record; the rest of that record
+  // is skipped.
   std::optional<Bytes> best;
   std::uint64_t best_seq = 0;
   for (const BufChain& rec : state_stream_.unacknowledged()) {
     Bytes flat = chain_to_bytes(rec);
-    RecordReader reader{flat};
-    if (reader.u8() != kRecState) continue;
-    const std::uint64_t seq = reader.u64();
-    if (!reader.ok || seq < best_seq) continue;
-    best_seq = seq;
-    best = std::move(flat);
+    try {
+      ByteReader reader(flat);
+      if (reader.u8() != kRecState) continue;
+      const std::uint64_t seq = reader.u64();
+      if (seq < best_seq) continue;
+      best_seq = seq;
+      best = std::move(flat);
+    } catch (const std::out_of_range&) {
+      continue;
+    }
   }
   if (best) {
-    RecordReader reader{*best};
-    reader.u8();  // type
-    const std::uint64_t seq = reader.u64();
-    const std::uint64_t set_version = reader.u64();
-    state_seq_ = std::max(state_seq_, seq);
-    set_version_ = std::max(set_version_, set_version);
-    const std::uint16_t count = reader.u16();
-    for (std::uint16_t k = 0; k < count && reader.ok; ++k) {
-      const std::string volume = reader.str(reader.u16());
-      const auto state = static_cast<ReplicaState>(reader.u8());
-      reader.u8();  // device_dead: live session state is authoritative
-      const std::uint64_t version = reader.u64();
-      reader.u64();  // cursor (informational; dirty map is the truth)
-      const std::uint32_t extents = reader.u32();
-      Replica* replica = nullptr;
-      for (auto& r : replicas_) {
-        if (r->volume == volume) {
-          replica = r.get();
-          break;
+    try {
+      ByteReader reader(*best);
+      reader.u8();  // type
+      const std::uint64_t seq = reader.u64();
+      const std::uint64_t set_version = reader.u64();
+      state_seq_ = std::max(state_seq_, seq);
+      set_version_ = std::max(set_version_, set_version);
+      const std::uint16_t count = reader.u16();
+      for (std::uint16_t k = 0; k < count; ++k) {
+        const std::string volume = reader.str();
+        const auto state = static_cast<ReplicaState>(reader.u8());
+        reader.u8();  // device_dead: live session state is authoritative
+        const std::uint64_t version = reader.u64();
+        reader.u64();  // cursor (informational; dirty map is the truth)
+        const std::uint32_t extents = reader.u32();
+        Replica* replica = nullptr;
+        for (auto& r : replicas_) {
+          if (r->volume == volume) {
+            replica = r.get();
+            break;
+          }
         }
-      }
-      if (replica == nullptr) {
-        // A spare journaled before the crash but never re-registered:
-        // recreate it; the health probe re-attaches it.
-        auto fresh = std::make_unique<Replica>();
-        fresh->volume = volume;
-        fresh->device_dead = true;
-        replicas_.push_back(std::move(fresh));
-        replica = replicas_.back().get();
-      }
-      if (reader.ok) {
+        if (replica == nullptr) {
+          // A spare journaled before the crash but never re-registered:
+          // recreate it; the health probe re-attaches it.
+          auto fresh = std::make_unique<Replica>();
+          fresh->volume = volume;
+          fresh->device_dead = true;
+          replicas_.push_back(std::move(fresh));
+          replica = replicas_.back().get();
+        }
         // A rebuild that was running is resumed as degraded: its machine
         // died with the relay, but the journaled dirty map lets the next
         // probe continue where the copy stopped.
@@ -842,12 +802,14 @@ void ReplicationService::recover_from_journal() {
                              : state;
         replica->version = version;
         replica->dirty.clear();
-        for (std::uint32_t e = 0; e < extents && reader.ok; ++e) {
+        for (std::uint32_t e = 0; e < extents; ++e) {
           const std::uint64_t begin = reader.u64();
           const std::uint64_t end = reader.u64();
-          if (reader.ok) replica->dirty.add(begin, end);
+          replica->dirty.add(begin, end);
         }
       }
+    } catch (const std::out_of_range&) {
+      // Rows decoded before the short field stay applied.
     }
   }
 
@@ -858,13 +820,19 @@ void ReplicationService::recover_from_journal() {
   // own session journal replay has made authoritative.
   std::uint64_t max_intent = 0;
   for (const BufChain& rec : intent_stream_.unacknowledged()) {
-    Bytes flat = chain_to_bytes(rec);
-    RecordReader reader{flat};
-    if (reader.u8() != kRecIntent) continue;
-    const std::uint64_t version = reader.u64();
-    const std::uint64_t lba = reader.u64();
-    const std::uint32_t sectors = reader.u32();
-    if (!reader.ok) continue;
+    const Bytes flat = chain_to_bytes(rec);
+    std::uint64_t version = 0;
+    std::uint64_t lba = 0;
+    std::uint32_t sectors = 0;
+    try {
+      ByteReader reader(flat);
+      if (reader.u8() != kRecIntent) continue;
+      version = reader.u64();
+      lba = reader.u64();
+      sectors = reader.u32();
+    } catch (const std::out_of_range&) {
+      continue;
+    }
     max_intent = std::max(max_intent, version);
     written_.add(lba, lba + sectors);
     for (auto& replica : replicas_) {

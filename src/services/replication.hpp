@@ -35,17 +35,6 @@
 
 namespace storm::services {
 
-struct ReplicationConfig {
-  /// Per-I/O dispatch cost.
-  sim::Duration per_io = sim::microseconds(2);
-  /// Quorum policy (core/policy `quorum` stanza). Disabled = legacy
-  /// fire-and-forget mirroring: the primary's response passes through
-  /// unheld, but version tracking and rebuild still run.
-  core::QuorumSpec quorum;
-  /// Sectors per rebuild copy chunk.
-  std::uint32_t rebuild_chunk_sectors = 128;
-};
-
 enum class ReplicaState : std::uint8_t {
   kLive = 0,        // in read rotation, receives every write
   kDegraded = 1,    // missed writes (or device dead); out of rotation
@@ -65,8 +54,11 @@ class ReplicationService : public core::StorageService {
       const std::string& volume,
       std::function<void(Status, block::BlockDevice*)>)>;
 
+  /// `quorum` is the policy's `quorum` stanza. Disabled = legacy
+  /// fire-and-forget mirroring: the primary's response passes through
+  /// unheld, but version tracking and rebuild still run.
   ReplicationService(std::vector<std::string> replica_volumes,
-                     AttachFn attach, ReplicationConfig config = {});
+                     AttachFn attach, core::QuorumSpec quorum);
 
   std::string name() const override { return "replication"; }
   bool requires_active_relay() const override { return true; }
@@ -207,7 +199,7 @@ class ReplicationService : public core::StorageService {
 
   std::vector<std::string> replica_volumes_;
   AttachFn attach_;
-  ReplicationConfig config_;
+  core::QuorumSpec quorum_;
   /// unique_ptr: CopyMachine holds a reference to its replica's dirty
   /// set, which must stay put when attach_spare() grows the vector.
   std::vector<std::unique_ptr<Replica>> replicas_;

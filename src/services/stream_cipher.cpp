@@ -8,9 +8,14 @@
 
 namespace storm::services {
 
-StreamCipherService::StreamCipherService(Bytes key,
-                                         StreamCipherConfig config)
-    : config_(config) {
+namespace {
+
+/// ChaCha20 software throughput (~1.3 GB/s per 2016 core).
+constexpr double kNsPerByte = 0.75;
+
+}  // namespace
+
+StreamCipherService::StreamCipherService(Bytes key) {
   if (key.size() != 32) {
     throw std::invalid_argument("StreamCipherService: key must be 32 bytes");
   }
@@ -44,9 +49,9 @@ core::ServiceVerdict StreamCipherService::on_pdu(core::ServiceContext& ctx,
                                                  core::Direction dir,
                                                  iscsi::Pdu& pdu) {
   core::ServiceVerdict verdict;
-  auto cost_of = [this, &ctx](std::size_t bytes) {
+  auto cost_of = [&ctx](std::size_t bytes) {
     ctx.scope().counter("stream_cipher.bytes_processed").add(bytes);
-    return static_cast<sim::Duration>(config_.ns_per_byte *
+    return static_cast<sim::Duration>(kNsPerByte *
                                       static_cast<double>(bytes));
   };
   if (dir == core::Direction::kToTarget) {

@@ -14,15 +14,9 @@
 
 namespace storm::services {
 
-struct StreamCipherConfig {
-  /// ChaCha20 software throughput (~1.3 GB/s per 2016 core).
-  double ns_per_byte = 0.75;
-};
-
 class StreamCipherService : public core::StorageService {
  public:
-  explicit StreamCipherService(Bytes key = Bytes(32, 0x42),
-                               StreamCipherConfig config = {});
+  explicit StreamCipherService(Bytes key = Bytes(32, 0x42));
 
   std::string name() const override { return "stream_cipher"; }
   // Bypassing the cipher would put plaintext on the storage network.
@@ -36,7 +30,6 @@ class StreamCipherService : public core::StorageService {
   void crypt(std::uint64_t byte_position, std::span<std::uint8_t> data);
 
   std::array<std::uint8_t, 32> key_{};
-  StreamCipherConfig config_;
   IoTracker tracker_;
   std::map<std::uint32_t, std::uint64_t> write_lbas_;
   std::uint64_t processed_ = 0;

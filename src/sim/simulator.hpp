@@ -83,12 +83,11 @@ class Executor {
   Simulator* sim_ = nullptr;
 };
 
-/// Construction options. Kept for callers that still size a partitioned
-/// run: the kernel is serial, so `partitions`, `threads` and
-/// `auto_lookahead` are accepted and ignored; `lookahead` is only read
-/// back through Simulator::lookahead().
+/// Construction options. Kept for callers that still size a threaded
+/// run: the kernel is serial, so `threads` and `auto_lookahead` are
+/// accepted and ignored; `lookahead` is only read back through
+/// Simulator::lookahead().
 struct ParallelConfig {
-  std::uint32_t partitions = 1;
   std::uint32_t threads = 1;
   Duration lookahead = microseconds(10);
   bool auto_lookahead = false;

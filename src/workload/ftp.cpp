@@ -151,7 +151,6 @@ void FtpServer::serve_download(std::shared_ptr<Session> session,
                         return;
                       }
                       *offset += data.size();
-                      bytes_served_ += data.size();
                       vm_.cpu().burn(static_cast<sim::Duration>(
                           kAppNsPerByte * static_cast<double>(data.size())));
                       session->conn->send(std::move(data));

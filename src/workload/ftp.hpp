@@ -26,7 +26,6 @@ class FtpServer {
   void start();
 
   std::uint64_t bytes_stored() const { return bytes_stored_; }
-  std::uint64_t bytes_served() const { return bytes_served_; }
 
  private:
   struct Session {
@@ -53,7 +52,6 @@ class FtpServer {
   fs::SimExt& fs_;
   std::uint16_t port_;
   std::uint64_t bytes_stored_ = 0;
-  std::uint64_t bytes_served_ = 0;
 };
 
 struct FtpTransferResult {

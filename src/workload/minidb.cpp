@@ -5,9 +5,16 @@
 
 namespace storm::workload {
 
-MiniDb::MiniDb(sim::Executor executor, block::BlockDevice& device,
-               MiniDbConfig config)
-    : sim_(executor), dev_(device), config_(config) {}
+namespace {
+
+constexpr std::uint32_t kRecords = 10'000;
+constexpr unsigned kReadsPerTxn = 4;   // sysbench "complex" mixes reads...
+constexpr unsigned kWritesPerTxn = 2;  // ...and updates per transaction
+
+}  // namespace
+
+MiniDb::MiniDb(sim::Executor executor, block::BlockDevice& device)
+    : sim_(executor), dev_(device) {}
 
 void MiniDb::init(std::function<void(Status)> done) {
   // WAL header page + zeroed record area; records are written in large
@@ -25,7 +32,7 @@ void MiniDb::init(std::function<void(Status)> done) {
     static constexpr std::uint32_t kBatch = 256;
     Step step = [this, done](std::size_t i, Next next) {
       std::uint32_t record = static_cast<std::uint32_t>(i) * kBatch;
-      std::uint32_t n = std::min(kBatch, config_.records - record);
+      std::uint32_t n = std::min(kBatch, kRecords - record);
       Bytes batch(static_cast<std::size_t>(n) * block::kSectorSize, 0);
       for (std::uint32_t j = 0; j < n; ++j) {
         batch[static_cast<std::size_t>(j) * block::kSectorSize] =
@@ -34,7 +41,7 @@ void MiniDb::init(std::function<void(Status)> done) {
       dev_.write(record_lba(record), std::move(batch),
                  next_or_fail(std::move(next), done));
     };
-    run_steps((config_.records + kBatch - 1) / kBatch, std::move(step),
+    run_steps((kRecords + kBatch - 1) / kBatch, std::move(step),
               [done] { done(Status::ok()); });
   });
 }
@@ -42,12 +49,12 @@ void MiniDb::init(std::function<void(Status)> done) {
 void MiniDb::transaction(Rng& rng, std::function<void(Status)> done) {
   // Pick the working set.
   auto reads = std::make_shared<std::vector<std::uint32_t>>();
-  for (unsigned i = 0; i < config_.reads_per_txn; ++i) {
-    reads->push_back(static_cast<std::uint32_t>(rng.below(config_.records)));
+  for (unsigned i = 0; i < kReadsPerTxn; ++i) {
+    reads->push_back(static_cast<std::uint32_t>(rng.below(kRecords)));
   }
   auto writes = std::make_shared<std::vector<std::uint32_t>>();
-  for (unsigned i = 0; i < config_.writes_per_txn; ++i) {
-    writes->push_back(static_cast<std::uint32_t>(rng.below(config_.records)));
+  for (unsigned i = 0; i < kWritesPerTxn; ++i) {
+    writes->push_back(static_cast<std::uint32_t>(rng.below(kRecords)));
   }
   std::uint64_t txn_id = next_txn_id_++;
   // The WAL record and every data page carry the transaction id.

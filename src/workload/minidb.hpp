@@ -2,9 +2,10 @@
 // device, plus a network server and OLTP clients — the MySQL + Sysbench
 // stand-in for the paper's replication experiment (Figure 12/13).
 //
-// Records are fixed-size; a transaction reads R random records and
-// rewrites W of them, WAL-first (write-ahead page, then data pages),
-// giving the mixed read/write block traffic an OLTP database produces.
+// Records are fixed-size, one 512-byte sector each; a transaction reads
+// R random records and rewrites W of them, WAL-first (write-ahead page,
+// then data pages), giving the mixed read/write block traffic an OLTP
+// database produces.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +19,11 @@
 
 namespace storm::workload {
 
-struct MiniDbConfig {
-  std::uint32_t record_bytes = 512;   // one record per sector
-  std::uint32_t records = 10'000;
-  unsigned reads_per_txn = 4;         // sysbench "complex" mixes reads...
-  unsigned writes_per_txn = 2;        // ...and updates per transaction
-};
-
 class MiniDb {
  public:
   /// `executor` drives the device (converts implicitly from
   /// Simulator&).
-  MiniDb(sim::Executor executor, block::BlockDevice& device,
-         MiniDbConfig config = {});
+  MiniDb(sim::Executor executor, block::BlockDevice& device);
 
   /// Format the store (writes initial records + WAL header).
   void init(std::function<void(Status)> done);
@@ -39,7 +32,6 @@ class MiniDb {
   void transaction(Rng& rng, std::function<void(Status)> done);
 
   std::uint64_t committed() const { return committed_; }
-  const MiniDbConfig& config() const { return config_; }
 
  private:
   std::uint64_t record_lba(std::uint32_t record) const {
@@ -50,7 +42,6 @@ class MiniDb {
 
   sim::Executor sim_;
   block::BlockDevice& dev_;
-  MiniDbConfig config_;
   std::uint64_t next_txn_id_ = 1;
   std::uint64_t committed_ = 0;
 };

@@ -62,44 +62,6 @@ TEST(Aes, RejectsBadKeySize) {
   EXPECT_THROW(Aes cipher(bad), std::invalid_argument);
 }
 
-// --- AES-CTR: NIST SP 800-38A F.5.1 ----------------------------------------
-
-TEST(AesCtr, Sp80038aF51KnownAnswer) {
-  Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
-  Bytes iv = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-  Bytes pt = from_hex(
-      "6bc1bee22e409f96e93d7e117393172a"
-      "ae2d8a571e03ac9c9eb76fac45af8e51"
-      "30c81c46a35ce411e5fbc1191a0a52ef"
-      "f69f2445df4f9b17ad2b417be66c3710");
-  Bytes expect = from_hex(
-      "874d6191b620e3261bef6864990db6ce"
-      "9806f66b7970fdff8617187bb9fffdff"
-      "5ae4df3edbd5d35e5b4f09020db03eab"
-      "1e031dda2fbe03d1792170a0f3009cee");
-  Aes aes(key);
-  Bytes ct(pt.size());
-  aes_ctr_crypt(aes, iv.data(), pt, ct);
-  EXPECT_EQ(ct, expect);
-
-  Bytes rt(ct.size());
-  aes_ctr_crypt(aes, iv.data(), ct, rt);
-  EXPECT_EQ(rt, pt);
-}
-
-TEST(AesCtr, HandlesPartialFinalBlock) {
-  Bytes key(16, 0x42);
-  Aes aes(key);
-  std::uint8_t iv[16] = {};
-  Bytes pt = to_bytes("only 21 bytes here!!!");
-  Bytes ct(pt.size());
-  aes_ctr_crypt(aes, iv, pt, ct);
-  Bytes rt(pt.size());
-  aes_ctr_crypt(aes, iv, ct, rt);
-  EXPECT_EQ(rt, pt);
-  EXPECT_NE(ct, pt);
-}
-
 // --- AES-XTS: IEEE 1619 Vector 1 + properties -------------------------------
 
 TEST(AesXts, Ieee1619Vector1) {

@@ -20,6 +20,7 @@
 namespace storm {
 namespace {
 
+using core::ChainHealthManager;
 using core::DeploymentHandle;
 using core::RecoveryPolicyKind;
 using core::RelayHealth;
@@ -76,11 +77,11 @@ TEST_F(HealthTest, HealthyChainStaysAliveAndSuspectRecovers) {
   // One missed heartbeat makes the relay suspect, not failed; answering
   // the next probe clears it. Flip the VM down across exactly one probe.
   dep.mb_vm(0)->node().set_down(true);
-  sim_.run_for(platform_.health().config().heartbeat_interval);
+  sim_.run_for(ChainHealthManager::kHeartbeatInterval);
   EXPECT_EQ(platform_.health().status(dep.cookie(), 0),
             RelayHealth::kSuspect);
   dep.mb_vm(0)->node().set_down(false);
-  sim_.run_for(2 * platform_.health().config().heartbeat_interval);
+  sim_.run_for(2 * ChainHealthManager::kHeartbeatInterval);
   EXPECT_EQ(platform_.health().status(dep.cookie(), 0), RelayHealth::kAlive);
   EXPECT_EQ(platform_.health().failures_detected(), 0u);
   platform_.health().stop();
@@ -377,12 +378,11 @@ TEST_F(HealthTest, StandbyPromotionPreservesEveryAcknowledgedWrite) {
   EXPECT_GT(out.standby_journal_seq, 0u)
       << "standby promotion journaled nothing";
 
-  // Detection within the heartbeat deadline (miss_threshold intervals,
+  // Detection within the heartbeat deadline (kMissThreshold intervals,
   // plus one probe of phase slack).
-  core::HealthConfig defaults;
   const std::int64_t deadline =
-      static_cast<std::int64_t>(defaults.heartbeat_interval) *
-      (defaults.miss_threshold + 1);
+      static_cast<std::int64_t>(ChainHealthManager::kHeartbeatInterval) *
+      (ChainHealthManager::kMissThreshold + 1);
   EXPECT_GT(out.detect_ns, 0);
   EXPECT_LE(out.detect_ns, deadline);
   EXPECT_EQ(out.mttr_count, 1u);
@@ -469,9 +469,9 @@ TEST_F(HealthTest, ScaleDownThenChaosNeverCallsIntoTheParkedReplica) {
   // (or worse, call a stall hook into the dead relay).
   cloud::Vm* parked_vm = set->parked[0]->vm;
   parked_vm->node().set_down(false);
-  sim_.run_for(2 * platform_.health().config().heartbeat_interval);
+  sim_.run_for(2 * ChainHealthManager::kHeartbeatInterval);
   parked_vm->node().set_down(true);
-  sim_.run_for(5 * platform_.health().config().heartbeat_interval);
+  sim_.run_for(5 * ChainHealthManager::kHeartbeatInterval);
   EXPECT_EQ(platform_.health().failures_detected(), 0u);
   EXPECT_FALSE(dep.fenced());
 

@@ -4,7 +4,10 @@
 // wire and at rest.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/platform.hpp"
 #include "crypto/sha256.hpp"
@@ -186,9 +189,12 @@ TEST(HexKey, ParsesAndRejects) {
 
 // --- command tracing through the chain ------------------------------------------
 
-// Both ways of building the simulator must trace identically: the bare
-// default and the one sized by Cloud::parallel_config.
-void check_two_box_command_spans(sim::Simulator& sim) {
+// A two-box chain with the given relay modes: every command's root span
+// carries one child span per relay and telescoping hop events. Both ways
+// of building the simulator must trace identically: the bare default and
+// the one sized by Cloud::parallel_config.
+void check_two_box_command_spans(sim::Simulator& sim, RelayMode first,
+                                 RelayMode second) {
   cloud::Cloud cloud(sim, cloud::CloudConfig{});
   core::StormPlatform platform(cloud);
   services::register_builtin_services(platform);
@@ -197,7 +203,8 @@ void check_two_box_command_spans(sim::Simulator& sim) {
   ASSERT_TRUE(cloud.create_volume("vol", 20'000).is_ok());
   core::ServiceSpec a, b;
   a.type = b.type = "noop";
-  a.relay = b.relay = core::RelayMode::kActive;
+  a.relay = first;
+  b.relay = second;
   Status status = error(ErrorCode::kIoError, "unset");
   platform.attach_with_chain(
       "vm", "vol", {a, b},
@@ -252,15 +259,69 @@ void check_two_box_command_spans(sim::Simulator& sim) {
 }
 
 TEST(Tracing, TwoBoxChainCommandSpanCarriesBothRelays) {
-  {
-    SCOPED_TRACE("Simulator{}");
-    sim::Simulator sim;
-    check_two_box_command_spans(sim);
+  const std::pair<RelayMode, RelayMode> chains[] = {
+      {RelayMode::kActive, RelayMode::kActive},
+      {RelayMode::kPassive, RelayMode::kActive},
+  };
+  for (const auto& [first, second] : chains) {
+    SCOPED_TRACE(std::string(core::to_string(first)) + "," +
+                 core::to_string(second));
+    {
+      SCOPED_TRACE("Simulator{}");
+      sim::Simulator sim;
+      check_two_box_command_spans(sim, first, second);
+    }
+    {
+      SCOPED_TRACE("Cloud::parallel_config");
+      sim::Simulator sim(cloud::Cloud::parallel_config(cloud::CloudConfig{}));
+      check_two_box_command_spans(sim, first, second);
+    }
   }
-  {
-    SCOPED_TRACE("Cloud::parallel_config");
-    sim::Simulator sim(cloud::Cloud::parallel_config(cloud::CloudConfig{}));
-    check_two_box_command_spans(sim);
+}
+
+// Un-spliced initiators on different hosts each bind their own command
+// trace keys: concurrent writes from two hosts must stamp the target's
+// events onto the issuing command's span, never onto the other host's.
+TEST(Tracing, UnsplicedInitiatorsOnTwoHostsKeepTheirOwnTargetEvents) {
+  sim::Simulator sim;
+  cloud::Cloud cloud(sim, cloud::CloudConfig{});
+  std::vector<cloud::Vm*> vms{&cloud.create_vm("vm-a", "t", 0),
+                              &cloud.create_vm("vm-b", "t", 1)};
+  for (cloud::Vm* vm : vms) {
+    const std::string volume = "vol-" + vm->name();
+    ASSERT_TRUE(cloud.create_volume(volume, 10'000).is_ok());
+    Status status = error(ErrorCode::kIoError, "unset");
+    cloud.attach_volume(*vm, volume,
+                        [&](Status s, cloud::Attachment) { status = s; });
+    sim.run();
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+  }
+
+  int writes = 0;
+  for (cloud::Vm* vm : vms) {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      vm->disk()->write(i * 8, testutil::pattern_bytes(4096),
+                        [&](Status s) {
+                          EXPECT_TRUE(s.is_ok()) << s.to_string();
+                          ++writes;
+                        });
+    }
+  }
+  sim.run();
+  ASSERT_EQ(writes, 8);
+
+  const obs::Tracer& tracer = sim.telemetry().tracer();
+  auto commands = tracer.spans_named("cmd.write");
+  ASSERT_EQ(commands.size(), 8u);
+  for (const obs::Span* span : commands) {
+    int target_cmd = 0;
+    int target_rsp = 0;
+    for (const obs::SpanEvent& event : span->events) {
+      target_cmd += event.label == "target.cmd";
+      target_rsp += event.label == "target.rsp";
+    }
+    EXPECT_EQ(target_cmd, 1) << "span " << span->id;
+    EXPECT_EQ(target_rsp, 1) << "span " << span->id;
   }
 }
 

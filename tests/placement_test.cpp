@@ -136,9 +136,9 @@ TEST(Placement, MultiTenantChaosRunIsByteIdenticalAcrossRuns) {
 
 // Without session recovery there is no command watchdog, so a relay
 // that crashes after TCP acked its commands is invisible to the
-// initiator (see RecoveryPolicy::response_timeout): tenant 0's commands
-// stay outstanding and its fio never reports, with no error surfaced.
-// The other tenants' chains are untouched and finish cleanly.
+// initiator (see kResponseTimeout in iscsi/initiator.cpp): tenant 0's
+// commands stay outstanding and its fio never reports, with no error
+// surfaced. The other tenants' chains are untouched and finish cleanly.
 TEST(Placement, CrashWithoutRecoveryWedgesOnlyTheCrashedTenant) {
   const ScenarioOutcome run = run_tenant_scenario(/*recovery=*/false);
   EXPECT_FALSE(run.finished[0]);
