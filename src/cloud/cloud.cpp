@@ -266,7 +266,7 @@ void Cloud::run_attach_queue(unsigned host_index) {
   // Un-pinned initiators still bind a port from one cloud-wide counter:
   // every host stack numbers its ephemeral ports from the same base, and
   // every initiator its task tags from 1, so per-host ports would give
-  // two hosts' sessions the same command trace keys. Only initiators
+  // two hosts' sessions the same command trace ids. Only initiators
   // connect from compute-host stacks, so nothing else there takes it.
   const std::uint16_t local_port = pending.hooks.force_source_port != 0
                                        ? pending.hooks.force_source_port

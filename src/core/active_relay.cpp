@@ -20,24 +20,19 @@ constexpr double kNsPerByte = 0.15;
 // ------------------------------------------------------------- ActiveRelay
 
 ActiveRelay::ActiveRelay(cloud::Vm& mb_vm, net::SocketAddr upstream,
-                         std::vector<StorageService*> services,
-                         std::string volume, RelayFlowControl flow,
-                         journal::Config journal_config)
-    : vm_(mb_vm), upstream_(upstream), services_(std::move(services)),
+                         StorageService& service, std::string volume,
+                         RelayFlowControl flow, journal::Config journal_config)
+    : vm_(mb_vm), upstream_(upstream), service_(service),
       volume_(std::move(volume)), flow_(flow),
       scope_(telemetry().scope("relay." + vm_.name() + ".")),
       journal_dev_(mb_vm.node().executor(),
                    telemetry().scope("relay." + vm_.name() + ".journal."),
-                   journal_config) {
+                   journal_config),
+      stamper_(telemetry(), vm_.name()) {
   // A resume threshold above the pause threshold could never be crossed
   // downward while paused — clamp rather than deadlock.
   flow_.low_watermark = std::min(flow_.low_watermark, flow_.high_watermark);
-  for (StorageService* service : services_) {
-    if (service != nullptr) {
-      service->bind_host(
-          ServiceHost{vm_.node().executor(), scope_, &journal_dev_});
-    }
-  }
+  service_.bind_host(ServiceHost{vm_.node().executor(), scope_, &journal_dev_});
 }
 
 obs::Registry& ActiveRelay::telemetry() {
@@ -122,7 +117,7 @@ void ActiveRelay::bind_downstream(Session& session,
   conn.set_on_closed([this, raw, cp](Status status) {
     if (raw->downstream == cp) raw->downstream = nullptr;
     if (raw->failed) return;  // induced teardown: recovery handles it
-    for (StorageService* service : services_) service->on_flow_closed(status);
+    service_.on_flow_closed(status);
     if (raw->upstream != nullptr) raw->upstream->abort();
   });
 }
@@ -162,9 +157,7 @@ void ActiveRelay::dial_upstream(Session& session) {
       telemetry().record_event("relay " + vm_.name() +
                                ": unplanned upstream loss (" +
                                status.to_string() + ")");
-      for (StorageService* service : services_) {
-        service->on_flow_closed(status);
-      }
+      service_.on_flow_closed(status);
       if (session.downstream != nullptr) session.downstream->abort();
     }
   });
@@ -195,43 +188,13 @@ void ActiveRelay::on_stream_data(Session& session, Direction dir,
   update_journal_gauge();
   const sim::Time now = vm_.node().executor().now();
   for (auto& pdu : pdus) {
-    trace_pdu(session, dir, pdu, st.queue.size());
+    stamper_.stamp(session.bind_port, dir, pdu, st.queue.size());
     const std::size_t wire = iscsi::serialized_size(pdu);
     st.queue_bytes += wire;
     st.queue.push_back(QueuedPdu{now, wire, std::move(pdu)});
   }
   update_backpressure(session, dir);
   pump_queue(session, dir);
-}
-
-// Stamp the command's trace: an event on the root command span (value =
-// relay queue depth at arrival) at every hop, a child span "relay.<vm>"
-// opened when the command enters and closed when its final response
-// leaves toward the initiator.
-void ActiveRelay::trace_pdu(Session& session, Direction dir,
-                            const iscsi::Pdu& pdu, std::size_t queue_depth) {
-  if (pdu.opcode != iscsi::Opcode::kScsiCommand &&
-      pdu.opcode != iscsi::Opcode::kScsiResponse) {
-    return;
-  }
-  obs::Registry& reg = telemetry();
-  const std::string key =
-      obs::command_trace_key(session.bind_port, pdu.task_tag);
-  const obs::SpanId root = reg.lookup(key);
-  if (root == 0) return;
-  if (dir == Direction::kToTarget &&
-      pdu.opcode == iscsi::Opcode::kScsiCommand) {
-    reg.add_event(root, "mb." + vm_.name() + ".cmd", queue_depth);
-    cmd_spans_[key] = reg.begin_span("relay." + vm_.name(), root);
-  } else if (dir == Direction::kToInitiator &&
-             pdu.opcode == iscsi::Opcode::kScsiResponse && pdu.is_final()) {
-    reg.add_event(root, "mb." + vm_.name() + ".rsp", queue_depth);
-    auto it = cmd_spans_.find(key);
-    if (it != cmd_spans_.end()) {
-      reg.end_span(it->second);
-      cmd_spans_.erase(it);
-    }
-  }
 }
 
 void ActiveRelay::update_journal_gauge() {
@@ -319,29 +282,9 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
     if (pdu.opcode == iscsi::Opcode::kLoginRequest) {
       session.login_pdu = pdu;  // kept for session re-establishment
     }
-    bool consume = false;
-    sim::Duration service_cost = 0;
-    if (dir == Direction::kToTarget) {
-      for (StorageService* service : services_) {
-        ServiceVerdict verdict = service->on_pdu(*session.ctx, dir, pdu);
-        service_cost += verdict.cpu_cost;
-        if (verdict.consume) {
-          consume = true;
-          break;
-        }
-      }
-    } else {
-      for (auto it = services_.rbegin(); it != services_.rend(); ++it) {
-        ServiceVerdict verdict = (*it)->on_pdu(*session.ctx, dir, pdu);
-        service_cost += verdict.cpu_cost;
-        if (verdict.consume) {
-          consume = true;
-          break;
-        }
-      }
-    }
-    auto finish = [this, &session, dir, consume, epoch, enqueued,
-                   pdu = std::move(pdu)]() mutable {
+    const ServiceVerdict verdict = service_.on_pdu(*session.ctx, dir, pdu);
+    auto finish = [this, &session, dir, consume = verdict.consume, epoch,
+                   enqueued, pdu = std::move(pdu)]() mutable {
       if (session.epoch != epoch) return;
       if (!consume) {
         forward(session, dir, pdu);
@@ -359,8 +302,8 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
       update_backpressure(session, dir);
       pump_queue(session, dir);
     };
-    if (service_cost > 0) {
-      vm_.cpu().run(service_cost, std::move(finish));
+    if (verdict.cpu_cost > 0) {
+      vm_.cpu().run(verdict.cpu_cost, std::move(finish));
     } else {
       finish();
     }
@@ -411,10 +354,6 @@ void ActiveRelay::SessionContext::inject_to_target(iscsi::Pdu pdu) {
 void ActiveRelay::SessionContext::inject_to_initiator(iscsi::Pdu pdu) {
   relay_.scope_.counter("pdus_injected").add();
   relay_.forward(session_, Direction::kToInitiator, pdu);
-}
-
-sim::Simulator& ActiveRelay::SessionContext::simulator() {
-  return relay_.vm_.node().simulator();
 }
 
 void ActiveRelay::fail_upstream() {
@@ -496,11 +435,9 @@ void ActiveRelay::crash() {
   // Power failure hits the journal device too: the volatile stream index
   // and any in-flight NVRAM write die; only the segment bytes survive.
   journal_dev_.crash();
-  // Services lose their volatile state with the VM: background work
+  // The service loses its volatile state with the VM: background work
   // (e.g. a replication rebuild in flight) must halt until restart.
-  for (StorageService* service : services_) {
-    if (service != nullptr) service->on_host_crashed();
-  }
+  service_.on_host_crashed();
 }
 
 void ActiveRelay::restart() {
@@ -519,11 +456,10 @@ void ActiveRelay::restart() {
   for (auto& session : sessions_) {
     if (session->failed) resume_session(*session);
   }
-  // The journal index is back: services reload their journaled recovery
-  // state (version maps, rebuild cursors) and resume background work.
-  for (StorageService* service : services_) {
-    if (service != nullptr) service->on_host_recovered();
-  }
+  // The journal index is back: the service reloads its journaled
+  // recovery state (version maps, rebuild cursors) and resumes background
+  // work.
+  service_.on_host_recovered();
 }
 
 void ActiveRelay::shutdown() {

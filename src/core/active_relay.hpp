@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cloud/cloud.hpp"
+#include "core/hop_stamper.hpp"
 #include "core/service.hpp"
 #include "iscsi/pdu.hpp"
 #include "journal/log.hpp"
@@ -67,13 +68,12 @@ struct RelayJournalSnapshot {
 class ActiveRelay {
  public:
   /// `upstream` is the next hop's address (the egress gateway; capture
-  /// rules on later active boxes may redirect it). Services are applied
-  /// in order for PDUs toward the target and in reverse order for PDUs
-  /// toward the initiator (the chain unwinds on the way back). `volume`
-  /// names the protected volume this relay splices; it is surfaced to
-  /// services through their ServiceContext.
+  /// rules on later active boxes may redirect it). `service` sees every
+  /// PDU in both directions. `volume` names the protected volume this
+  /// relay splices; it is surfaced to the service through its
+  /// ServiceContext.
   ActiveRelay(cloud::Vm& mb_vm, net::SocketAddr upstream,
-              std::vector<StorageService*> services, std::string volume = {},
+              StorageService& service, std::string volume = {},
               RelayFlowControl flow = {},
               journal::Config journal_config = {});
 
@@ -185,7 +185,6 @@ class ActiveRelay {
         : relay_(relay), session_(session) {}
     void inject_to_target(iscsi::Pdu pdu) override;
     void inject_to_initiator(iscsi::Pdu pdu) override;
-    sim::Simulator& simulator() override;
     const obs::Scope& scope() override { return relay_.scope_; }
     const std::string& volume() const override {
       return relay_.flow_volume(session_.bind_port);
@@ -262,8 +261,6 @@ class ActiveRelay {
   void forward(Session& session, Direction dir, const iscsi::Pdu& pdu);
   void send_downstream(Session& session, const BufChain& wire);
   void send_upstream(Session& session, const BufChain& wire);
-  void trace_pdu(Session& session, Direction dir, const iscsi::Pdu& pdu,
-                 std::size_t queue_depth);
   void update_journal_gauge();
   void update_backpressure(Session& session, Direction dir);
   obs::Registry& telemetry();
@@ -274,7 +271,7 @@ class ActiveRelay {
 
   cloud::Vm& vm_;
   net::SocketAddr upstream_;
-  std::vector<StorageService*> services_;
+  StorageService& service_;
   std::string volume_;
   std::map<std::uint16_t, std::string> flow_volumes_;  // by pinned port
   RelayFlowControl flow_;
@@ -282,10 +279,7 @@ class ActiveRelay {
   obs::Scope scope_;  // "relay.<mb-vm>."
   journal::Device journal_dev_;  // shared log, one per relay VM
   std::vector<std::unique_ptr<Session>> sessions_;
-  // Open per-command child spans ("relay.<mb-vm>"), keyed by the
-  // command's trace key; closed when the final SCSI response passes
-  // back through toward the initiator.
-  std::map<std::string, obs::SpanId> cmd_spans_;
+  HopStamper stamper_;  // event value: the direction's queue depth
   std::uint64_t pdus_relayed_ = 0;
   std::uint64_t journal_replays_ = 0;
   bool crashed_ = false;

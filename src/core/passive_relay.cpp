@@ -16,27 +16,16 @@ constexpr double kCopyNsPerByte = 0.6;
 
 }  // namespace
 
-PassiveRelay::PassiveRelay(cloud::Vm& mb_vm,
-                           std::vector<StorageService*> services,
+PassiveRelay::PassiveRelay(cloud::Vm& mb_vm, StorageService& service,
                            std::string volume)
-    : vm_(mb_vm), services_(std::move(services)),
-      volume_(std::move(volume)),
+    : vm_(mb_vm), service_(service), volume_(std::move(volume)),
       scope_(mb_vm.node().executor().telemetry().scope("relay." +
                                                         mb_vm.name() + ".")),
+      stamper_(mb_vm.node().executor().telemetry(), mb_vm.name()),
       ctx_(std::make_unique<HookContext>(*this)) {
-  for (StorageService* service : services_) {
-    if (service->requires_active_relay()) {
-      throw std::invalid_argument(
-          "service '" + service->name() + "' requires an active relay");
-    }
-    // No NVRAM on a packet-level relay: services get the executor and
-    // scope but must keep recovery state elsewhere.
-    service->bind_host(ServiceHost{vm_.node().executor(), scope_, nullptr});
-  }
-}
-
-sim::Simulator& PassiveRelay::HookContext::simulator() {
-  return relay_.vm_.node().simulator();
+  // No NVRAM on a packet-level relay: the service gets the executor and
+  // scope but must keep recovery state elsewhere.
+  service_.bind_host(ServiceHost{vm_.node().executor(), scope_, nullptr});
 }
 
 PassiveRelay::~PassiveRelay() {
@@ -122,17 +111,13 @@ void PassiveRelay::pump(const net::FourTuple& key) {
     for (auto& pdu : pdus) {
       ++pdus_;
       scope_.counter("pdus_processed").add();
-      trace_pdu(key, dir, pdu);
+      // The flow's preserved source port sits on the initiator side of
+      // the four-tuple.
+      stamper_.stamp(
+          dir == Direction::kToTarget ? key.src.port : key.dst.port, dir,
+          pdu, streams_.size());
       std::size_t before = iscsi::serialized_size(pdu);
-      if (dir == Direction::kToTarget) {
-        for (StorageService* service : services_) {
-          service_cost += service->on_pdu(*ctx_, dir, pdu).cpu_cost;
-        }
-      } else {
-        for (auto rit = services_.rbegin(); rit != services_.rend(); ++rit) {
-          service_cost += (*rit)->on_pdu(*ctx_, dir, pdu).cpu_cost;
-        }
-      }
+      service_cost += service_.on_pdu(*ctx_, dir, pdu).cpu_cost;
       Bytes wire = iscsi::serialize(pdu);
       if (wire.size() != before) {
         throw std::logic_error("passive relay service changed PDU size");
@@ -152,38 +137,6 @@ void PassiveRelay::pump(const net::FourTuple& key) {
       finish();
     }
   });
-}
-
-// Stamp the command's trace exactly like the active relay does: an event
-// on the root command span per hop plus a "relay.<vm>" child span
-// covering the command's dwell inside this box. The flow's preserved
-// source port sits on the initiator side of the four-tuple.
-void PassiveRelay::trace_pdu(const net::FourTuple& key, Direction dir,
-                             const iscsi::Pdu& pdu) {
-  if (pdu.opcode != iscsi::Opcode::kScsiCommand &&
-      pdu.opcode != iscsi::Opcode::kScsiResponse) {
-    return;
-  }
-  obs::Registry& reg = vm_.node().executor().telemetry();
-  const std::uint16_t source_port =
-      dir == Direction::kToTarget ? key.src.port : key.dst.port;
-  const std::string trace_key =
-      obs::command_trace_key(source_port, pdu.task_tag);
-  const obs::SpanId root = reg.lookup(trace_key);
-  if (root == 0) return;
-  if (dir == Direction::kToTarget &&
-      pdu.opcode == iscsi::Opcode::kScsiCommand) {
-    reg.add_event(root, "mb." + vm_.name() + ".cmd", streams_.size());
-    cmd_spans_[trace_key] = reg.begin_span("relay." + vm_.name(), root);
-  } else if (dir == Direction::kToInitiator &&
-             pdu.opcode == iscsi::Opcode::kScsiResponse && pdu.is_final()) {
-    reg.add_event(root, "mb." + vm_.name() + ".rsp", streams_.size());
-    auto it = cmd_spans_.find(trace_key);
-    if (it != cmd_spans_.end()) {
-      reg.end_span(it->second);
-      cmd_spans_.erase(it);
-    }
-  }
 }
 
 void PassiveRelay::drain(StreamState& state) {

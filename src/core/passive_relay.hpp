@@ -4,9 +4,9 @@
 // processing before moving to the next hop — the *source's* TCP ACKs also
 // wait, which is exactly why the paper builds the active relay.
 //
-// Services under a passive relay must be pure in-place transforms that
-// preserve PDU sizes (ciphers, monitors); consuming/injecting services
-// need the active relay.
+// The service under a passive relay must be a pure in-place transform
+// that preserves PDU sizes (ciphers, monitors); consuming/injecting
+// services need the active relay.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cloud/cloud.hpp"
+#include "core/hop_stamper.hpp"
 #include "core/service.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/packet.hpp"
@@ -25,7 +26,9 @@ namespace storm::core {
 
 class PassiveRelay {
  public:
-  PassiveRelay(cloud::Vm& mb_vm, std::vector<StorageService*> services,
+  /// `service` sees every PDU in both directions; deployment has already
+  /// refused services that require an active relay.
+  PassiveRelay(cloud::Vm& mb_vm, StorageService& service,
                std::string volume = {});
 
   PassiveRelay(const PassiveRelay&) = delete;
@@ -71,7 +74,7 @@ class PassiveRelay {
 
   // Injection needs a terminated TCP stream; the passive relay only
   // rewrites packets in flight, so services that inject were already
-  // rejected at construction — reaching these throws is a logic error.
+  // rejected at deployment — reaching these throws is a logic error.
   class HookContext : public ServiceContext {
    public:
     explicit HookContext(PassiveRelay& relay) : relay_(relay) {}
@@ -81,7 +84,6 @@ class PassiveRelay {
     void inject_to_initiator(iscsi::Pdu) override {
       throw std::logic_error("passive relay cannot inject PDUs");
     }
-    sim::Simulator& simulator() override;
     const obs::Scope& scope() override { return relay_.scope_; }
     const std::string& volume() const override { return relay_.volume_; }
 
@@ -93,17 +95,13 @@ class PassiveRelay {
   void pump(const net::FourTuple& key);
   void drain(StreamState& state);
   void account_inbox(std::ptrdiff_t delta);
-  void trace_pdu(const net::FourTuple& key, Direction dir,
-                 const iscsi::Pdu& pdu);
 
   cloud::Vm& vm_;
-  std::vector<StorageService*> services_;
+  StorageService& service_;
   std::string volume_;
   obs::Scope scope_;  // "relay.<mb-vm>."
   std::map<net::FourTuple, StreamState> streams_;
-  // Open per-command child spans, keyed by trace key; closed when the
-  // final SCSI response is rewritten on its way back to the initiator.
-  std::map<std::string, obs::SpanId> cmd_spans_;
+  HopStamper stamper_;  // event value: the number of streams
   std::unique_ptr<HookContext> ctx_;
   std::uint64_t pdus_ = 0;
   std::size_t inbox_bytes_ = 0;

@@ -246,18 +246,16 @@ RelayFlowControl relay_flow_control(const ServiceSpec& spec) {
 
 // Tenant-tunable journal engine knobs, also from the service stanza:
 // `journal_segment_kb` sizes log segments, `journal_group_commit=0`
-// falls back to one NVRAM write per record (the bench baseline), and
-// `journal_checkpoint_kb` sets the dead-byte threshold that triggers an
-// automatic checkpoint (0 = explicit checkpoints only).
+// falls back to one NVRAM write per record (the bench baseline; `=1` is
+// the default), and `journal_checkpoint_kb` sets the dead-byte threshold
+// that triggers an automatic checkpoint (0 = explicit checkpoints only).
 journal::Config relay_journal_config(const ServiceSpec& spec) {
   journal::Config config;
   if (auto seg = parse_count(spec.param("journal_segment_kb"), 1024)) {
     config.segment_bytes = *seg;
   }
   const std::string group = spec.param("journal_group_commit");
-  if (!group.empty()) {
-    config.group_commit = group != "0";
-  }
+  if (group == "0" || group == "1") config.group_commit = group == "1";
   if (auto ckpt = parse_count(spec.param("journal_checkpoint_kb"), 1024)) {
     config.checkpoint_dead_bytes = *ckpt;
   }
@@ -268,19 +266,18 @@ journal::Config relay_journal_config(const ServiceSpec& spec) {
 // `upstream` with the box's own flow-control and journal knobs.
 void start_relay(MiddleboxInstance& box, net::SocketAddr upstream,
                  const std::string& volume) {
-  std::vector<StorageService*> services{box.service.get()};
   switch (box.spec.relay) {
     case RelayMode::kForward:
       break;  // plain IP forwarding, nothing to run
     case RelayMode::kPassive:
       box.passive_relay =
-          std::make_unique<PassiveRelay>(*box.vm, services, volume);
+          std::make_unique<PassiveRelay>(*box.vm, *box.service, volume);
       box.passive_relay->start();
       break;
     case RelayMode::kActive:
       box.active_relay = std::make_unique<ActiveRelay>(
-          *box.vm, upstream, services, volume, relay_flow_control(box.spec),
-          relay_journal_config(box.spec));
+          *box.vm, upstream, *box.service, volume,
+          relay_flow_control(box.spec), relay_journal_config(box.spec));
       box.active_relay->start();
       break;
   }

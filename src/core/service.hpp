@@ -3,9 +3,9 @@
 // consume them, or inject new PDUs in either direction.
 //
 // Everything a service needs from its hosting relay arrives through one
-// ServiceContext: PDU injection, the simulation clock, the middle-box's
-// telemetry scope, and the identity of the volume being protected. The
-// relay owns the context; services never see raw platform objects.
+// ServiceContext: PDU injection, the middle-box's telemetry scope, and
+// the identity of the volume being protected. The relay owns the context;
+// services never see raw platform objects.
 //
 // Compute cost: services return the simulated CPU time their processing
 // takes; the relay charges it to the middle-box VM's vCPUs, so service
@@ -38,7 +38,7 @@ inline const char* to_string(Direction dir) {
   return dir == Direction::kToTarget ? "to-target" : "to-initiator";
 }
 
-/// Per-PDU call context a relay hands to its services. Injection is only
+/// Per-PDU call context a relay hands to its service. Injection is only
 /// implemented by the active relay (it owns both byte streams); the
 /// passive relay rejects services that need it at deployment time and
 /// throws if one injects anyway.
@@ -51,8 +51,6 @@ class ServiceContext {
 
   /// Send a service-originated PDU toward the tenant VM.
   virtual void inject_to_initiator(iscsi::Pdu pdu) = 0;
-
-  virtual sim::Simulator& simulator() = 0;
 
   /// The hosting middle-box's telemetry scope ("relay.<mb-vm>."); any
   /// counters/histograms a service creates here land next to its relay's

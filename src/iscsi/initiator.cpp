@@ -38,13 +38,11 @@ obs::SpanId Initiator::begin_command_span(const char* kind, std::uint32_t tag,
   obs::Registry& reg = node_.executor().telemetry();
   obs::SpanId span = reg.begin_span(kind);
   reg.add_event(span, "issue", bytes);
-  // Bind the command's correlation key so every PDU-aware hop downstream
+  // Bind the command's trace id so every PDU-aware hop downstream
   // (relays, target) can stamp events onto this root span. The source
-  // port is preserved along the whole spliced chain, so the key is
+  // port is preserved along the whole spliced chain, so the id is
   // derivable at every layer.
-  if (source_port_ != 0) {
-    reg.bind(obs::command_trace_key(source_port_, tag), span);
-  }
+  if (source_port_ != 0) reg.bind(obs::trace_id(source_port_, tag), span);
   return span;
 }
 
@@ -54,7 +52,7 @@ void Initiator::end_command_span(obs::SpanId span, std::uint32_t tag,
   obs::Registry& reg = node_.executor().telemetry();
   reg.add_event(span, outcome);
   reg.end_span(span);
-  reg.unbind(obs::command_trace_key(source_port_, tag));
+  reg.unbind(obs::trace_id(source_port_, tag));
 }
 
 void Initiator::update_outstanding() {

@@ -18,8 +18,7 @@ void Target::start() {
 void Target::trace_event(const Session& session, std::uint32_t tag,
                          const char* label, std::uint64_t value) {
   obs::Registry& reg = node_.executor().telemetry();
-  obs::SpanId root =
-      reg.lookup(obs::command_trace_key(session.src_port, tag));
+  obs::SpanId root = reg.lookup(obs::trace_id(session.src_port, tag));
   if (root != 0) reg.add_event(root, label, value);
 }
 

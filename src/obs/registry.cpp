@@ -196,10 +196,4 @@ std::string Registry::to_json(bool include_spans) {
   return out;
 }
 
-std::string command_trace_key(std::uint16_t source_port,
-                              std::uint32_t task_tag) {
-  return "cmd:" + std::to_string(source_port) + ":" +
-         std::to_string(task_tag);
-}
-
 }  // namespace storm::obs

@@ -63,9 +63,9 @@ class Registry {
   SpanId begin_span(std::string name, SpanId parent = 0);
   void add_event(SpanId id, std::string label, std::uint64_t value = 0);
   void end_span(SpanId id);
-  void bind(const std::string& key, SpanId id) { tracer_.bind(key, id); }
-  SpanId lookup(const std::string& key) const { return tracer_.lookup(key); }
-  void unbind(const std::string& key) { tracer_.unbind(key); }
+  void bind(TraceId trace, SpanId id) { tracer_.bind(trace, id); }
+  SpanId lookup(TraceId trace) const { return tracer_.lookup(trace); }
+  void unbind(TraceId trace) { tracer_.unbind(trace); }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -96,11 +96,5 @@ class Registry {
   Tracer tracer_;
   FlightRecorder recorder_;
 };
-
-/// Correlation key for one SCSI command's trace, derivable at every
-/// PDU-aware layer: the flow's (preserved) TCP source port plus the
-/// command's initiator task tag.
-std::string command_trace_key(std::uint16_t source_port,
-                              std::uint32_t task_tag);
 
 }  // namespace storm::obs

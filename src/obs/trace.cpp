@@ -33,8 +33,8 @@ void Tracer::end_span(SpanId id, sim::Time now) {
   }
 }
 
-SpanId Tracer::lookup(const std::string& key) const {
-  auto it = bindings_.find(key);
+SpanId Tracer::lookup(TraceId trace) const {
+  auto it = bindings_.find(trace);
   return it == bindings_.end() ? 0 : it->second;
 }
 

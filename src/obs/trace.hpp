@@ -6,16 +6,17 @@
 // parent -> child, so one command traced VM -> gateway -> middle-boxes
 // -> target carries per-relay child spans under the command's root span.
 //
-// Cross-layer correlation uses string keys (e.g. "cmd:<port>:<tag>"):
-// the layer that starts a root span binds the key; downstream layers
-// look it up to attach events/children without any in-band plumbing.
-// Span ids are sequential and times are sim-clock, so identically
-// seeded runs produce identical traces.
+// Cross-layer correlation uses integer trace ids (trace_id(): the flow's
+// preserved TCP source port plus the command's task tag): the layer that
+// starts a root span binds the id; downstream layers look it up to attach
+// events/children without any in-band plumbing. Span ids are sequential
+// and times are sim-clock, so identically seeded runs produce identical
+// traces.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -23,6 +24,15 @@
 namespace storm::obs {
 
 using SpanId = std::uint64_t;
+/// Correlation id of one SCSI command's trace, derivable at every
+/// PDU-aware layer: the port fills bits 32-47 and the tag bits 0-31, so
+/// no two (port, tag) pairs share an id.
+using TraceId = std::uint64_t;
+
+constexpr TraceId trace_id(std::uint16_t source_port,
+                           std::uint32_t task_tag) {
+  return static_cast<TraceId>(source_port) << 32 | task_tag;
+}
 
 struct SpanEvent {
   std::string label;
@@ -53,10 +63,10 @@ class Tracer {
                  std::uint64_t value = 0);
   void end_span(SpanId id, sim::Time now);
 
-  /// Correlation keys: at most one live span per key.
-  void bind(const std::string& key, SpanId id) { bindings_[key] = id; }
-  SpanId lookup(const std::string& key) const;
-  void unbind(const std::string& key) { bindings_.erase(key); }
+  /// Correlation ids: at most one live span per id.
+  void bind(TraceId trace, SpanId id) { bindings_[trace] = id; }
+  SpanId lookup(TraceId trace) const;
+  void unbind(TraceId trace) { bindings_.erase(trace); }
 
   const Span* span(SpanId id) const;
   std::vector<const Span*> spans_named(const std::string& name) const;
@@ -73,7 +83,7 @@ class Tracer {
   SpanId next_id_ = 1;
   std::uint64_t dropped_ = 0;
   std::vector<Span> spans_;  // ids 1..spans_.size(), in order
-  std::map<std::string, SpanId> bindings_;
+  std::unordered_map<TraceId, SpanId> bindings_;
 };
 
 }  // namespace storm::obs

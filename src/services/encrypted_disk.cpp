@@ -3,6 +3,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/async.hpp"
+
 namespace storm::services {
 
 namespace {
@@ -42,27 +44,10 @@ void EncryptedDisk::write(std::uint64_t lba, Bytes data, WriteCallback done) {
   }
   // Encrypt on the VM's CPU first (the submitting thread blocks on this,
   // dm-crypt style), then push ciphertext down.
-  // Compute the cost before the lambda capture moves `data` (argument
-  // evaluation order is unspecified). dm-crypt splits cipher work across
-  // per-CPU workqueues, so charge the cost as parallel halves.
-  sim::Duration half = cost_of(data.size()) / 2;
-  auto remaining = std::make_shared<int>(2);
-  auto proceed = std::make_shared<std::function<void()>>(
-      [this, lba, data = std::move(data), done = std::move(done)]() mutable {
-        for (std::size_t off = 0; off < data.size();
-             off += block::kSectorSize) {
-          std::span<std::uint8_t> sector(data.data() + off,
-                                         block::kSectorSize);
-          xts_->encrypt_sector(lba + off / block::kSectorSize, sector,
-                               sector);
-        }
-        inner_.write(lba, std::move(data), std::move(done));
-      });
-  for (int i = 0; i < 2; ++i) {
-    cpu_.run(half, [remaining, proceed] {
-      if (--*remaining == 0) (*proceed)();
-    });
-  }
+  cipher(lba, std::move(data), /*encrypt=*/true,
+         [this, lba, done = std::move(done)](Bytes ciphertext) mutable {
+           inner_.write(lba, std::move(ciphertext), std::move(done));
+         });
 }
 
 void EncryptedDisk::read(std::uint64_t lba, std::uint32_t count,
@@ -74,26 +59,36 @@ void EncryptedDisk::read(std::uint64_t lba, std::uint32_t count,
                   done(status, std::move(data));
                   return;
                 }
-                sim::Duration half = cost_of(data.size()) / 2;
-                auto remaining = std::make_shared<int>(2);
-                auto proceed = std::make_shared<std::function<void()>>(
-                    [this, lba, data = std::move(data),
-                     done = std::move(done)]() mutable {
-                      for (std::size_t off = 0; off < data.size();
-                           off += block::kSectorSize) {
-                        std::span<std::uint8_t> sector(
-                            data.data() + off, block::kSectorSize);
-                        xts_->decrypt_sector(
-                            lba + off / block::kSectorSize, sector, sector);
-                      }
-                      done(Status::ok(), std::move(data));
-                    });
-                for (int i = 0; i < 2; ++i) {
-                  cpu_.run(half, [remaining, proceed] {
-                    if (--*remaining == 0) (*proceed)();
-                  });
-                }
+                cipher(lba, std::move(data), /*encrypt=*/false,
+                       [done = std::move(done)](Bytes plaintext) mutable {
+                         done(Status::ok(), std::move(plaintext));
+                       });
               });
+}
+
+void EncryptedDisk::cipher(std::uint64_t lba, Bytes data, bool encrypt,
+                           std::function<void(Bytes)> then) {
+  // dm-crypt splits cipher work across per-CPU workqueues, so the cost is
+  // charged as two parallel halves (computed before `data` moves into the
+  // join).
+  const sim::Duration half = cost_of(data.size()) / 2;
+  auto join = Joiner::make([this, lba, encrypt, data = std::move(data),
+                            then = std::move(then)](Status) mutable {
+    for (std::size_t off = 0; off < data.size(); off += block::kSectorSize) {
+      std::span<std::uint8_t> sector(data.data() + off, block::kSectorSize);
+      const std::uint64_t at = lba + off / block::kSectorSize;
+      if (encrypt) {
+        xts_->encrypt_sector(at, sector, sector);
+      } else {
+        xts_->decrypt_sector(at, sector, sector);
+      }
+    }
+    then(std::move(data));
+  });
+  for (int i = 0; i < 2; ++i) {
+    cpu_.run(half, [done = join->begin()] { done(Status::ok()); });
+  }
+  join->seal();
 }
 
 }  // namespace storm::services

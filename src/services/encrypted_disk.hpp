@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "block/block_device.hpp"
@@ -26,6 +27,11 @@ class EncryptedDisk : public block::BlockDevice {
   std::uint64_t num_sectors() const override { return inner_.num_sectors(); }
 
  private:
+  /// Charges the cipher work on `data` to the VM's CPU, then en- or
+  /// decrypts it per sector in place and hands it to `then`.
+  void cipher(std::uint64_t lba, Bytes data, bool encrypt,
+              std::function<void(Bytes)> then);
+
   block::BlockDevice& inner_;
   sim::Cpu& cpu_;
   std::unique_ptr<crypto::AesXts> xts_;

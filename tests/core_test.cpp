@@ -23,7 +23,7 @@ TEST(Policy, ParsesFullGrammar) {
 tenant alice
 volume vm1 vol1
   service monitor relay=passive vcpus=4
-  service encryption relay=active key=s3cret host=2
+  service encryption relay=active key=s3cret host=2 journal_group_commit=0
 volume vm2 vol2
   service replication replicas=r1,r2
 )");
@@ -38,6 +38,7 @@ volume vm2 vol2
   EXPECT_EQ(p.volumes[0].chain[0].vcpus, 4u);
   EXPECT_EQ(p.volumes[0].chain[1].param("key"), "s3cret");
   EXPECT_EQ(p.volumes[0].chain[1].host_index, 2);
+  EXPECT_EQ(p.volumes[0].chain[1].param("journal_group_commit"), "0");
   EXPECT_EQ(p.volumes[1].chain[0].param("replicas"), "r1,r2");
 }
 
@@ -52,8 +53,9 @@ TEST(Policy, RejectsMalformedInput) {
                             "  service replication relay=passive").is_ok())
       << "replication must demand an active relay";
 
-  // Numeric values: empty, non-digit, negative or overflowing text is a
-  // parse error naming the line, never an exception.
+  // Numeric values and 0/1 flags: empty, non-digit, negative, overflowing
+  // or out-of-range text is a parse error naming the line, never an
+  // exception.
   const char* bad_numbers[] = {
       "  service noop vcpus=abc\n",
       "  service noop vcpus=\n",
@@ -64,6 +66,9 @@ TEST(Policy, RejectsMalformedInput) {
       "  service noop journal_lwm_kb=-4\n",
       "  service noop journal_segment_kb=\n",
       "  service noop journal_checkpoint_kb=99999999999999999999\n",
+      "  service noop journal_group_commit=false\n",
+      "  service noop journal_group_commit=\n",
+      "  service noop journal_group_commit=2\n",
       "  service noop\n  replicas x\n",
       "  service noop\n  replicas 2 min=one\n",
       "  service replication replicas=r1\n  quorum w=two\n",

@@ -119,15 +119,13 @@ TEST(CowAliasing, FaultCorruptionNeverReachesTheRetransmitReference) {
 class StubContext : public core::ServiceContext {
  public:
   explicit StubContext(sim::Simulator& simulator)
-      : sim_(simulator), scope_(simulator.telemetry().scope("test.")) {}
+      : scope_(simulator.telemetry().scope("test.")) {}
   void inject_to_target(iscsi::Pdu) override {}
   void inject_to_initiator(iscsi::Pdu) override {}
-  sim::Simulator& simulator() override { return sim_; }
   const obs::Scope& scope() override { return scope_; }
   const std::string& volume() const override { return volume_; }
 
  private:
-  sim::Simulator& sim_;
   obs::Scope scope_;
   std::string volume_ = "vol";
 };

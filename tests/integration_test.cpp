@@ -280,7 +280,7 @@ TEST(Tracing, TwoBoxChainCommandSpanCarriesBothRelays) {
 }
 
 // Un-spliced initiators on different hosts each bind their own command
-// trace keys: concurrent writes from two hosts must stamp the target's
+// trace ids: concurrent writes from two hosts must stamp the target's
 // events onto the issuing command's span, never onto the other host's.
 TEST(Tracing, UnsplicedInitiatorsOnTwoHostsKeepTheirOwnTargetEvents) {
   sim::Simulator sim;

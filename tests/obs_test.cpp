@@ -1,5 +1,5 @@
 // Unit tests for the obs:: telemetry subsystem: registry metrics, scopes,
-// trace spans with correlation keys, the bounded flight recorder, and the
+// trace spans with integer trace ids, the bounded flight recorder, and the
 // deterministic JSON export.
 #include <gtest/gtest.h>
 
@@ -117,19 +117,34 @@ TEST(Tracer, ParentChildSpansAndEvents) {
 TEST(Tracer, BindLookupUnbindCorrelationKeys) {
   sim::Simulator sim;
   Registry& reg = sim.telemetry();
-  const std::string key = command_trace_key(40001, 7);
-  EXPECT_EQ(key, "cmd:40001:7");
-  EXPECT_EQ(reg.lookup(key), 0u) << "unbound key must resolve to no span";
+  const TraceId trace = trace_id(40001, 7);
+  EXPECT_EQ(reg.lookup(trace), 0u) << "unbound id must resolve to no span";
 
   SpanId id = reg.begin_span("cmd.read");
-  reg.bind(key, id);
-  EXPECT_EQ(reg.lookup(key), id);
+  reg.bind(trace, id);
+  EXPECT_EQ(reg.lookup(trace), id);
   // Rebinding (tag reuse on a later command) replaces the mapping.
   SpanId id2 = reg.begin_span("cmd.read");
-  reg.bind(key, id2);
-  EXPECT_EQ(reg.lookup(key), id2);
-  reg.unbind(key);
-  EXPECT_EQ(reg.lookup(key), 0u);
+  reg.bind(trace, id2);
+  EXPECT_EQ(reg.lookup(trace), id2);
+
+  // Port and tag never alias: the same tag on another port, and the same
+  // port with a tag that differs only above bit 16, are other commands.
+  const TraceId other_port = trace_id(40002, 7);
+  const TraceId high_tag = trace_id(40001, 7u | 1u << 16);
+  EXPECT_NE(other_port, trace);
+  EXPECT_NE(high_tag, trace);
+  EXPECT_NE(high_tag, other_port);
+  EXPECT_EQ(reg.lookup(other_port), 0u);
+  EXPECT_EQ(reg.lookup(high_tag), 0u);
+  SpanId id3 = reg.begin_span("cmd.write");
+  reg.bind(high_tag, id3);
+  EXPECT_EQ(reg.lookup(high_tag), id3);
+  EXPECT_EQ(reg.lookup(trace), id2);
+
+  reg.unbind(trace);
+  EXPECT_EQ(reg.lookup(trace), 0u);
+  EXPECT_EQ(reg.lookup(high_tag), id3);
 }
 
 TEST(Tracer, RetentionCapDropsSpanDetailNotIds) {
