@@ -115,7 +115,10 @@ class ByteReader {
 std::string to_hex(std::span<const std::uint8_t> data, std::size_t max = 64);
 
 inline Bytes to_bytes(std::string_view s) {
-  return Bytes(s.begin(), s.end());
+  // Built from pointer + size: the char-iterator range constructor makes
+  // GCC 12 at -O3 report a bogus -Wstringop-overflow for literals.
+  const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
+  return Bytes(p, p + s.size());
 }
 
 }  // namespace storm

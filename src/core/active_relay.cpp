@@ -1,6 +1,7 @@
 #include "core/active_relay.hpp"
 
 #include <sstream>
+#include <type_traits>
 
 #include "common/log.hpp"
 #include "net/node.hpp"
@@ -14,6 +15,22 @@ namespace {
 constexpr sim::Duration kPerPduCost = sim::microseconds(2);
 /// Copy cost per byte through the batched TCP path.
 constexpr double kNsPerByte = 0.15;
+
+/// The metric `slot` caches, looked up by name on first use only: the key
+/// enters the telemetry dump at the same moment a per-use lookup made it.
+template <typename Metric>
+Metric& cached(Metric*& slot, const obs::Scope& scope, const char* name) {
+  if (slot == nullptr) {
+    if constexpr (std::is_same_v<Metric, obs::Counter>) {
+      slot = &scope.counter(name);
+    } else if constexpr (std::is_same_v<Metric, obs::Gauge>) {
+      slot = &scope.gauge(name);
+    } else {
+      slot = &scope.histogram(name);
+    }
+  }
+  return *slot;
+}
 
 }  // namespace
 
@@ -198,7 +215,8 @@ void ActiveRelay::on_stream_data(Session& session, Direction dir,
 }
 
 void ActiveRelay::update_journal_gauge() {
-  scope_.gauge("journal_bytes").set(static_cast<std::int64_t>(journal_bytes()));
+  cached(tel_journal_bytes_, scope_, "journal_bytes")
+      .set(static_cast<std::int64_t>(journal_bytes()));
 }
 
 // Re-evaluate one direction's ingress credit after any change to its
@@ -224,13 +242,13 @@ void ActiveRelay::update_backpressure(Session& session, Direction dir) {
     const std::size_t load = st.journal.complete_bytes() + st.queue_bytes;
     if (!st.paused && load >= flow_.high_watermark) {
       st.paused = true;
-      scope_.counter("bp_pauses").add();
+      cached(tel_bp_pauses_, scope_, "bp_pauses").add();
       telemetry().record_event(
           "relay " + vm_.name() + ": backpressure pause (" +
           std::to_string(load) + " bytes buffered)");
     } else if (st.paused && load <= flow_.low_watermark) {
       st.paused = false;
-      scope_.counter("bp_resumes").add();
+      cached(tel_bp_resumes_, scope_, "bp_resumes").add();
     }
     if (!st.paused && ingress != nullptr && st.uncredited > 0) {
       const std::size_t credit = st.uncredited;
@@ -245,10 +263,11 @@ void ActiveRelay::update_backpressure(Session& session, Direction dir) {
   const std::size_t buffered = queued + journal_bytes();
   if (buffered > peak_buffered_) {
     peak_buffered_ = buffered;
-    scope_.gauge("buffered_bytes_peak")
+    cached(tel_buffered_peak_, scope_, "buffered_bytes_peak")
         .set(static_cast<std::int64_t>(buffered));
   }
-  scope_.gauge("queue_bytes").set(static_cast<std::int64_t>(queued));
+  cached(tel_queue_bytes_, scope_, "queue_bytes")
+      .set(static_cast<std::int64_t>(queued));
 }
 
 void ActiveRelay::pump_queue(Session& session, Direction dir) {
@@ -270,7 +289,7 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
                                  static_cast<double>(pdu.data.size()));
   // One user/kernel crossing in, one out: the payload is copied twice
   // through the relay (socket -> user parse buffer -> socket).
-  scope_.counter("copied_bytes").add(2 * pdu.data.size());
+  cached(tel_copied_bytes_, scope_, "copied_bytes").add(2 * pdu.data.size());
 
   const std::uint64_t epoch = session.epoch;
   auto continue_processing = [this, &session, dir, epoch, enqueued,
@@ -289,12 +308,13 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
       if (!consume) {
         forward(session, dir, pdu);
         ++pdus_relayed_;
-        scope_.counter("pdus_relayed").add();
+        cached(tel_pdus_relayed_, scope_, "pdus_relayed").add();
       } else {
-        scope_.counter("pdus_consumed").add();
+        cached(tel_pdus_consumed_, scope_, "pdus_consumed").add();
       }
-      scope_.histogram("pdu_ns").record(static_cast<std::int64_t>(
-          vm_.node().executor().now() - enqueued));
+      cached(tel_pdu_ns_, scope_, "pdu_ns")
+          .record(static_cast<std::int64_t>(vm_.node().executor().now() -
+                                            enqueued));
       DirectionState& st3 = state(session, dir);
       st3.processing = false;
       // The PDU moved from the queue into the journal (or was consumed):
@@ -432,6 +452,7 @@ void ActiveRelay::crash() {
     ++session->epoch;  // invalidate CPU work queued by the dead incarnation
   }
   vm_.node().tcp().reset();
+  stamper_.end_all();
   // Power failure hits the journal device too: the volatile stream index
   // and any in-flight NVRAM write die; only the segment bytes survive.
   journal_dev_.crash();

@@ -277,6 +277,16 @@ class ActiveRelay {
   RelayFlowControl flow_;
   std::size_t peak_buffered_ = 0;
   obs::Scope scope_;  // "relay.<mb-vm>."
+  // Per-PDU metrics of scope_, each looked up on its first use.
+  obs::Counter* tel_copied_bytes_ = nullptr;
+  obs::Counter* tel_pdus_relayed_ = nullptr;
+  obs::Counter* tel_pdus_consumed_ = nullptr;
+  obs::Counter* tel_bp_pauses_ = nullptr;
+  obs::Counter* tel_bp_resumes_ = nullptr;
+  obs::Gauge* tel_journal_bytes_ = nullptr;
+  obs::Gauge* tel_queue_bytes_ = nullptr;
+  obs::Gauge* tel_buffered_peak_ = nullptr;
+  obs::Histogram* tel_pdu_ns_ = nullptr;
   journal::Device journal_dev_;  // shared log, one per relay VM
   std::vector<std::unique_ptr<Session>> sessions_;
   HopStamper stamper_;  // event value: the direction's queue depth

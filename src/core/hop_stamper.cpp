@@ -32,4 +32,9 @@ void HopStamper::stamp(std::uint16_t source_port, Direction dir,
   }
 }
 
+void HopStamper::end_all() {
+  for (const auto& [trace, span] : open_) registry_.end_span(span);
+  open_.clear();
+}
+
 }  // namespace storm::core

@@ -24,6 +24,10 @@ class HopStamper {
   void stamp(std::uint16_t source_port, Direction dir, const iscsi::Pdu& pdu,
              std::uint64_t value);
 
+  /// Ends every open child span: the box crashed, and the commands in
+  /// flight inside it died with it. A re-issued command opens a new span.
+  void end_all();
+
  private:
   obs::Registry& registry_;
   const std::string cmd_label_;  // "mb.<mb-vm>.cmd"

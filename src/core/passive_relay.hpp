@@ -100,6 +100,12 @@ class PassiveRelay {
   StorageService& service_;
   std::string volume_;
   obs::Scope scope_;  // "relay.<mb-vm>."
+  // Per-packet and per-PDU metrics of scope_, each looked up on first use.
+  obs::Counter* tel_packets_hooked_ = nullptr;
+  obs::Counter* tel_copied_bytes_ = nullptr;
+  obs::Counter* tel_pdus_processed_ = nullptr;
+  obs::Gauge* tel_queue_bytes_ = nullptr;
+  obs::Gauge* tel_queue_peak_ = nullptr;
   std::map<net::FourTuple, StreamState> streams_;
   HopStamper stamper_;  // event value: the number of streams
   std::unique_ptr<HookContext> ctx_;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/buf.hpp"
+#include "common/hash.hpp"
 #include "sim/simulator.hpp"
 
 namespace storm::obs {
@@ -61,10 +62,13 @@ Histogram& Scope::histogram(const std::string& name) const {
 }
 
 Registry::Registry(sim::Executor executor)
-    : exec_(executor), copy_baseline_(bufstats::bytes_copied()) {
-  // Pre-register so the counter appears (as 0) even in dumps taken
-  // before any payload byte was copied.
+    : exec_(executor),
+      copy_baseline_(bufstats::bytes_copied()),
+      digest_baseline_(hashstats::bytes_digested()) {
+  // Pre-register so the counters appear (as 0) even in dumps taken
+  // before any payload byte was copied or digested.
   counter("net.bytes_copied");
+  counter("net.bytes_digested");
 }
 
 Counter& Registry::counter(const std::string& name) {
@@ -102,11 +106,14 @@ void Registry::record_event(std::string what) {
 }
 
 std::string Registry::to_json(bool include_spans) {
-  // Sync the data-path copy tally: counters only add, so bring the
-  // exported counter up to the current delta.
-  Counter& copied = counter("net.bytes_copied");
-  const std::uint64_t delta = bufstats::bytes_copied() - copy_baseline_;
-  if (delta > copied.value()) copied.add(delta - copied.value());
+  // Sync the process-wide copy and digest tallies: counters only add, so
+  // bring each exported counter up to its current delta.
+  auto sync = [this](const char* name, std::uint64_t delta) {
+    Counter& c = counter(name);
+    if (delta > c.value()) c.add(delta - c.value());
+  };
+  sync("net.bytes_copied", bufstats::bytes_copied() - copy_baseline_);
+  sync("net.bytes_digested", hashstats::bytes_digested() - digest_baseline_);
 
   std::string out;
   out += "{\n  \"sim_time_ns\": " + std::to_string(exec_.now());

@@ -82,14 +82,16 @@ class Registry {
   /// flight-recorder tail, and (optionally) every retained span. Keys
   /// are emitted in name order, values in sim-time units — deterministic
   /// for identically seeded runs. Non-const: it first syncs the
-  /// "net.bytes_copied" counter from the process-wide buffer-copy
-  /// tally (delta since this Registry was constructed, so successive
-  /// simulations in one process don't bleed into each other).
+  /// "net.bytes_copied" and "net.bytes_digested" counters from the
+  /// process-wide buffer-copy and CRC tallies (deltas since this
+  /// Registry was constructed, so successive simulations in one process
+  /// don't bleed into each other).
   std::string to_json(bool include_spans = false);
 
  private:
   sim::Executor exec_;
-  std::uint64_t copy_baseline_ = 0;  // bufstats at construction
+  std::uint64_t copy_baseline_ = 0;    // bufstats at construction
+  std::uint64_t digest_baseline_ = 0;  // hashstats at construction
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

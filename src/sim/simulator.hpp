@@ -145,8 +145,8 @@ class Simulator {
   obs::Registry& telemetry() { return *telemetry_; }
 
   /// Deterministic telemetry dump (Registry::to_json). Its
-  /// net.bytes_copied counts the buffer copies made since this
-  /// simulator was constructed.
+  /// net.bytes_copied and net.bytes_digested count the buffer copies and
+  /// CRC32 bytes since this simulator was constructed.
   std::string telemetry_json(bool include_spans = false);
 
  private:

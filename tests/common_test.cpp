@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -59,6 +62,75 @@ TEST(Hash, Crc32KnownVector) {
 
 TEST(Hash, Crc32EmptyIsZero) {
   EXPECT_EQ(crc32(Bytes{}), 0x00000000u);
+}
+
+/// Bitwise CRC32 straight from the reflected polynomial: the oracle the
+/// table path and the carry-less-multiply fold must both match.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+TEST(Hash, Crc32MatchesBitwiseOracleAtEveryShortLengthAndOffset) {
+  // Below 64 bytes only the table runs; from 64 up the fold takes every
+  // whole 16-byte block and the table the < 16-byte tail. Unaligned
+  // starts cover the fold's unaligned loads.
+  const Bytes buf = random_bytes(600 + 8, 1);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 600; ++len) {
+      const auto data = all.subspan(off, len);
+      ASSERT_EQ(crc32(data), crc32_bitwise(data))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Hash, Crc32MatchesBitwiseOracleOnPayloadSizes) {
+  const Bytes buf = random_bytes(64 * 1024 + 15, 2);
+  const std::span<const std::uint8_t> all(buf);
+  std::vector<std::size_t> lengths = {4096, 64 * 1024};
+  for (std::size_t tail = 1; tail <= 15; ++tail) {
+    lengths.push_back(64 * 1024 + tail);
+  }
+  for (std::size_t len : lengths) {
+    EXPECT_EQ(crc32(all.first(len)), crc32_bitwise(all.first(len)))
+        << "length " << len;
+  }
+}
+
+TEST(Hash, ChainedUpdatesEqualOneShotAtRandomSplits) {
+  // Each update starts from the running state, whichever path it takes,
+  // so any split of a buffer must give the one-shot digest.
+  const Bytes buf = random_bytes(20'000, 3);
+  const std::span<const std::uint8_t> all(buf);
+  const std::uint32_t expect = crc32_bitwise(all);
+  ASSERT_EQ(crc32(all), expect);
+  Rng rng(4);
+  for (int round = 0; round < 200; ++round) {
+    Crc32 state;
+    std::size_t pos = 0;
+    while (pos < all.size()) {
+      // Mix short pieces (table only) with long ones (fold + tail).
+      const std::size_t cap = rng.chance(0.5) ? 80 : 3000;
+      const std::size_t n =
+          std::min<std::size_t>(rng.below(cap + 1), all.size() - pos);
+      state.update(all.subspan(pos, n));
+      pos += n;
+    }
+    ASSERT_EQ(state.final(), expect) << "round " << round;
+  }
 }
 
 TEST(Hash, Fnv1aKnownVector) {

@@ -1,20 +1,24 @@
 // Zero-copy data path: Buf slicing/COW semantics, aliasing isolation
 // between concurrent payload holders (fault-injected corruption and
 // service rewrites vs. journal and retransmit-queue references), the
-// FlowSwitch exact-match fast path, and seeded-run determinism of the
-// telemetry export.
+// FlowSwitch exact-match fast path, the CRC digest ledger, and
+// seeded-run determinism of the telemetry export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "cloud/cloud.hpp"
 #include "common/buf.hpp"
+#include "common/hash.hpp"
 #include "core/active_relay.hpp"
+#include "core/platform.hpp"
 #include "core/service.hpp"
 #include "journal/log.hpp"
 #include "crypto/sha256.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/flow_switch.hpp"
 #include "obs/registry.hpp"
+#include "services/registry.hpp"
 #include "services/stream_cipher.hpp"
 #include "sim/fault.hpp"
 #include "testutil.hpp"
@@ -274,6 +278,47 @@ TEST(FlowCache, EveryTableMutationInvalidatesTheCache) {
   l_src.send(0, flow_packet(49152, mac(0xA1), mac(0xE1)));
   sim.run();
   EXPECT_EQ(got_a, 2);
+}
+
+// --- digest ledger ----------------------------------------------------------
+
+TEST(DigestLedger, OneHopActiveChainDigestsEachWriteByteThirteenTimes) {
+  // One 64 KiB write through a one-hop active-relay chain crosses two TCP
+  // legs (initiator -> relay, relay -> target). Each leg digests every
+  // payload byte 6 times: serialize 2 (data digest + whole-body digest),
+  // parse 2 (the same two checks) and TCP 2 (sender checksum + receiver
+  // verify). The relay's journal record adds 1: 2 * 6 + 1 = 13 passes.
+  // What is left over, well under a sixteenth of a pass, is PDU headers
+  // and the response.
+  sim::Simulator sim;
+  cloud::Cloud cloud(sim, cloud::CloudConfig{});
+  core::StormPlatform platform(cloud);
+  services::register_builtin_services(platform);
+  cloud::Vm& vm = cloud.create_vm("vm", "t", 0);
+  ASSERT_TRUE(cloud.create_volume("vol", 20'000).is_ok());
+  core::ServiceSpec spec;
+  spec.type = "noop";
+  spec.relay = core::RelayMode::kActive;
+  Status attached = error(ErrorCode::kIoError, "unset");
+  platform.attach_with_chain(
+      "vm", "vol", {spec},
+      [&](Result<core::DeploymentHandle> r) { attached = r.status(); });
+  sim.run();
+  ASSERT_TRUE(attached.is_ok()) << attached.to_string();
+
+  constexpr std::size_t kBytes = 64 * 1024;
+  const std::uint64_t before = hashstats::bytes_digested();
+  Status written = error(ErrorCode::kIoError, "unset");
+  vm.disk()->write(0, testutil::pattern_bytes(kBytes),
+                   [&](Status st) { written = st; });
+  sim.run();
+  ASSERT_TRUE(written.is_ok()) << written.to_string();
+  const std::uint64_t digested = hashstats::bytes_digested() - before;
+  EXPECT_EQ(digested / kBytes, 13u) << digested << " bytes digested";
+  EXPECT_LT(digested % kBytes, kBytes / 16) << digested << " bytes digested";
+  // The registry exports the same ledger (set-up included) on export.
+  sim.telemetry().to_json();
+  EXPECT_GE(sim.telemetry().counter("net.bytes_digested").value(), digested);
 }
 
 // --- seeded determinism -----------------------------------------------------

@@ -240,6 +240,66 @@ TEST_F(FailureTest, RelayRecoveryPreservesExactlyOnceWrites) {
   EXPECT_EQ(volume.value()->disk().store().read_sync(100, 256), payload);
 }
 
+// A command in flight inside an active relay when it crashes dies with
+// the box: its "relay.<vm>" dwell span must end at the crash instead of
+// staying open forever while the re-issued command opens a new one.
+TEST_F(FailureTest, RelayCrashEndsTheDwellSpansOfCommandsInFlight) {
+  cloud::Vm& vm = cloud_.create_vm("vm", "t", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol", 40'000).is_ok());
+  ServiceSpec spec;
+  spec.type = "encryption";
+  spec.relay = RelayMode::kActive;
+  Status status = error(ErrorCode::kIoError, "unset");
+  DeploymentHandle dep;
+  platform_.attach_with_chain("vm", "vol", {spec},
+                              [&](Result<DeploymentHandle> r) {
+                                status = r.status();
+                                if (r.is_ok()) dep = r.value();
+                              });
+  sim_.run();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  dep.attachment()->initiator->set_recovery({.enabled = true});
+  const std::string span_name = "relay." + dep.mb_vm(0)->name();
+  const obs::Tracer& tracer = sim_.telemetry().tracer();
+  auto open_spans = [&] {
+    std::size_t open = 0;
+    for (const obs::Span* span : tracer.spans_named(span_name)) {
+      if (!span->ended) ++open;
+    }
+    return open;
+  };
+
+  constexpr int kRounds = 4;
+  constexpr std::uint32_t kSectors = 128;  // 64 KiB
+  for (int round = 0; round < kRounds; ++round) {
+    int state = 0;
+    vm.disk()->write(static_cast<std::uint64_t>(round) * kSectors,
+                     testutil::pattern_bytes(kSectors * block::kSectorSize,
+                                             static_cast<std::uint8_t>(round)),
+                     [&](Status s) { state = s.is_ok() ? 1 : -1; });
+    // Crash mid-burst: once the command has entered the relay, let part
+    // of its data follow it in.
+    for (int step = 0; step < 1000 && open_spans() == 0; ++step) {
+      sim_.run_for(sim::microseconds(10));
+    }
+    sim_.run_for(sim::microseconds(100));
+    ASSERT_EQ(state, 0) << "round " << round;
+    ASSERT_GE(open_spans(), 1u) << "the crash must catch a command inside";
+    ASSERT_TRUE(dep.crash_middlebox(0).is_ok());
+    EXPECT_EQ(open_spans(), 0u) << "round " << round;
+    sim_.run_for(sim::milliseconds(20));
+    ASSERT_TRUE(dep.restart_middlebox(0).is_ok());
+    sim_.run();
+    EXPECT_EQ(state, 1) << "round " << round;
+  }
+  EXPECT_GT(dep.attachment()->initiator->recoveries(), 0u);
+  // Nothing stays open once every write has its response: each child
+  // span either ended at a crash or when its response passed back.
+  EXPECT_GE(tracer.spans_named(span_name).size(),
+            static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(open_spans(), 0u);
+}
+
 TEST_F(FailureTest, ReadsAfterRecoveryAreServed) {
   cloud::Vm& vm = cloud_.create_vm("vm", "t", 0);
   ASSERT_TRUE(cloud_.create_volume("vol", 20'000).is_ok());
