@@ -1,7 +1,6 @@
 #include "core/active_relay.hpp"
 
 #include <sstream>
-#include <type_traits>
 
 #include "common/log.hpp"
 #include "net/node.hpp"
@@ -15,22 +14,6 @@ namespace {
 constexpr sim::Duration kPerPduCost = sim::microseconds(2);
 /// Copy cost per byte through the batched TCP path.
 constexpr double kNsPerByte = 0.15;
-
-/// The metric `slot` caches, looked up by name on first use only: the key
-/// enters the telemetry dump at the same moment a per-use lookup made it.
-template <typename Metric>
-Metric& cached(Metric*& slot, const obs::Scope& scope, const char* name) {
-  if (slot == nullptr) {
-    if constexpr (std::is_same_v<Metric, obs::Counter>) {
-      slot = &scope.counter(name);
-    } else if constexpr (std::is_same_v<Metric, obs::Gauge>) {
-      slot = &scope.gauge(name);
-    } else {
-      slot = &scope.histogram(name);
-    }
-  }
-  return *slot;
-}
 
 }  // namespace
 
@@ -215,7 +198,7 @@ void ActiveRelay::on_stream_data(Session& session, Direction dir,
 }
 
 void ActiveRelay::update_journal_gauge() {
-  cached(tel_journal_bytes_, scope_, "journal_bytes")
+  obs::cached(tel_journal_bytes_, scope_, "journal_bytes")
       .set(static_cast<std::int64_t>(journal_bytes()));
 }
 
@@ -242,13 +225,13 @@ void ActiveRelay::update_backpressure(Session& session, Direction dir) {
     const std::size_t load = st.journal.complete_bytes() + st.queue_bytes;
     if (!st.paused && load >= flow_.high_watermark) {
       st.paused = true;
-      cached(tel_bp_pauses_, scope_, "bp_pauses").add();
+      obs::cached(tel_bp_pauses_, scope_, "bp_pauses").add();
       telemetry().record_event(
           "relay " + vm_.name() + ": backpressure pause (" +
           std::to_string(load) + " bytes buffered)");
     } else if (st.paused && load <= flow_.low_watermark) {
       st.paused = false;
-      cached(tel_bp_resumes_, scope_, "bp_resumes").add();
+      obs::cached(tel_bp_resumes_, scope_, "bp_resumes").add();
     }
     if (!st.paused && ingress != nullptr && st.uncredited > 0) {
       const std::size_t credit = st.uncredited;
@@ -263,10 +246,10 @@ void ActiveRelay::update_backpressure(Session& session, Direction dir) {
   const std::size_t buffered = queued + journal_bytes();
   if (buffered > peak_buffered_) {
     peak_buffered_ = buffered;
-    cached(tel_buffered_peak_, scope_, "buffered_bytes_peak")
+    obs::cached(tel_buffered_peak_, scope_, "buffered_bytes_peak")
         .set(static_cast<std::int64_t>(buffered));
   }
-  cached(tel_queue_bytes_, scope_, "queue_bytes")
+  obs::cached(tel_queue_bytes_, scope_, "queue_bytes")
       .set(static_cast<std::int64_t>(queued));
 }
 
@@ -289,7 +272,8 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
                                  static_cast<double>(pdu.data.size()));
   // One user/kernel crossing in, one out: the payload is copied twice
   // through the relay (socket -> user parse buffer -> socket).
-  cached(tel_copied_bytes_, scope_, "copied_bytes").add(2 * pdu.data.size());
+  obs::cached(tel_copied_bytes_, scope_, "copied_bytes")
+      .add(2 * pdu.data.size());
 
   const std::uint64_t epoch = session.epoch;
   auto continue_processing = [this, &session, dir, epoch, enqueued,
@@ -308,11 +292,11 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
       if (!consume) {
         forward(session, dir, pdu);
         ++pdus_relayed_;
-        cached(tel_pdus_relayed_, scope_, "pdus_relayed").add();
+        obs::cached(tel_pdus_relayed_, scope_, "pdus_relayed").add();
       } else {
-        cached(tel_pdus_consumed_, scope_, "pdus_consumed").add();
+        obs::cached(tel_pdus_consumed_, scope_, "pdus_consumed").add();
       }
-      cached(tel_pdu_ns_, scope_, "pdu_ns")
+      obs::cached(tel_pdu_ns_, scope_, "pdu_ns")
           .record(static_cast<std::int64_t>(vm_.node().executor().now() -
                                             enqueued));
       DirectionState& st3 = state(session, dir);

@@ -1,7 +1,6 @@
 #include "core/passive_relay.hpp"
 
 #include <cstring>
-#include <type_traits>
 
 #include "common/log.hpp"
 #include "net/node.hpp"
@@ -14,20 +13,6 @@ namespace {
 constexpr sim::Duration kHookPerPacket = sim::microseconds(2);
 /// Two user/kernel copies per payload byte (in and out).
 constexpr double kCopyNsPerByte = 0.6;
-
-/// The metric `slot` caches, looked up by name on first use only: the key
-/// enters the telemetry dump at the same moment a per-use lookup made it.
-template <typename Metric>
-Metric& cached(Metric*& slot, const obs::Scope& scope, const char* name) {
-  if (slot == nullptr) {
-    if constexpr (std::is_same_v<Metric, obs::Counter>) {
-      slot = &scope.counter(name);
-    } else {
-      slot = &scope.gauge(name);
-    }
-  }
-  return *slot;
-}
 
 }  // namespace
 
@@ -55,8 +40,8 @@ void PassiveRelay::start() {
 }
 
 bool PassiveRelay::on_packet(net::Packet& pkt) {
-  cached(tel_packets_hooked_, scope_, "packets_hooked").add();
-  cached(tel_copied_bytes_, scope_, "copied_bytes")
+  obs::cached(tel_packets_hooked_, scope_, "packets_hooked").add();
+  obs::cached(tel_copied_bytes_, scope_, "copied_bytes")
       .add(2 * pkt.payload.size());
   // Pure ACKs / control segments: pay the hook cost, then continue on
   // their way. Reordering a bare ACK ahead of held data is harmless.
@@ -82,10 +67,10 @@ void PassiveRelay::account_inbox(std::ptrdiff_t delta) {
       static_cast<std::ptrdiff_t>(inbox_bytes_) + delta);
   if (inbox_bytes_ > peak_inbox_bytes_) {
     peak_inbox_bytes_ = inbox_bytes_;
-    cached(tel_queue_peak_, scope_, "queue_bytes_peak")
+    obs::cached(tel_queue_peak_, scope_, "queue_bytes_peak")
         .set(static_cast<std::int64_t>(inbox_bytes_));
   }
-  cached(tel_queue_bytes_, scope_, "queue_bytes")
+  obs::cached(tel_queue_bytes_, scope_, "queue_bytes")
       .set(static_cast<std::int64_t>(inbox_bytes_));
 }
 
@@ -127,7 +112,7 @@ void PassiveRelay::pump(const net::FourTuple& key) {
     sim::Duration service_cost = 0;
     for (auto& pdu : pdus) {
       ++pdus_;
-      cached(tel_pdus_processed_, scope_, "pdus_processed").add();
+      obs::cached(tel_pdus_processed_, scope_, "pdus_processed").add();
       // The flow's preserved source port sits on the initiator side of
       // the four-tuple.
       stamper_.stamp(

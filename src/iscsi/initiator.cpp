@@ -1,7 +1,5 @@
 #include "iscsi/initiator.hpp"
 
-#include <algorithm>
-
 #include "block/block_device.hpp"
 #include "common/log.hpp"
 #include "net/node.hpp"
@@ -60,8 +58,7 @@ void Initiator::update_outstanding() {
     tel_outstanding_ = &node_.executor().telemetry().gauge(
         "iscsi.initiator." + iqn_ + ".outstanding");
   }
-  tel_outstanding_->set(static_cast<std::int64_t>(pending_reads_.size() +
-                                                  pending_writes_.size()));
+  tel_outstanding_->set(static_cast<std::int64_t>(commands_.size()));
 }
 
 void Initiator::dial() {
@@ -87,108 +84,76 @@ void Initiator::reconnect() {
 
 void Initiator::read(std::uint64_t lba, std::uint32_t sectors,
                      ReadCallback done) {
+  Command cmd;
+  cmd.lba = lba;
+  cmd.length = std::uint64_t{sectors} * block::kSectorSize;
+  cmd.read_done = std::move(done);
+  submit(std::move(cmd));
+}
+
+void Initiator::write(std::uint64_t lba, Bytes data, WriteCallback done) {
+  Command cmd;
+  cmd.is_write = true;
+  cmd.lba = lba;
+  cmd.length = data.size();
+  // Wrap once; every segment sent is a refcounted slice of this Buf.
+  cmd.data = Buf(std::move(data));
+  cmd.write_done = std::move(done);
+  submit(std::move(cmd));
+}
+
+Status Initiator::admit(const Command& cmd) const {
   if (admission_ == AdmissionMode::kClosed) {
-    done(error(ErrorCode::kUnavailable, "session draining"), {});
-    return;
-  }
-  if (admission_ == AdmissionMode::kDeferred) {
-    DeferredOp op;
-    op.lba = lba;
-    op.sectors = sectors;
-    op.read_done = std::move(done);
-    deferred_.push_back(std::move(op));
-    return;
+    return error(ErrorCode::kUnavailable, "session draining");
   }
   if (failed_ || logging_out_ || (!logged_in_ && !recovery_.enabled)) {
-    done(error(ErrorCode::kFailedPrecondition, "session not established"), {});
+    return error(ErrorCode::kFailedPrecondition, "session not established");
+  }
+  // The wire carries a 32-bit byte count; a write also moves whole
+  // sectors.
+  if (cmd.length > UINT32_MAX ||
+      (cmd.is_write &&
+       (cmd.length == 0 || cmd.length % block::kSectorSize != 0))) {
+    return error(ErrorCode::kInvalidArgument, "bad transfer length");
+  }
+  return Status::ok();
+}
+
+void Initiator::submit(Command cmd) {
+  if (admission_ == AdmissionMode::kDeferred) {
+    deferred_.push_back(std::move(cmd));
     return;
   }
-  std::uint32_t tag = next_tag_++;
-  std::uint32_t bytes = sectors * block::kSectorSize;
-  obs::SpanId span = begin_command_span("cmd.read", tag, bytes);
-  pending_reads_[tag] = PendingRead{lba, {}, bytes, std::move(done), span};
-  node_.executor().telemetry().counter("iscsi.initiator.reads").add();
+  if (Status status = admit(cmd); !status.is_ok()) {
+    cmd.finish(std::move(status));
+    return;
+  }
+  const std::uint32_t tag = next_tag_++;
+  cmd.span = begin_command_span(cmd.is_write ? "cmd.write" : "cmd.read", tag,
+                                cmd.length);
+  if (!cmd.is_write) {
+    cmd.read_data = BurstAssembler(static_cast<std::uint32_t>(cmd.length));
+  }
+  const Command& issued = commands_.emplace(tag, std::move(cmd)).first->second;
+  node_.executor().telemetry().counter(issued.is_write
+                                           ? "iscsi.initiator.writes"
+                                           : "iscsi.initiator.reads").add();
   update_outstanding();
   // While disconnected (recovery pending) the command just queues; the
   // re-login path re-issues everything outstanding.
   if (logged_in_) {
-    send_pdu(make_read_command(tag, lba, bytes));
+    issue(tag, issued);
     arm_watchdog();
   }
 }
 
-void Initiator::write(std::uint64_t lba, Bytes data, WriteCallback done) {
-  if (admission_ == AdmissionMode::kClosed) {
-    done(error(ErrorCode::kUnavailable, "session draining"));
+void Initiator::issue(std::uint32_t tag, const Command& cmd) {
+  if (!cmd.is_write) {
+    send_pdu(make_read_command(tag, cmd.lba,
+                               static_cast<std::uint32_t>(cmd.length)));
     return;
   }
-  if (admission_ == AdmissionMode::kDeferred) {
-    DeferredOp op;
-    op.is_write = true;
-    op.lba = lba;
-    op.data = std::move(data);
-    op.write_done = std::move(done);
-    deferred_.push_back(std::move(op));
-    return;
-  }
-  if (failed_ || logging_out_ || (!logged_in_ && !recovery_.enabled)) {
-    done(error(ErrorCode::kFailedPrecondition, "session not established"));
-    return;
-  }
-  if (data.empty() || data.size() % block::kSectorSize != 0) {
-    done(error(ErrorCode::kInvalidArgument, "unaligned write"));
-    return;
-  }
-  std::uint32_t tag = next_tag_++;
-  obs::SpanId span = begin_command_span("cmd.write", tag, data.size());
-  // Wrap once; every segment below is a refcounted slice of this Buf.
-  auto [it, inserted] = pending_writes_.emplace(
-      tag, PendingWrite{lba, Buf(std::move(data)), std::move(done), span});
-  node_.executor().telemetry().counter("iscsi.initiator.writes").add();
-  update_outstanding();
-  if (logged_in_) {
-    issue_write(tag, it->second);
-    arm_watchdog();
-  }
-}
-
-void Initiator::issue_write(std::uint32_t tag, const PendingWrite& pending) {
-  const Buf& data = pending.data;
-  const std::uint32_t total = static_cast<std::uint32_t>(data.size());
-  // Command PDU carries the first segment as immediate data; the rest
-  // streams as Data-Out PDUs. Every segment is a zero-copy slice of the
-  // pending write's buffer (re-issue after recovery re-slices it).
-  std::uint32_t first = std::min(kMaxDataSegment, total);
-  Pdu cmd = make_write_command(tag, pending.lba, total);
-  cmd.data = data.slice(0, first);
-  if (first == total) cmd.flags |= kFlagFinal;
-  send_pdu(cmd);
-  std::uint32_t offset = first;
-  while (offset < total) {
-    std::uint32_t n = std::min(kMaxDataSegment, total - offset);
-    send_pdu(make_data_out(tag, offset, data.slice(offset, n),
-                           offset + n == total));
-    offset += n;
-  }
-}
-
-void Initiator::reissue_pending() {
-  // Re-issue in original tag order so the replayed command stream matches
-  // what the journal-replaying relay and the target expect.
-  std::vector<std::uint32_t> tags;
-  tags.reserve(pending_reads_.size() + pending_writes_.size());
-  for (const auto& [tag, pending] : pending_reads_) tags.push_back(tag);
-  for (const auto& [tag, pending] : pending_writes_) tags.push_back(tag);
-  std::sort(tags.begin(), tags.end());
-  for (std::uint32_t tag : tags) {
-    if (auto it = pending_reads_.find(tag); it != pending_reads_.end()) {
-      it->second.data.clear();  // partial Data-In from before the drop
-      send_pdu(make_read_command(tag, it->second.lba, it->second.expected));
-    } else if (auto wit = pending_writes_.find(tag);
-               wit != pending_writes_.end()) {
-      issue_write(tag, wit->second);
-    }
-  }
+  for (const Pdu& pdu : split_write(tag, cmd.lba, cmd.data)) send_pdu(pdu);
 }
 
 void Initiator::logout() {
@@ -207,8 +172,7 @@ void Initiator::arm_watchdog() {
 }
 
 void Initiator::on_watchdog() {
-  if (pending_reads_.empty() && pending_writes_.empty()) return;
-  if (conn_ == nullptr) return;
+  if (commands_.empty() || conn_ == nullptr) return;
   log_info("iscsi-init") << iqn_ << ": command timeout after "
                          << kResponseTimeout
                          << "ns; dropping session for recovery";
@@ -226,7 +190,7 @@ void Initiator::on_data(Buf bytes) {
   for (auto& pdu : pdus) handle_pdu(std::move(pdu));
   // Any inbound PDU is progress: push the command watchdog out, or stop
   // it entirely once nothing is outstanding.
-  if (pending_reads_.empty() && pending_writes_.empty()) {
+  if (commands_.empty()) {
     watchdog_.cancel();
   } else {
     arm_watchdog();
@@ -249,7 +213,12 @@ void Initiator::handle_pdu(Pdu pdu) {
           log_info("iscsi-init") << iqn_ << ": session recovered (port="
                                  << source_port_ << ")";
         }
-        reissue_pending();
+        // Re-issue in tag order so the replayed command stream matches
+        // what the journal-replaying relay and the target expect.
+        for (auto& [tag, cmd] : commands_) {
+          cmd.read_data.clear();  // partial Data-In from before the drop
+          issue(tag, cmd);
+        }
       }
       if (login_cb_) {
         auto cb = std::move(login_cb_);
@@ -260,44 +229,29 @@ void Initiator::handle_pdu(Pdu pdu) {
       return;
     }
     case Opcode::kDataIn: {
-      auto it = pending_reads_.find(pdu.task_tag);
-      if (it == pending_reads_.end()) return;
-      PendingRead& pending = it->second;
-      if (pdu.data_offset != pending.data.size()) {
-        log_warn("iscsi-init") << "out-of-order Data-In";
-        return;
+      auto it = commands_.find(pdu.task_tag);
+      if (it == commands_.end() || it->second.is_write) return;
+      if (it->second.read_data.add(pdu.data_offset, std::move(pdu.data),
+                                   pdu.is_final()) ==
+          BurstAssembler::Step::kBroken) {
+        log_warn("iscsi-init") << "malformed Data-In burst";
       }
-      pdu.data.append_to(pending.data);
       return;
     }
     case Opcode::kScsiResponse: {
-      if (auto it = pending_reads_.find(pdu.task_tag);
-          it != pending_reads_.end()) {
-        PendingRead pending = std::move(it->second);
-        pending_reads_.erase(it);
-        update_outstanding();
-        const bool ok = pdu.status == kStatusGood &&
-                        pending.data.size() == pending.expected;
-        end_command_span(pending.span, pdu.task_tag,
-                         ok ? "complete" : "failed");
-        if (ok) {
-          pending.done(Status::ok(), std::move(pending.data));
-        } else {
-          pending.done(error(ErrorCode::kIoError, "read failed"), {});
-        }
-        return;
-      }
-      if (auto it = pending_writes_.find(pdu.task_tag);
-          it != pending_writes_.end()) {
-        PendingWrite pending = std::move(it->second);
-        pending_writes_.erase(it);
-        update_outstanding();
-        const bool ok = pdu.status == kStatusGood;
-        end_command_span(pending.span, pdu.task_tag,
-                         ok ? "complete" : "failed");
-        pending.done(ok ? Status::ok()
-                        : error(ErrorCode::kIoError, "write failed"));
-        return;
+      auto it = commands_.find(pdu.task_tag);
+      if (it == commands_.end()) return;
+      Command cmd = std::move(it->second);
+      commands_.erase(it);
+      update_outstanding();
+      const bool ok = pdu.status == kStatusGood &&
+                      (cmd.is_write || cmd.read_data.complete());
+      end_command_span(cmd.span, pdu.task_tag, ok ? "complete" : "failed");
+      if (ok) {
+        cmd.finish(Status::ok(), cmd.read_data.flatten());
+      } else {
+        cmd.finish(error(ErrorCode::kIoError,
+                         cmd.is_write ? "write failed" : "read failed"));
       }
       return;
     }
@@ -337,55 +291,20 @@ void Initiator::on_closed(Status status) {
     login_cb_ = nullptr;
     cb(failure);
   }
-  // Fail all outstanding commands.
-  auto reads = std::move(pending_reads_);
-  pending_reads_.clear();
-  auto writes = std::move(pending_writes_);
-  pending_writes_.clear();
-  update_outstanding();
-  for (auto& [tag, pending] : reads) {
-    end_command_span(pending.span, tag, "failed");
-    pending.done(failure, {});
-  }
-  for (auto& [tag, pending] : writes) {
-    end_command_span(pending.span, tag, "failed");
-    pending.done(failure);
-  }
+  fail_all(failure, "failed");
   if (on_failure_) on_failure_(failure);
 }
 
 void Initiator::set_admission_mode(AdmissionMode mode) {
   if (admission_ == mode) return;
   admission_ = mode;
-  if (deferred_.empty()) return;
-  std::deque<DeferredOp> parked = std::move(deferred_);
+  // Closed: a fence outranks an in-flight migration, and the parked
+  // commands were never issued, so failing them is exact (nothing
+  // half-sent). Reopened: they issue in arrival order. submit() re-checks
+  // the gate, so a callback that flips the mode again re-parks the rest.
+  std::deque<Command> parked = std::move(deferred_);
   deferred_.clear();
-  if (mode == AdmissionMode::kClosed) {
-    // A fence outranks an in-flight migration: the parked commands were
-    // never issued, so failing them here is exact (nothing half-sent).
-    for (DeferredOp& op : parked) {
-      Status reason = error(ErrorCode::kUnavailable, "session draining");
-      if (op.is_write) {
-        op.write_done(reason);
-      } else {
-        op.read_done(reason, {});
-      }
-    }
-    return;
-  }
-  // Reopened: issue in arrival order. read()/write() re-check the gate,
-  // so a callback that flips the mode again just re-parks the rest.
-  for (DeferredOp& op : parked) {
-    if (admission_ != AdmissionMode::kOpen) {
-      deferred_.push_back(std::move(op));
-      continue;
-    }
-    if (op.is_write) {
-      write(op.lba, std::move(op.data), std::move(op.write_done));
-    } else {
-      read(op.lba, op.sectors, std::move(op.read_done));
-    }
-  }
+  for (Command& cmd : parked) submit(std::move(cmd));
 }
 
 void Initiator::kick() {
@@ -397,18 +316,16 @@ void Initiator::kick() {
 
 void Initiator::fail_outstanding(Status reason) {
   watchdog_.cancel();
-  auto reads = std::move(pending_reads_);
-  pending_reads_.clear();
-  auto writes = std::move(pending_writes_);
-  pending_writes_.clear();
+  fail_all(reason, "fenced");
+}
+
+void Initiator::fail_all(const Status& reason, const char* outcome) {
+  auto commands = std::move(commands_);
+  commands_.clear();
   update_outstanding();
-  for (auto& [tag, pending] : reads) {
-    end_command_span(pending.span, tag, "fenced");
-    pending.done(reason, {});
-  }
-  for (auto& [tag, pending] : writes) {
-    end_command_span(pending.span, tag, "fenced");
-    pending.done(reason);
+  for (auto& [tag, cmd] : commands) {
+    end_command_span(cmd.span, tag, outcome);
+    cmd.finish(reason);
   }
 }
 

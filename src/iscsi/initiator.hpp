@@ -12,6 +12,7 @@
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "iscsi/burst.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
@@ -98,9 +99,7 @@ class Initiator {
   std::size_t deferred() const { return deferred_.size(); }
 
   /// Commands issued but not yet responded to.
-  std::size_t outstanding() const {
-    return pending_reads_.size() + pending_writes_.size();
-  }
+  std::size_t outstanding() const { return commands_.size(); }
 
   /// Abort the transport immediately so session recovery re-dials now
   /// rather than at watchdog expiry. Used after a failover rewires the
@@ -124,26 +123,25 @@ class Initiator {
   const RecoveryPolicy& recovery_policy() const { return recovery_; }
 
  private:
-  struct DeferredOp {
+  /// One command from submit to completion. Parked behind a kDeferred
+  /// gate it has no tag yet; once issued it lives in commands_.
+  struct Command {
     bool is_write = false;
     std::uint64_t lba = 0;
-    std::uint32_t sectors = 0;  // reads
-    Bytes data;                 // writes
+    std::uint64_t length = 0;  // bytes
+    Buf data;  // write payload, retained (by reference) for re-issue
+    BurstAssembler read_data;  // Data-In received so far
     ReadCallback read_done;
     WriteCallback write_done;
-  };
-  struct PendingRead {
-    std::uint64_t lba;
-    Bytes data;
-    std::uint32_t expected;
-    ReadCallback done;
-    obs::SpanId span = 0;  // root trace span for this command
-  };
-  struct PendingWrite {
-    std::uint64_t lba;
-    Buf data;  // retained (by reference) for re-issue after recovery
-    WriteCallback done;
-    obs::SpanId span = 0;
+    obs::SpanId span = 0;  // root trace span
+
+    void finish(Status status, Bytes read_bytes = {}) {
+      if (is_write) {
+        write_done(std::move(status));
+      } else {
+        read_done(std::move(status), std::move(read_bytes));
+      }
+    }
   };
 
   obs::SpanId begin_command_span(const char* kind, std::uint32_t tag,
@@ -156,8 +154,10 @@ class Initiator {
   void reconnect();
   void arm_watchdog();
   void on_watchdog();
-  void issue_write(std::uint32_t tag, const PendingWrite& pending);
-  void reissue_pending();
+  void submit(Command cmd);
+  Status admit(const Command& cmd) const;
+  void issue(std::uint32_t tag, const Command& cmd);
+  void fail_all(const Status& reason, const char* outcome);
   void on_data(Buf bytes);
   void handle_pdu(Pdu pdu);
   void on_closed(Status status);
@@ -174,7 +174,7 @@ class Initiator {
   bool logging_out_ = false;
   bool recovering_ = false;
   AdmissionMode admission_ = AdmissionMode::kOpen;
-  std::deque<DeferredOp> deferred_;
+  std::deque<Command> deferred_;
   std::uint16_t source_port_ = 0;
   std::uint32_t next_tag_ = 1;
   RecoveryPolicy recovery_;
@@ -183,8 +183,7 @@ class Initiator {
 
   LoginCallback login_cb_;
   FailureCallback on_failure_;
-  std::map<std::uint32_t, PendingRead> pending_reads_;
-  std::map<std::uint32_t, PendingWrite> pending_writes_;
+  std::map<std::uint32_t, Command> commands_;  // issued, by task tag
 
   std::uint64_t recoveries_ = 0;
   obs::Gauge* tel_outstanding_ = nullptr;  // per-session, lazily resolved

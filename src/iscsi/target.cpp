@@ -80,29 +80,10 @@ void Target::handle_pdu(Session& session, Pdu pdu) {
     case Opcode::kScsiCommand:
       handle_command(session, pdu);
       return;
-    case Opcode::kDataOut: {
-      auto it = session.writes.find(pdu.task_tag);
-      if (it == session.writes.end()) {
-        send_pdu(session, make_scsi_response(pdu.task_tag,
-                                             kStatusCheckCondition));
-        return;
-      }
-      Session::WriteBurst& burst = it->second;
-      if (pdu.data_offset != burst.bytes) {
-        log_warn("iscsi-tgt") << "out-of-order Data-Out";
-        command_finished(session, pdu.task_tag);
-        send_pdu(session, make_scsi_response(pdu.task_tag,
-                                             kStatusCheckCondition));
-        session.writes.erase(it);
-        return;
-      }
-      burst.bytes += pdu.data.size();
-      if (!pdu.data.empty()) burst.chunks.push_back(std::move(pdu.data));
-      if (pdu.is_final() || burst.bytes >= burst.expected) {
-        complete_write(session, pdu.task_tag);
-      }
+    case Opcode::kDataOut:
+      take_write_data(session, pdu.task_tag, pdu.data_offset,
+                       std::move(pdu.data), pdu.is_final());
       return;
-    }
     case Opcode::kLogoutRequest: {
       Pdu resp;
       resp.opcode = Opcode::kLogoutResponse;
@@ -146,56 +127,44 @@ void Target::handle_command(Session& session, const Pdu& pdu) {
             send_pdu(session, make_scsi_response(tag, kStatusCheckCondition));
             return;
           }
-          // Stream the data in bounded Data-In segments — each a view into
-          // the single buffer returned by the disk.
-          Buf whole(std::move(data));
-          std::uint32_t offset = 0;
-          while (offset < whole.size()) {
-            std::uint32_t n = std::min<std::uint32_t>(
-                kMaxDataSegment,
-                static_cast<std::uint32_t>(whole.size()) - offset);
-            bool final = offset + n == whole.size();
-            send_pdu(session,
-                     make_data_in(tag, offset, whole.slice(offset, n), final));
-            offset += n;
+          for (const Pdu& out : split_read_reply(tag, Buf(std::move(data)))) {
+            send_pdu(session, out);
           }
-          send_pdu(session, make_scsi_response(tag, kStatusGood));
         });
     return;
   }
-  // Write command: data arrives in Data-Out PDUs (plus any immediate data).
-  Session::WriteBurst burst;
-  burst.lba = pdu.lba;
-  burst.expected = pdu.transfer_length;
-  if (!pdu.data.empty()) {  // immediate data, if any (held by reference)
-    burst.bytes = pdu.data.size();
-    burst.chunks.push_back(pdu.data);
-  }
-  session.writes[pdu.task_tag] = std::move(burst);
-  if (pdu.is_final() ||
-      session.writes[pdu.task_tag].bytes >= pdu.transfer_length) {
-    complete_write(session, pdu.task_tag);
-  }
+  // Write command: data arrives as immediate data plus Data-Out PDUs.
+  session.writes[pdu.task_tag] =
+      Session::WriteBurst{pdu.lba, BurstAssembler(pdu.transfer_length)};
+  take_write_data(session, pdu.task_tag, 0, pdu.data, pdu.is_final());
 }
 
-void Target::complete_write(Session& session, std::uint32_t task_tag) {
-  auto it = session.writes.find(task_tag);
-  Session::WriteBurst burst = std::move(it->second);
+void Target::take_write_data(Session& session, std::uint32_t tag,
+                             std::uint32_t offset, Buf data, bool final) {
+  auto it = session.writes.find(tag);
+  if (it == session.writes.end()) {
+    send_pdu(session, make_scsi_response(tag, kStatusCheckCondition));
+    return;
+  }
+  Session::WriteBurst& burst = it->second;
+  const BurstAssembler::Step step = burst.data.add(offset, std::move(data),
+                                                   final);
+  if (step == BurstAssembler::Step::kMore) return;
+  const std::uint64_t lba = burst.lba;
+  BufChain chunks = burst.data.take();
   session.writes.erase(it);
-  if (burst.bytes != burst.expected) {
-    command_finished(session, task_tag);
-    send_pdu(session, make_scsi_response(task_tag, kStatusCheckCondition));
+  if (step == BurstAssembler::Step::kBroken) {
+    command_finished(session, tag);
+    send_pdu(session, make_scsi_response(tag, kStatusCheckCondition));
     return;
   }
   session.volume->disk().write_gather(
-      burst.lba, std::move(burst.chunks),
-      [this, &session, task_tag](Status status) {
-        command_finished(session, task_tag);
+      lba, std::move(chunks), [this, &session, tag](Status status) {
+        command_finished(session, tag);
         if (session.closed) return;
-        send_pdu(session,
-                 make_scsi_response(task_tag, status.is_ok()
-                                                  ? kStatusGood
-                                                  : kStatusCheckCondition));
+        send_pdu(session, make_scsi_response(tag, status.is_ok()
+                                                      ? kStatusGood
+                                                      : kStatusCheckCondition));
       });
 }
 

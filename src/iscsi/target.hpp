@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "block/volume.hpp"
+#include "iscsi/burst.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/tcp.hpp"
 
@@ -49,13 +50,11 @@ class Target {
     // Cached at accept: the conn pointer may be gone by response time.
     std::uint16_t src_port = 0;
     block::Volume* volume = nullptr;
-    // In-progress write burst per task tag. Data-Out segments are held by
-    // reference (no coalesce) and handed to the disk as a gather write.
+    // In-progress write bursts by task tag: chunks are held by reference
+    // (no coalesce) and handed to the disk as a gather write.
     struct WriteBurst {
       std::uint64_t lba = 0;
-      std::uint32_t expected = 0;
-      BufChain chunks;
-      std::size_t bytes = 0;  // == chain_size(chunks)
+      BurstAssembler data;
     };
     std::map<std::uint32_t, WriteBurst> writes;
     bool closed = false;
@@ -65,7 +64,8 @@ class Target {
   void on_data(Session& session, Buf bytes);
   void handle_pdu(Session& session, Pdu pdu);
   void handle_command(Session& session, const Pdu& pdu);
-  void complete_write(Session& session, std::uint32_t task_tag);
+  void take_write_data(Session& session, std::uint32_t tag,
+                       std::uint32_t offset, Buf data, bool final);
   void send_pdu(Session& session, const Pdu& pdu);
 
   void trace_event(const Session& session, std::uint32_t tag,

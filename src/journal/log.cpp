@@ -206,12 +206,11 @@ Checkpoint Device::horizon() const {
 }
 
 void Device::checkpoint() {
-  const Bytes payload = encode_checkpoint(horizon());
+  Bytes payload = encode_checkpoint(horizon());
   SegmentState& seg = active_segment(payload.size());
   const std::uint64_t seq = next_seq_++;
   const std::size_t frame = seg.segment.append(
-      kMetaStream, seq, 0, kCheckpoint,
-      std::span<const std::uint8_t>(payload));
+      kMetaStream, seq, 0, kCheckpoint, BufChain{Buf(std::move(payload))});
   note_append(seg, seq);
   // Only the latest checkpoint is live; the one it supersedes becomes
   // dead weight in its segment.

@@ -65,22 +65,6 @@ ScanResult scan_image(std::span<const std::uint8_t> image) {
 
 std::size_t Segment::append(StreamId stream, std::uint64_t seq,
                             std::uint64_t watermark, std::uint8_t flags,
-                            std::span<const std::uint8_t> payload) {
-  const std::size_t start = data_.size();
-  ByteWriter writer(data_);
-  writer.u32(kRecordMagic);
-  writer.u32(stream);
-  writer.u64(seq);
-  writer.u64(watermark);
-  writer.u8(flags);
-  writer.u32(static_cast<std::uint32_t>(payload.size()));
-  writer.raw(payload);
-  writer.u32(crc32(std::span<const std::uint8_t>(data_).subspan(start)));
-  return data_.size() - start;
-}
-
-std::size_t Segment::append(StreamId stream, std::uint64_t seq,
-                            std::uint64_t watermark, std::uint8_t flags,
                             const BufChain& payload) {
   const std::size_t start = data_.size();
   ByteWriter writer(data_);

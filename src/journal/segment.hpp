@@ -103,15 +103,10 @@ class Segment {
   }
 
   /// Append one framed record; returns the frame's byte count. The
+  /// payload chain is gathered straight into the segment image (one copy
+  /// — the NVRAM store) without flattening it into a temporary first. The
   /// caller (the log) guarantees fits() or accepts growth past capacity
   /// for oversize records.
-  std::size_t append(StreamId stream, std::uint64_t seq,
-                     std::uint64_t watermark, std::uint8_t flags,
-                     std::span<const std::uint8_t> payload);
-
-  /// Chunked-payload variant: gathers the chain straight into the
-  /// segment image (one copy — the NVRAM store) without flattening it
-  /// into a temporary first.
   std::size_t append(StreamId stream, std::uint64_t seq,
                      std::uint64_t watermark, std::uint8_t flags,
                      const BufChain& payload);

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -44,6 +45,23 @@ class Scope {
   Registry* registry_ = nullptr;
   std::string prefix_;
 };
+
+/// The metric `slot` caches, looked up in `scope` by name on first use
+/// only: hot paths skip the per-use string lookup, and the key still
+/// enters the telemetry dump at the moment a per-use lookup made it.
+template <typename Metric>
+Metric& cached(Metric*& slot, const Scope& scope, const char* name) {
+  if (slot == nullptr) {
+    if constexpr (std::is_same_v<Metric, Counter>) {
+      slot = &scope.counter(name);
+    } else if constexpr (std::is_same_v<Metric, Gauge>) {
+      slot = &scope.gauge(name);
+    } else {
+      slot = &scope.histogram(name);
+    }
+  }
+  return *slot;
+}
 
 class Registry {
  public:

@@ -45,53 +45,25 @@ core::ServiceVerdict EncryptionService::on_pdu(core::ServiceContext& ctx,
                                                core::Direction dir,
                                                iscsi::Pdu& pdu) {
   core::ServiceVerdict verdict;
-  if (dir == core::Direction::kToTarget) {
-    if (pdu.opcode == iscsi::Opcode::kScsiCommand && !pdu.is_read() &&
-        !pdu.data.empty()) {
-      // Immediate data starts at the command's LBA. mutable_span() clones
-      // the payload iff another holder (journal, retransmit queue) still
-      // references the plaintext bytes.
-      crypt(true, pdu.lba, pdu.data.mutable_span());
-      encrypted_ += pdu.data.size();
-      ctx.scope().counter("encryption.bytes_encrypted").add(pdu.data.size());
-      verdict.cpu_cost = kPerIoCost + static_cast<sim::Duration>(
-          kNsPerByte * static_cast<double>(pdu.data.size()));
-      // Remember the burst's starting LBA for its Data-Out tail.
-      if (!pdu.is_final()) write_lbas_[pdu.task_tag] = pdu.lba;
-      return verdict;
-    }
-    if (pdu.opcode == iscsi::Opcode::kDataOut && !pdu.data.empty()) {
-      auto lba = write_lbas_.find(pdu.task_tag);
-      if (lba != write_lbas_.end()) {
-        crypt(true, lba->second + pdu.data_offset / block::kSectorSize,
-              pdu.data.mutable_span());
-        encrypted_ += pdu.data.size();
-        ctx.scope().counter("encryption.bytes_encrypted").add(pdu.data.size());
-        verdict.cpu_cost = static_cast<sim::Duration>(
-            kNsPerByte * static_cast<double>(pdu.data.size()));
-        if (pdu.is_final()) write_lbas_.erase(lba);
-      }
-      return verdict;
-    }
-    if (pdu.opcode == iscsi::Opcode::kScsiCommand && pdu.is_read()) {
-      tracker_.on_to_target(pdu);
-    }
-    return verdict;
-  }
-  // To initiator: decrypt Data-In against the read command's geometry.
-  if (pdu.opcode == iscsi::Opcode::kDataIn && !pdu.data.empty()) {
-    auto info = tracker_.read_info(pdu.task_tag);
-    if (info) {
-      crypt(false, info->lba + pdu.data_offset / block::kSectorSize,
-            pdu.data.mutable_span());
-      decrypted_ += pdu.data.size();
-      ctx.scope().counter("encryption.bytes_decrypted").add(pdu.data.size());
-      verdict.cpu_cost = kPerIoCost + static_cast<sim::Duration>(
-          kNsPerByte * static_cast<double>(pdu.data.size()));
-    }
-  } else if (pdu.opcode == iscsi::Opcode::kScsiResponse) {
+  if (pdu.opcode == iscsi::Opcode::kScsiResponse) {
     tracker_.on_response(pdu.task_tag);
   }
+  const std::optional<std::uint64_t> lba = tracker_.payload_lba(pdu);
+  if (!lba || pdu.data.empty()) return verdict;
+  // Encrypt toward the target, decrypt Data-In on the way back.
+  // mutable_span() clones the payload iff another holder (journal,
+  // retransmit queue) still references the bytes.
+  const bool encrypt = dir == core::Direction::kToTarget;
+  crypt(encrypt, *lba, pdu.data.mutable_span());
+  (encrypt ? encrypted_ : decrypted_) += pdu.data.size();
+  ctx.scope()
+      .counter(encrypt ? "encryption.bytes_encrypted"
+                       : "encryption.bytes_decrypted")
+      .add(pdu.data.size());
+  verdict.cpu_cost =
+      (pdu.opcode == iscsi::Opcode::kDataOut ? 0 : kPerIoCost) +
+      static_cast<sim::Duration>(kNsPerByte *
+                                 static_cast<double>(pdu.data.size()));
   return verdict;
 }
 

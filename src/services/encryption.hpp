@@ -36,9 +36,6 @@ class EncryptionService : public core::StorageService {
 
   std::unique_ptr<crypto::AesXts> xts_;
   IoTracker tracker_;
-  /// In-flight write bursts: task tag -> starting LBA (Data-Out PDUs only
-  /// carry byte offsets).
-  std::map<std::uint32_t, std::uint64_t> write_lbas_;
   std::uint64_t encrypted_ = 0;
   std::uint64_t decrypted_ = 0;
 };

@@ -29,7 +29,6 @@ core::ServiceVerdict MonitorService::on_pdu(core::ServiceContext& ctx,
       record(recon_->on_read(pdu.lba, pdu.transfer_length));
       ctx.scope().counter("monitor.accesses").add();
       verdict.cpu_cost += kCostPerAccess;
-      tracker_.on_to_target(pdu);
       return verdict;
     }
     if (auto burst = tracker_.on_to_target(pdu)) {
@@ -39,10 +38,6 @@ core::ServiceVerdict MonitorService::on_pdu(core::ServiceContext& ctx,
       ctx.scope().counter("monitor.accesses").add();
       verdict.cpu_cost += kCostPerAccess;
     }
-    return verdict;
-  }
-  if (pdu.opcode == iscsi::Opcode::kScsiResponse) {
-    tracker_.on_response(pdu.task_tag);
   }
   return verdict;
 }

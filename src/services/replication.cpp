@@ -133,7 +133,6 @@ core::ServiceVerdict ReplicationService::on_to_target(
     std::size_t choice = round_robin_++ % (1 + readable);
     if (choice == 0) {
       ++reads_primary_;
-      tracker_.on_to_target(pdu);
       return verdict;  // forwarded to the primary volume
     }
     std::size_t seen = 0;
@@ -169,8 +168,10 @@ core::ServiceVerdict ReplicationService::on_to_initiator(
     auto it = primary_reads_.find(pdu.task_tag);
     if (it != primary_reads_.end()) {
       // Data for a rebuild read the service injected toward the primary:
-      // collect it; never forward (the tenant never issued this tag).
-      pdu.data.append_to(it->second.data);
+      // collect it; never forward (the tenant never issued this tag). A
+      // malformed burst leaves the read incomplete, so it fails.
+      it->second.data.add(pdu.data_offset, std::move(pdu.data),
+                          pdu.is_final());
       verdict.consume = true;
       verdict.cpu_cost = kPerIoCost;
     }
@@ -185,17 +186,14 @@ core::ServiceVerdict ReplicationService::on_to_initiator(
     primary_reads_.erase(pr);
     verdict.consume = true;
     verdict.cpu_cost = kPerIoCost;
-    if (pdu.status == iscsi::kStatusGood &&
-        read.data.size() >= read.expected) {
-      read.done(Status::ok(), std::move(read.data));
+    if (pdu.status == iscsi::kStatusGood && read.data.complete()) {
+      read.done(Status::ok(), read.data.flatten());
     } else {
       read.done(error(ErrorCode::kIoError, "primary rebuild read failed"),
                 Bytes{});
     }
     return verdict;
   }
-
-  tracker_.on_response(pdu.task_tag);
 
   auto pit = pending_.find(pdu.task_tag);
   if (pit == pending_.end()) return verdict;
@@ -235,7 +233,7 @@ void ReplicationService::handle_write_burst(
     const IoTracker::WriteBurst& burst) {
   const std::uint64_t version = ++set_version_;
   const std::uint64_t begin = burst.lba;
-  const std::uint64_t sectors = burst.expected / block::kSectorSize;
+  const std::uint64_t sectors = burst.data.size() / block::kSectorSize;
   const std::uint64_t end = begin + sectors;
   written_.add(begin, end);
   journal_intent(version, begin, static_cast<std::uint32_t>(sectors));
@@ -437,19 +435,10 @@ void ReplicationService::serve_read_from_replica(std::size_t i,
         // must not also count as served-from-replica.
         ++reads_replica_;
         scope_.counter("replication.reads_from_replicas").add();
-        Buf whole(std::move(data));
-        std::uint32_t offset = 0;
-        while (offset < whole.size()) {
-          std::uint32_t n = std::min<std::uint32_t>(
-              iscsi::kMaxDataSegment,
-              static_cast<std::uint32_t>(whole.size()) - offset);
-          ctx.inject_to_initiator(iscsi::make_data_in(
-              command.task_tag, offset, whole.slice(offset, n),
-              offset + n == whole.size()));
-          offset += n;
+        for (iscsi::Pdu& out :
+             iscsi::split_read_reply(command.task_tag, Buf(std::move(data)))) {
+          ctx.inject_to_initiator(std::move(out));
         }
-        ctx.inject_to_initiator(iscsi::make_scsi_response(
-            command.task_tag, iscsi::kStatusGood));
       });
 }
 
@@ -641,10 +630,8 @@ void ReplicationService::read_primary(std::uint64_t lba,
     return;
   }
   const std::uint32_t tag = next_synth_tag_++;
-  PrimaryRead read;
-  read.expected = sectors * block::kSectorSize;
-  read.done = std::move(done);
-  primary_reads_[tag] = std::move(read);
+  primary_reads_[tag] = PrimaryRead{
+      iscsi::BurstAssembler(sectors * block::kSectorSize), std::move(done)};
   last_ctx_->inject_to_target(
       iscsi::make_read_command(tag, lba, sectors * block::kSectorSize));
 }

@@ -28,6 +28,7 @@
 #include "block/block_device.hpp"
 #include "core/policy.hpp"
 #include "core/service.hpp"
+#include "iscsi/burst.hpp"
 #include "journal/log.hpp"
 #include "net/qos.hpp"
 #include "services/rebuild.hpp"
@@ -149,8 +150,7 @@ class ReplicationService : public core::StorageService {
   /// A rebuild read served by the primary through the relay's data path
   /// (synthetic task tag; Data-In/Response consumed in on_pdu).
   struct PrimaryRead {
-    std::uint32_t expected = 0;
-    Bytes data;
+    iscsi::BurstAssembler data;
     block::BlockDevice::ReadCallback done;
   };
 

@@ -46,44 +46,22 @@ void StreamCipherService::crypt(std::uint64_t byte_position,
 }
 
 core::ServiceVerdict StreamCipherService::on_pdu(core::ServiceContext& ctx,
-                                                 core::Direction dir,
+                                                 core::Direction /*dir*/,
                                                  iscsi::Pdu& pdu) {
   core::ServiceVerdict verdict;
-  auto cost_of = [&ctx](std::size_t bytes) {
-    ctx.scope().counter("stream_cipher.bytes_processed").add(bytes);
-    return static_cast<sim::Duration>(kNsPerByte *
-                                      static_cast<double>(bytes));
-  };
-  if (dir == core::Direction::kToTarget) {
-    if (pdu.opcode == iscsi::Opcode::kScsiCommand && !pdu.is_read() &&
-        !pdu.data.empty()) {
-      // COW: clones the payload iff the journal or a retransmit queue
-      // still references the plaintext bytes.
-      crypt(pdu.lba * block::kSectorSize, pdu.data.mutable_span());
-      verdict.cpu_cost = cost_of(pdu.data.size());
-      if (!pdu.is_final()) write_lbas_[pdu.task_tag] = pdu.lba;
-    } else if (pdu.opcode == iscsi::Opcode::kDataOut && !pdu.data.empty()) {
-      auto lba = write_lbas_.find(pdu.task_tag);
-      if (lba != write_lbas_.end()) {
-        crypt(lba->second * block::kSectorSize + pdu.data_offset,
-              pdu.data.mutable_span());
-        verdict.cpu_cost = cost_of(pdu.data.size());
-        if (pdu.is_final()) write_lbas_.erase(lba);
-      }
-    } else if (pdu.opcode == iscsi::Opcode::kScsiCommand && pdu.is_read()) {
-      tracker_.on_to_target(pdu);
-    }
-    return verdict;
-  }
-  if (pdu.opcode == iscsi::Opcode::kDataIn && !pdu.data.empty()) {
-    if (auto info = tracker_.read_info(pdu.task_tag)) {
-      crypt(info->lba * block::kSectorSize + pdu.data_offset,
-            pdu.data.mutable_span());
-      verdict.cpu_cost = cost_of(pdu.data.size());
-    }
-  } else if (pdu.opcode == iscsi::Opcode::kScsiResponse) {
+  if (pdu.opcode == iscsi::Opcode::kScsiResponse) {
     tracker_.on_response(pdu.task_tag);
   }
+  const std::optional<std::uint64_t> lba = tracker_.payload_lba(pdu);
+  if (!lba || pdu.data.empty()) return verdict;
+  // XOR with the keystream at the payload's byte position on the volume,
+  // both ways. COW: clones the payload iff the journal or a retransmit
+  // queue still references the bytes.
+  crypt(*lba * block::kSectorSize + pdu.data_offset % block::kSectorSize,
+        pdu.data.mutable_span());
+  ctx.scope().counter("stream_cipher.bytes_processed").add(pdu.data.size());
+  verdict.cpu_cost = static_cast<sim::Duration>(
+      kNsPerByte * static_cast<double>(pdu.data.size()));
   return verdict;
 }
 

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "core/service.hpp"
@@ -31,7 +30,6 @@ class StreamCipherService : public core::StorageService {
 
   std::array<std::uint8_t, 32> key_{};
   IoTracker tracker_;
-  std::map<std::uint32_t, std::uint64_t> write_lbas_;
   std::uint64_t processed_ = 0;
 };
 

@@ -1,14 +1,17 @@
-// Shared helper: reassemble iSCSI write bursts (command + Data-Out
-// sequence) and remember read-command geometry, so services can work at
-// whole-I/O granularity. Used by the monitor, ciphers and replication.
+// Shared helper: the services' one task-tag table. It reassembles iSCSI
+// write bursts (command + Data-Out sequence), remembers where reads
+// start, and answers at which LBA a PDU's payload lands, so services
+// can work at whole-I/O granularity. Used by the monitor, ciphers and
+// replication.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 
+#include "block/block_device.hpp"
 #include "common/bytes.hpp"
-#include "iscsi/pdu.hpp"
+#include "iscsi/burst.hpp"
 
 namespace storm::services {
 
@@ -17,61 +20,82 @@ class IoTracker {
  public:
   struct WriteBurst {
     std::uint64_t lba = 0;
-    std::uint32_t expected = 0;
     Bytes data;
-    bool complete() const { return data.size() >= expected; }
-  };
-  struct ReadInfo {
-    std::uint64_t lba = 0;
-    std::uint32_t length = 0;
   };
 
-  /// Feed a PDU heading to the target. Returns a completed write burst
-  /// when this PDU finishes one.
+  /// Feed a PDU heading to the target. Returns a completed write burst,
+  /// its payload flattened once, when this PDU finishes one. A burst with
+  /// a gap, an over-length segment or a final flag before its last byte
+  /// is dropped: the target fails that write too.
   std::optional<WriteBurst> on_to_target(const iscsi::Pdu& pdu) {
+    std::map<std::uint32_t, Write>::iterator it;
+    std::uint32_t offset = 0;
+    if (pdu.opcode == iscsi::Opcode::kScsiCommand && !pdu.is_read()) {
+      it = writes_.insert_or_assign(
+          pdu.task_tag,
+          Write{pdu.lba, iscsi::BurstAssembler(pdu.transfer_length)}).first;
+    } else if (pdu.opcode == iscsi::Opcode::kDataOut) {
+      it = writes_.find(pdu.task_tag);
+      if (it == writes_.end()) return std::nullopt;
+      offset = pdu.data_offset;
+    } else {
+      return std::nullopt;
+    }
+    const iscsi::BurstAssembler::Step step =
+        it->second.data.add(offset, pdu.data, pdu.is_final());
+    if (step == iscsi::BurstAssembler::Step::kMore) return std::nullopt;
+    std::optional<WriteBurst> done;
+    if (step == iscsi::BurstAssembler::Step::kComplete) {
+      done = WriteBurst{it->second.lba, it->second.data.flatten()};
+    }
+    writes_.erase(it);
+    return done;
+  }
+
+  /// The LBA at which `pdu`'s payload lands: where immediate data or a
+  /// Data-Out is written, or where a Data-In was read from. nullopt for
+  /// PDUs without payload and for unknown tags. Heading to the target it
+  /// learns where each command starts, but keeps no payload.
+  std::optional<std::uint64_t> payload_lba(const iscsi::Pdu& pdu) {
+    const std::uint32_t tag = pdu.task_tag;
+    const std::uint64_t sectors_in = pdu.data_offset / block::kSectorSize;
     switch (pdu.opcode) {
       case iscsi::Opcode::kScsiCommand:
         if (pdu.is_read()) {
-          reads_[pdu.task_tag] = ReadInfo{pdu.lba, pdu.transfer_length};
-          return std::nullopt;
-        } else {
-          WriteBurst burst;
-          burst.lba = pdu.lba;
-          burst.expected = pdu.transfer_length;
-          burst.data = pdu.data.to_bytes();
-          if (burst.complete()) return burst;
-          writes_[pdu.task_tag] = std::move(burst);
+          read_lbas_[tag] = pdu.lba;
           return std::nullopt;
         }
+        if (!pdu.is_final()) {
+          writes_[tag] = Write{pdu.lba, iscsi::BurstAssembler()};
+        }
+        return pdu.lba;
       case iscsi::Opcode::kDataOut: {
-        auto it = writes_.find(pdu.task_tag);
+        auto it = writes_.find(tag);
         if (it == writes_.end()) return std::nullopt;
-        pdu.data.append_to(it->second.data);
-        if (it->second.complete()) {
-          WriteBurst burst = std::move(it->second);
-          writes_.erase(it);
-          return burst;
-        }
-        return std::nullopt;
+        const std::uint64_t lba = it->second.lba + sectors_in;
+        if (pdu.is_final()) writes_.erase(it);
+        return lba;
+      }
+      case iscsi::Opcode::kDataIn: {
+        auto it = read_lbas_.find(tag);
+        if (it == read_lbas_.end()) return std::nullopt;
+        return it->second + sectors_in;
       }
       default:
         return std::nullopt;
     }
   }
 
-  /// Geometry of the read owning `task_tag`, if tracked.
-  std::optional<ReadInfo> read_info(std::uint32_t task_tag) const {
-    auto it = reads_.find(task_tag);
-    if (it == reads_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  /// Call on SCSI responses to release read state.
-  void on_response(std::uint32_t task_tag) { reads_.erase(task_tag); }
+  /// Call on SCSI responses to release what payload_lba learnt of a read.
+  void on_response(std::uint32_t task_tag) { read_lbas_.erase(task_tag); }
 
  private:
-  std::map<std::uint32_t, WriteBurst> writes_;
-  std::map<std::uint32_t, ReadInfo> reads_;
+  struct Write {
+    std::uint64_t lba = 0;
+    iscsi::BurstAssembler data;  // empty when fed through payload_lba
+  };
+  std::map<std::uint32_t, Write> writes_;
+  std::map<std::uint32_t, std::uint64_t> read_lbas_;
 };
 
 }  // namespace storm::services

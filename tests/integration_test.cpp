@@ -143,6 +143,45 @@ TEST(IoTracker, ReassemblesMultiPduWriteBurst) {
   EXPECT_EQ(burst->data[0], 1);
   EXPECT_EQ(burst->data[8192], 2);
   EXPECT_EQ(burst->data[16384], 3);
+
+  // Malformed second segments: the burst never completes and its tag is
+  // forgotten, so even a well-formed rest of it finds nothing.
+  struct Bad {
+    const char* what;
+    std::uint32_t offset;
+    std::uint32_t bytes;
+    bool final;
+  };
+  for (const Bad& bad : {Bad{"offset gap", 16384, 8192, false},
+                         Bad{"over-length", 8192, 3 * 8192, true},
+                         Bad{"final on a short burst", 8192, 8192, true}}) {
+    EXPECT_FALSE(tracker.on_to_target(cmd).has_value()) << bad.what;
+    EXPECT_FALSE(tracker
+                     .on_to_target(iscsi::make_data_out(
+                         5, bad.offset, Bytes(bad.bytes, 2), bad.final))
+                     .has_value())
+        << bad.what;
+    EXPECT_FALSE(tracker
+                     .on_to_target(iscsi::make_data_out(5, 8192,
+                                                        Bytes(16384, 2), true))
+                     .has_value())
+        << bad.what;
+  }
+
+  // Data-Out payloads land at the command's LBA plus their offset; the
+  // final one closes the burst.
+  services::IoTracker lookup;
+  EXPECT_EQ(lookup.payload_lba(cmd), 100u);
+  EXPECT_EQ(lookup.payload_lba(
+                iscsi::make_data_out(5, 8192, Bytes(8192, 2), false)),
+            116u);
+  EXPECT_EQ(lookup.payload_lba(
+                iscsi::make_data_out(5, 16384, Bytes(8192, 3), true)),
+            132u);
+  EXPECT_FALSE(lookup
+                   .payload_lba(iscsi::make_data_out(5, 16384,
+                                                     Bytes(8192, 3), true))
+                   .has_value());
 }
 
 TEST(IoTracker, SingleCommandWriteCompletesImmediately) {
@@ -153,18 +192,26 @@ TEST(IoTracker, SingleCommandWriteCompletesImmediately) {
   auto burst = tracker.on_to_target(cmd);
   ASSERT_TRUE(burst.has_value());
   EXPECT_EQ(burst->lba, 7u);
+  // Immediate data lands at the command's LBA.
+  EXPECT_EQ(tracker.payload_lba(cmd), 7u);
 }
 
 TEST(IoTracker, TracksReadGeometryUntilResponse) {
   services::IoTracker tracker;
-  tracker.on_to_target(iscsi::make_read_command(3, 555, 8192));
-  auto info = tracker.read_info(3);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->lba, 555u);
-  EXPECT_EQ(info->length, 8192u);
+  // A read command carries no payload of its own.
+  EXPECT_FALSE(
+      tracker.payload_lba(iscsi::make_read_command(3, 555, 3 * 8192))
+          .has_value());
+  for (std::uint32_t offset : {0u, 8192u, 16384u}) {
+    EXPECT_EQ(tracker.payload_lba(iscsi::make_data_in(
+                  3, offset, Bytes(8192, 1), offset == 16384)),
+              555u + offset / 512)
+        << "offset " << offset;
+  }
   tracker.on_response(3);
-  EXPECT_FALSE(tracker.read_info(3).has_value());
-  EXPECT_FALSE(tracker.read_info(99).has_value());
+  EXPECT_FALSE(
+      tracker.payload_lba(iscsi::make_data_in(3, 0, Bytes(512, 1), true))
+          .has_value());
 }
 
 TEST(IoTracker, IgnoresDataOutForUnknownTag) {
@@ -173,6 +220,12 @@ TEST(IoTracker, IgnoresDataOutForUnknownTag) {
                    .on_to_target(iscsi::make_data_out(77, 0, Bytes(512, 1),
                                                       true))
                    .has_value());
+  EXPECT_FALSE(
+      tracker.payload_lba(iscsi::make_data_out(77, 0, Bytes(512, 1), true))
+          .has_value());
+  EXPECT_FALSE(
+      tracker.payload_lba(iscsi::make_data_in(77, 0, Bytes(512, 1), true))
+          .has_value());
 }
 
 // --- hex key parsing --------------------------------------------------------

@@ -222,6 +222,22 @@ TEST_F(IscsiEndToEnd, ReadBeyondVolumeFails) {
   EXPECT_EQ(status.code(), ErrorCode::kIoError);
 }
 
+TEST_F(IscsiEndToEnd, ReadLongerThanTheWireCountIsRejected) {
+  auto initiator = make_initiator(volume_->iqn());
+  initiator->login([](Status) {});
+  net_.sim.run();
+  // 2^23 sectors is 2^32 bytes: one more than the 32-bit transfer length
+  // holds. Such a read must not wrap to a shorter one that succeeds.
+  for (std::uint32_t sectors : {1u << 23, (1u << 23) + 8}) {
+    Status status = Status::ok();
+    initiator->read(0, sectors, [&](Status s, Bytes) { status = s; });
+    EXPECT_EQ(initiator->outstanding(), 0u) << sectors;
+    net_.sim.run();
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << sectors;
+  }
+  EXPECT_EQ(target_.commands_served(), 0u);
+}
+
 TEST_F(IscsiEndToEnd, CommandBeforeLoginFails) {
   auto initiator = make_initiator(volume_->iqn());
   Status status = Status::ok();

@@ -36,8 +36,8 @@ TEST(JournalSegment, ScanRoundTripsAppendedRecords) {
   journal::Segment seg(0, 4096);
   const Bytes a = testutil::pattern_bytes(100, 1);
   const Bytes b = testutil::pattern_bytes(37, 2);
-  seg.append(1, 1, 100, journal::kBoundary, std::span<const std::uint8_t>(a));
-  seg.append(2, 2, 37, 0, std::span<const std::uint8_t>(b));
+  seg.append(1, 1, 100, journal::kBoundary, {Buf::copy(a)});
+  seg.append(2, 2, 37, 0, {Buf::copy(b)});
 
   const journal::ScanResult scan = seg.scan();
   ASSERT_EQ(scan.records.size(), 2u);
@@ -60,7 +60,7 @@ TEST(JournalSegment, ScanRoundTripsAppendedRecords) {
 TEST(JournalSegment, TruncatedFrameScansAsTorn) {
   journal::Segment seg(0, 4096);
   const Bytes a = testutil::pattern_bytes(64);
-  seg.append(1, 1, 64, journal::kBoundary, std::span<const std::uint8_t>(a));
+  seg.append(1, 1, 64, journal::kBoundary, {Buf::copy(a)});
   const std::size_t full = seg.size();
   for (std::size_t cut = 1; cut < full; ++cut) {
     Bytes image(seg.bytes().begin(), seg.bytes().begin() + cut);
