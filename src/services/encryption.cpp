@@ -46,9 +46,9 @@ core::ServiceVerdict EncryptionService::on_pdu(core::ServiceContext& ctx,
                                                iscsi::Pdu& pdu) {
   core::ServiceVerdict verdict;
   if (pdu.opcode == iscsi::Opcode::kScsiResponse) {
-    tracker_.on_response(pdu.task_tag);
+    tracker_.on_response(&ctx, pdu.task_tag);
   }
-  const std::optional<std::uint64_t> lba = tracker_.payload_lba(pdu);
+  const std::optional<std::uint64_t> lba = tracker_.payload_lba(&ctx, pdu);
   if (!lba || pdu.data.empty()) return verdict;
   // Encrypt toward the target, decrypt Data-In on the way back.
   // mutable_span() clones the payload iff another holder (journal,

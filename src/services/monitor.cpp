@@ -31,7 +31,7 @@ core::ServiceVerdict MonitorService::on_pdu(core::ServiceContext& ctx,
       verdict.cpu_cost += kCostPerAccess;
       return verdict;
     }
-    if (auto burst = tracker_.on_to_target(pdu)) {
+    if (auto burst = tracker_.on_to_target(&ctx, pdu)) {
       // Update + Analysis: the completed write carries the content that
       // keeps the filesystem view current.
       record(recon_->on_write(burst->lba, burst->data));

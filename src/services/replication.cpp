@@ -152,7 +152,7 @@ core::ServiceVerdict ReplicationService::on_to_target(
     return verdict;  // no readable replica found: primary serves
   }
 
-  if (auto burst = tracker_.on_to_target(pdu)) {
+  if (auto burst = tracker_.on_to_target(&ctx, pdu)) {
     verdict.cpu_cost = kPerIoCost;
     handle_write_burst(ctx, pdu.task_tag, *burst);
   }

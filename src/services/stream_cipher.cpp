@@ -50,9 +50,9 @@ core::ServiceVerdict StreamCipherService::on_pdu(core::ServiceContext& ctx,
                                                  iscsi::Pdu& pdu) {
   core::ServiceVerdict verdict;
   if (pdu.opcode == iscsi::Opcode::kScsiResponse) {
-    tracker_.on_response(pdu.task_tag);
+    tracker_.on_response(&ctx, pdu.task_tag);
   }
-  const std::optional<std::uint64_t> lba = tracker_.payload_lba(pdu);
+  const std::optional<std::uint64_t> lba = tracker_.payload_lba(&ctx, pdu);
   if (!lba || pdu.data.empty()) return verdict;
   // XOR with the keystream at the payload's byte position on the volume,
   // both ways. COW: clones the payload iff the journal or a retransmit

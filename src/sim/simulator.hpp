@@ -2,6 +2,13 @@
 // the calling thread. Events at equal timestamps run in scheduling order
 // (FIFO tie-break), so identically seeded runs are byte-identical.
 //
+// The queue is an indexed 4-ary min-heap of small {when, seq, slot} keys;
+// callbacks live in a slab indexed by the slot, which also records where
+// its key sits in the heap. Cancelling removes the key at once, so the
+// heap holds live events only: a TCP connection re-arms its 200 ms
+// retransmission timer on every advancing ACK, and a queue that kept the
+// cancelled timers until their time came was almost all dead entries.
+//
 // Components schedule through an Executor handle:
 //
 //   sim::Executor exec = simulator;                    // or executor()
@@ -15,8 +22,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -29,19 +36,20 @@ namespace storm::sim {
 
 class Simulator;
 
-/// Handle for a scheduled event. Cancelling marks the event dead; the
-/// run loop discards dead events without advancing now(), so abandoned
-/// timers (e.g. a TCP retransmission timer disarmed by an ACK) leave no
-/// trace in the simulated clock. A token names a slot in the simulator's
-/// cancel-slot pool plus the generation it was armed under: slots are
-/// recycled, so arming a cancellable timer (every TCP RTO) allocates
+/// Handle for a scheduled event. Cancelling removes the event from the
+/// queue and destroys its callback, so abandoned timers (e.g. a TCP
+/// retransmission timer disarmed by an ACK) leave no trace in the
+/// simulated clock or in pending(). A token names a slot in the
+/// simulator's slot pool plus the generation it was armed under: slots
+/// are recycled, so arming a cancellable timer (every TCP RTO) allocates
 /// nothing in steady state, and the generation check makes stale tokens
 /// harmless after their slot has moved on to a newer event.
 class CancelToken {
  public:
   CancelToken() = default;
 
-  /// Idempotent; a token whose event already fired is a no-op.
+  /// Removes the event if it is still pending. Idempotent; a token whose
+  /// event already fired (or is firing) is a no-op.
   void cancel();
 
   bool armed() const;
@@ -108,9 +116,10 @@ class Simulator {
   CancelToken schedule(Time when, Callback fn) {
     if (when < now_) when = now_;
     const std::uint32_t slot = acquire_slot();
-    const std::uint64_t gen = slot_gen_[slot];
-    queue_.push(Event{when, next_seq_++, std::move(fn), slot, gen});
-    return CancelToken(this, slot, gen);
+    slots_[slot].fn = std::move(fn);
+    heap_.push_back(Key{when, next_seq_++, slot});
+    sift_up(heap_.size() - 1);
+    return CancelToken(this, slot, slots_[slot].gen);
   }
   /// Schedule `fn` `delay` ns from now; schedule_in(0, fn) posts to the
   /// end of the current tick.
@@ -137,9 +146,10 @@ class Simulator {
 
   std::size_t run_for(Duration d) { return run_until(now() + d); }
 
-  bool empty() const { return queue_.empty(); }
-  /// Queued events, cancelled ones included until they are popped.
-  std::size_t pending() const { return queue_.size(); }
+  /// True when no live event is left.
+  bool empty() const { return heap_.empty(); }
+  /// Live (scheduled, not yet fired or cancelled) events.
+  std::size_t pending() const { return heap_.size(); }
 
   /// The simulation's telemetry hub, created with the simulator.
   obs::Registry& telemetry() { return *telemetry_; }
@@ -152,55 +162,68 @@ class Simulator {
  private:
   friend class CancelToken;
 
-  struct Event {
+  // Heap key: the (when, seq) order plus the slot holding the callback.
+  struct Key {
     Time when;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
-    Callback fn;
     std::uint32_t slot;
-    std::uint64_t gen;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+  // Slab entry. `gen` is bumped when the slot's event fires or is
+  // cancelled; `pos` is the slot's key index in heap_ while it is queued.
+  struct Slot {
+    Callback fn;
+    std::uint64_t gen = 0;
+    std::uint32_t pos = 0;
   };
+  static constexpr std::size_t kArity = 4;
+
+  static bool before(const Key& a, const Key& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
 
   std::uint32_t acquire_slot() {
     if (free_slots_.empty()) {
-      slot_gen_.push_back(0);
-      return static_cast<std::uint32_t>(slot_gen_.size() - 1);
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
     }
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     return slot;
   }
 
-  /// Pop the earliest event and, unless it was cancelled, run it.
-  /// Returns whether it ran.
-  bool fire_next();
+  void place(std::size_t i, const Key& key) {
+    heap_[i] = key;
+    slots_[key.slot].pos = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Removes heap_[i], keeping the heap consistent.
+  void remove_at(std::size_t i);
+  /// CancelToken::cancel() of a still-armed token.
+  void cancel_slot(std::uint32_t slot);
+
+  /// Pop the earliest event and run it.
+  void fire_next();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Cancel-slot pool: a slot's current generation, and the slots free
-  // for reuse. Firing or cancelling an event bumps its slot's generation.
-  std::vector<std::uint64_t> slot_gen_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   Duration lookahead_;
   std::unique_ptr<obs::Registry> telemetry_;
 };
 
 inline bool CancelToken::armed() const {
-  return sim_ != nullptr && sim_->slot_gen_[slot_] == gen_;
+  return sim_ != nullptr && sim_->slots_[slot_].gen == gen_;
 }
 
 inline void CancelToken::cancel() {
-  if (armed()) {
-    ++sim_->slot_gen_[slot_];
-    sim_->free_slots_.push_back(slot_);
-  }
-  sim_ = nullptr;
+  // Disarm first: the callback's destructor, run by cancel_slot, may
+  // destroy this token.
+  const bool live = armed();
+  Simulator* sim = std::exchange(sim_, nullptr);
+  if (live) sim->cancel_slot(slot_);
 }
 
 inline CancelToken Executor::schedule(Time when, Callback fn) const {

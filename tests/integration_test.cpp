@@ -126,17 +126,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- IoTracker ---------------------------------------------------------------
 
+// The flow is only compared, never dereferenced.
+const services::IoTracker::Flow kFlow = nullptr;
+
 TEST(IoTracker, ReassemblesMultiPduWriteBurst) {
   services::IoTracker tracker;
   iscsi::Pdu cmd = iscsi::make_write_command(5, 100, 3 * 8192);
   cmd.data = Bytes(8192, 1);
-  EXPECT_FALSE(tracker.on_to_target(cmd).has_value());
+  EXPECT_FALSE(tracker.on_to_target(kFlow, cmd).has_value());
   EXPECT_FALSE(tracker
-                   .on_to_target(iscsi::make_data_out(5, 8192,
-                                                      Bytes(8192, 2), false))
+                   .on_to_target(kFlow, iscsi::make_data_out(
+                                            5, 8192, Bytes(8192, 2), false))
                    .has_value());
   auto burst = tracker.on_to_target(
-      iscsi::make_data_out(5, 16384, Bytes(8192, 3), true));
+      kFlow, iscsi::make_data_out(5, 16384, Bytes(8192, 3), true));
   ASSERT_TRUE(burst.has_value());
   EXPECT_EQ(burst->lba, 100u);
   EXPECT_EQ(burst->data.size(), 3u * 8192);
@@ -155,15 +158,15 @@ TEST(IoTracker, ReassemblesMultiPduWriteBurst) {
   for (const Bad& bad : {Bad{"offset gap", 16384, 8192, false},
                          Bad{"over-length", 8192, 3 * 8192, true},
                          Bad{"final on a short burst", 8192, 8192, true}}) {
-    EXPECT_FALSE(tracker.on_to_target(cmd).has_value()) << bad.what;
+    EXPECT_FALSE(tracker.on_to_target(kFlow, cmd).has_value()) << bad.what;
     EXPECT_FALSE(tracker
-                     .on_to_target(iscsi::make_data_out(
+                     .on_to_target(kFlow, iscsi::make_data_out(
                          5, bad.offset, Bytes(bad.bytes, 2), bad.final))
                      .has_value())
         << bad.what;
     EXPECT_FALSE(tracker
-                     .on_to_target(iscsi::make_data_out(5, 8192,
-                                                        Bytes(16384, 2), true))
+                     .on_to_target(kFlow, iscsi::make_data_out(
+                                              5, 8192, Bytes(16384, 2), true))
                      .has_value())
         << bad.what;
   }
@@ -171,16 +174,16 @@ TEST(IoTracker, ReassemblesMultiPduWriteBurst) {
   // Data-Out payloads land at the command's LBA plus their offset; the
   // final one closes the burst.
   services::IoTracker lookup;
-  EXPECT_EQ(lookup.payload_lba(cmd), 100u);
+  EXPECT_EQ(lookup.payload_lba(kFlow, cmd), 100u);
   EXPECT_EQ(lookup.payload_lba(
-                iscsi::make_data_out(5, 8192, Bytes(8192, 2), false)),
+                kFlow, iscsi::make_data_out(5, 8192, Bytes(8192, 2), false)),
             116u);
   EXPECT_EQ(lookup.payload_lba(
-                iscsi::make_data_out(5, 16384, Bytes(8192, 3), true)),
+                kFlow, iscsi::make_data_out(5, 16384, Bytes(8192, 3), true)),
             132u);
   EXPECT_FALSE(lookup
-                   .payload_lba(iscsi::make_data_out(5, 16384,
-                                                     Bytes(8192, 3), true))
+                   .payload_lba(kFlow, iscsi::make_data_out(
+                                           5, 16384, Bytes(8192, 3), true))
                    .has_value());
 }
 
@@ -189,43 +192,85 @@ TEST(IoTracker, SingleCommandWriteCompletesImmediately) {
   iscsi::Pdu cmd = iscsi::make_write_command(9, 7, 512);
   cmd.data = Bytes(512, 0xEE);
   cmd.flags |= iscsi::kFlagFinal;
-  auto burst = tracker.on_to_target(cmd);
+  auto burst = tracker.on_to_target(kFlow, cmd);
   ASSERT_TRUE(burst.has_value());
   EXPECT_EQ(burst->lba, 7u);
   // Immediate data lands at the command's LBA.
-  EXPECT_EQ(tracker.payload_lba(cmd), 7u);
+  EXPECT_EQ(tracker.payload_lba(kFlow, cmd), 7u);
 }
 
 TEST(IoTracker, TracksReadGeometryUntilResponse) {
   services::IoTracker tracker;
   // A read command carries no payload of its own.
   EXPECT_FALSE(
-      tracker.payload_lba(iscsi::make_read_command(3, 555, 3 * 8192))
+      tracker.payload_lba(kFlow, iscsi::make_read_command(3, 555, 3 * 8192))
           .has_value());
   for (std::uint32_t offset : {0u, 8192u, 16384u}) {
-    EXPECT_EQ(tracker.payload_lba(iscsi::make_data_in(
+    EXPECT_EQ(tracker.payload_lba(kFlow, iscsi::make_data_in(
                   3, offset, Bytes(8192, 1), offset == 16384)),
               555u + offset / 512)
         << "offset " << offset;
   }
-  tracker.on_response(3);
-  EXPECT_FALSE(
-      tracker.payload_lba(iscsi::make_data_in(3, 0, Bytes(512, 1), true))
-          .has_value());
+  tracker.on_response(kFlow, 3);
+  EXPECT_FALSE(tracker
+                   .payload_lba(kFlow,
+                                iscsi::make_data_in(3, 0, Bytes(512, 1), true))
+                   .has_value());
 }
 
 TEST(IoTracker, IgnoresDataOutForUnknownTag) {
   services::IoTracker tracker;
   EXPECT_FALSE(tracker
-                   .on_to_target(iscsi::make_data_out(77, 0, Bytes(512, 1),
-                                                      true))
+                   .on_to_target(kFlow, iscsi::make_data_out(
+                                            77, 0, Bytes(512, 1), true))
                    .has_value());
-  EXPECT_FALSE(
-      tracker.payload_lba(iscsi::make_data_out(77, 0, Bytes(512, 1), true))
-          .has_value());
-  EXPECT_FALSE(
-      tracker.payload_lba(iscsi::make_data_in(77, 0, Bytes(512, 1), true))
-          .has_value());
+  EXPECT_FALSE(tracker
+                   .payload_lba(kFlow, iscsi::make_data_out(
+                                           77, 0, Bytes(512, 1), true))
+                   .has_value());
+  EXPECT_FALSE(tracker
+                   .payload_lba(kFlow,
+                                iscsi::make_data_in(77, 0, Bytes(512, 1), true))
+                   .has_value());
+}
+
+TEST(IoTracker, FlowsWithTheSameTagStayApart) {
+  // Two initiators behind one pooled box both number their tags from 1.
+  // A flow is only compared, so any two distinct addresses will do.
+  std::uint64_t flows[2];
+  const services::IoTracker::Flow a =
+      reinterpret_cast<services::IoTracker::Flow>(&flows[0]);
+  const services::IoTracker::Flow b =
+      reinterpret_cast<services::IoTracker::Flow>(&flows[1]);
+  services::IoTracker tracker;
+  iscsi::Pdu write_a = iscsi::make_write_command(1, 100, 2 * 8192);
+  write_a.data = Bytes(8192, 0xA1);
+  iscsi::Pdu write_b = iscsi::make_write_command(1, 900, 2 * 8192);
+  write_b.data = Bytes(8192, 0xB1);
+  EXPECT_FALSE(tracker.on_to_target(a, write_a).has_value());
+  EXPECT_FALSE(tracker.on_to_target(b, write_b).has_value());
+  auto burst_a = tracker.on_to_target(
+      a, iscsi::make_data_out(1, 8192, Bytes(8192, 0xA2), true));
+  auto burst_b = tracker.on_to_target(
+      b, iscsi::make_data_out(1, 8192, Bytes(8192, 0xB2), true));
+  ASSERT_TRUE(burst_a.has_value());
+  ASSERT_TRUE(burst_b.has_value());
+  EXPECT_EQ(burst_a->lba, 100u);
+  EXPECT_EQ(burst_a->data[8192], 0xA2);
+  EXPECT_EQ(burst_b->lba, 900u);
+  EXPECT_EQ(burst_b->data[0], 0xB1);
+
+  services::IoTracker lookup;
+  EXPECT_FALSE(lookup.payload_lba(a, iscsi::make_read_command(1, 10, 8192))
+                   .has_value());
+  EXPECT_FALSE(lookup.payload_lba(b, iscsi::make_read_command(1, 20, 8192))
+                   .has_value());
+  const iscsi::Pdu data_in = iscsi::make_data_in(1, 0, Bytes(8192, 1), true);
+  EXPECT_EQ(lookup.payload_lba(a, data_in), 10u);
+  EXPECT_EQ(lookup.payload_lba(b, data_in), 20u);
+  lookup.on_response(a, 1);
+  EXPECT_FALSE(lookup.payload_lba(a, data_in).has_value());
+  EXPECT_EQ(lookup.payload_lba(b, data_in), 20u);
 }
 
 // --- hex key parsing --------------------------------------------------------

@@ -132,6 +132,53 @@ TEST_F(ScaleoutTest, ReplicaPoolIsSharedAndSpreadAcrossHosts) {
   EXPECT_TRUE(roundtrip(vm1, 64));
 }
 
+// Regression: a pooled cipher serves initiators that all number their
+// task tags from 1. Its in-flight table is keyed by flow and tag, so
+// concurrent writes of two VMs land at their own LBAs and read back
+// intact; keyed by tag alone they took each other's LBAs.
+TEST_F(ScaleoutTest, PooledCipherKeepsConcurrentFlowsApart) {
+  std::vector<cloud::Vm*> vms;
+  ServiceSpec spec = pooled_spec(1, 1, 1);
+  spec.type = "encryption";
+  for (unsigned t = 0; t < 2; ++t) {
+    vms.push_back(&cloud_.create_vm("vm" + std::to_string(t), "t", t));
+    ASSERT_TRUE(
+        cloud_.create_volume("vol" + std::to_string(t), 20'000, t).is_ok());
+    ASSERT_TRUE(
+        deploy("vm" + std::to_string(t), "vol" + std::to_string(t), {spec})
+            .valid());
+  }
+  const ReplicaSet* set = platform_.replica_set("t", "encryption");
+  ASSERT_NE(set, nullptr);
+  ASSERT_EQ(set->replicas.size(), 1u) << "both flows share one box";
+
+  constexpr std::size_t kBytes = 64 * 1024;
+  constexpr std::uint64_t kSectors = kBytes / block::kSectorSize;
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    std::vector<Bytes> written;
+    std::vector<Bytes> got(vms.size());
+    int ok = 0;
+    for (std::size_t t = 0; t < vms.size(); ++t) {
+      written.push_back(testutil::pattern_bytes(
+          kBytes, static_cast<std::uint8_t>(2 * round + t + 1)));
+      const std::uint64_t lba = (round * 2 + t) * kSectors;
+      vms[t]->disk()->write(lba, written[t], [&, t, lba](Status s) {
+        if (!s.is_ok()) return;
+        vms[t]->disk()->read(lba, kSectors, [&, t](Status rs, Bytes bytes) {
+          if (!rs.is_ok()) return;
+          got[t] = std::move(bytes);
+          ++ok;
+        });
+      });
+    }
+    sim_.run();
+    ASSERT_EQ(ok, 2) << "round " << round;
+    for (std::size_t t = 0; t < vms.size(); ++t) {
+      EXPECT_TRUE(got[t] == written[t]) << "vm" << t << " round " << round;
+    }
+  }
+}
+
 TEST_F(ScaleoutTest, FlowPinningFollowsTheConsistentHashRing) {
   cloud_.create_vm("vm0", "t", 0);
   cloud_.create_vm("vm1", "t", 1);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -177,11 +179,215 @@ TEST(Simulator, RunCountsExecutedEventsOnly) {
   for (int i = 0; i < 5; ++i) {
     sim.schedule(static_cast<Time>(i * 100), [] {});
   }
-  sim.schedule(50, [] {}).cancel();
-  EXPECT_EQ(sim.pending(), 6u);  // the dead event waits to be popped
+  CancelToken dead = sim.schedule(50, [] {});
+  EXPECT_EQ(sim.pending(), 6u);
+  dead.cancel();
+  EXPECT_EQ(sim.pending(), 5u);  // cancelling removes the event at once
   EXPECT_FALSE(sim.empty());
   EXPECT_EQ(sim.run(), 5u);
   EXPECT_TRUE(sim.empty());
+}
+
+TEST(CancelSlot, ClosureDestructorMayScheduleAndCancel) {
+  Simulator sim;
+  int fired = 0;
+  CancelToken victim = sim.schedule(30, [&] { ++fired; });
+  struct OnDestroy {
+    std::function<void()> fn;
+    ~OnDestroy() { fn(); }
+  };
+  auto hook = std::make_shared<OnDestroy>();
+  hook->fn = [&] {
+    victim.cancel();
+    sim.schedule(40, [&] { fired += 10; });
+  };
+  CancelToken doomed = sim.schedule(20, [hook] {});
+  hook.reset();     // the queued closure holds the last reference
+  doomed.cancel();  // destroying it cancels `victim` and schedules anew
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(sim.now(), 40u);
+}
+
+// --- reference model ---
+
+// Drives the kernel through seeded random interleavings of schedule,
+// schedule_in(0), equal timestamps, times in the past, cancels of
+// pending, fired, cancelled and stale tokens, and schedules and cancels
+// issued from inside callbacks. A (when, seq) map is the reference: each
+// firing must be its earliest live event, no cancelled event may fire,
+// and pending() must equal its live count after every step.
+class KernelModel {
+ public:
+  explicit KernelModel(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int steps) {
+    for (int i = 0; i < steps; ++i) {
+      switch (rng_.below(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          schedule_random();
+          break;
+        case 4:
+        case 5:
+          cancel_random();
+          break;
+        case 6:
+        case 7:
+          run_until(sim_.now() + rng_.below(6));
+          break;
+        case 8:
+          if (!live_.empty()) run_until(live_.begin()->first.first);
+          break;
+        default: {
+          // A timer armed and disarmed before it is due (a TCP RTO).
+          CancelToken t = sim_.schedule_in(
+              1000, [this] { check(false, "a disarmed timer fired"); });
+          ++seq_;
+          check(sim_.pending() == live_.size() + 1, "pending with a timer");
+          t.cancel();
+          break;
+        }
+      }
+      check_pending();
+    }
+    const std::size_t before = fired_.size();
+    const std::size_t ran = sim_.run();
+    check(ran == fired_.size() - before, "run() count");
+    check(live_.empty(), "model drained");
+    check_pending();
+  }
+
+  int failures() const { return failures_; }
+  const std::string& first_failure() const { return first_failure_; }
+  std::size_t fired() const { return fired_.size(); }
+  std::size_t cancelled() const { return cancelled_.size(); }
+
+ private:
+  using Key = std::pair<Time, std::uint64_t>;
+  struct Issued {
+    CancelToken token;
+    int id;
+  };
+
+  void check(bool ok, const char* what) {
+    if (ok) return;
+    if (failures_++ == 0) {
+      first_failure_ = std::string(what) + " at t=" +
+                       std::to_string(sim_.now()) + " after " +
+                       std::to_string(fired_.size()) + " firings";
+    }
+  }
+  void check_pending() {
+    check(sim_.pending() == live_.size(), "pending() == live count");
+    check(sim_.empty() == live_.empty(), "empty() == no live event");
+  }
+
+  void schedule_random() {
+    const int id = next_id_++;
+    const Time now = sim_.now();
+    Time when = now;
+    CancelToken token;
+    switch (rng_.below(4)) {
+      case 0:
+        token = sim_.schedule_in(0, [this, id] { on_fire(id); });
+        break;
+      case 1: {  // in the past: clamps to now
+        const Time back = rng_.below(5);
+        token = sim_.schedule(now >= back ? now - back : 0,
+                              [this, id] { on_fire(id); });
+        break;
+      }
+      default:  // a narrow window, so equal timestamps are common
+        when = now + rng_.below(8);
+        token = sim_.schedule(when, [this, id] { on_fire(id); });
+        break;
+    }
+    const Key key{when, seq_++};
+    live_.emplace(key, id);
+    key_of_.emplace(id, key);
+    issued_.push_back(Issued{token, id});
+  }
+
+  void cancel_random() {
+    if (issued_.empty()) return;
+    // Half the picks among the newest tokens, which are mostly pending.
+    const std::size_t n = issued_.size();
+    Issued& pick = issued_[rng_.chance(0.5)
+                               ? n - 1 - rng_.below(std::min<std::size_t>(n, 8))
+                               : rng_.below(n)];
+    const auto key = key_of_.find(pick.id);
+    const bool live = key != key_of_.end() && live_.count(key->second) > 0;
+    check(pick.token.armed() == live, "armed() == model liveness");
+    pick.token.cancel();
+    if (live) {
+      live_.erase(key->second);
+      cancelled_.insert(pick.id);
+    }
+  }
+
+  void run_until(Time deadline) {
+    const std::size_t before = fired_.size();
+    const Time start = sim_.now();
+    const std::size_t ran = sim_.run_until(deadline);
+    check(ran == fired_.size() - before, "run_until() count");
+    check(sim_.now() == std::max(start, deadline), "run_until() clock");
+    check(live_.empty() || live_.begin()->first.first > deadline,
+          "run_until() left a due event");
+  }
+
+  void on_fire(int id) {
+    check(cancelled_.count(id) == 0, "a cancelled event fired");
+    check(!live_.empty() && live_.begin()->second == id,
+          "fired out of (when, seq) order");
+    const auto key = key_of_.find(id);
+    check(key != key_of_.end() && sim_.now() == key->second.first,
+          "fired at the wrong time");
+    if (key != key_of_.end()) live_.erase(key->second);
+    fired_.push_back(id);
+    check_pending();
+    // Nested work: on average half an event scheduled per firing, so
+    // the run terminates.
+    for (std::uint64_t n = rng_.below(3); n > 0; --n) {
+      if (rng_.chance(0.5)) {
+        schedule_random();
+      } else {
+        cancel_random();
+      }
+      check_pending();
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::uint64_t seq_ = 0;
+  int next_id_ = 0;
+  std::map<Key, int> live_;
+  std::map<int, Key> key_of_;
+  std::set<int> cancelled_;
+  std::vector<Issued> issued_;
+  std::vector<int> fired_;
+  int failures_ = 0;
+  std::string first_failure_;
+};
+
+TEST(KernelModel, RandomInterleavingsMatchTheReferenceOrder) {
+  std::size_t fired = 0;
+  std::size_t cancelled = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    KernelModel model(seed);
+    model.run(2'000);
+    EXPECT_EQ(model.failures(), 0)
+        << "seed " << seed << ": " << model.first_failure();
+    fired += model.fired();
+    cancelled += model.cancelled();
+  }
+  // The interleavings exercised both paths in earnest.
+  EXPECT_GT(fired, 10'000u);
+  EXPECT_GT(cancelled, 2'000u);
 }
 
 // --- seeded determinism ---

