@@ -1,5 +1,6 @@
 #include "block/block_device.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -62,32 +63,60 @@ void MemDisk::write_gather(std::uint64_t lba, BufChain chunks,
 }
 
 Bytes MemDisk::read_sync(std::uint64_t lba, std::uint32_t count) const {
-  if (lba + count > sectors_) {
-    throw std::out_of_range("MemDisk::read_sync beyond device");
+  Status status = check_range(lba, count);
+  if (!status.is_ok()) {
+    throw std::out_of_range("MemDisk::read_sync: " + status.message());
   }
-  auto begin = data_.begin() + static_cast<std::ptrdiff_t>(lba * kSectorSize);
-  return Bytes(begin, begin + static_cast<std::ptrdiff_t>(count) * kSectorSize);
+  const std::size_t total = std::size_t{count} * kSectorSize;
+  Bytes out;
+  out.reserve(total);
+  std::uint64_t offset = lba * kSectorSize;
+  while (out.size() < total) {
+    const std::size_t in_page = offset % kPageSize;
+    const std::size_t n = std::min(kPageSize - in_page, total - out.size());
+    if (const Page* page = pages_[offset / kPageSize].get()) {
+      const auto* from = page->data() + in_page;
+      out.insert(out.end(), from, from + n);
+    } else {
+      out.resize(out.size() + n);  // never written: zeros
+    }
+    offset += n;
+  }
+  return out;
 }
 
 void MemDisk::write_sync(std::uint64_t lba,
                          std::span<const std::uint8_t> data) {
   if (data.size() % kSectorSize != 0 ||
-      lba + data.size() / kSectorSize > sectors_) {
+      !check_range(lba, data.size() / kSectorSize).is_ok()) {
     throw std::out_of_range("MemDisk::write_sync bad range");
   }
-  std::memcpy(data_.data() + lba * kSectorSize, data.data(), data.size());
+  copy_in(lba * kSectorSize, data);
 }
 
 void MemDisk::write_sync_chain(std::uint64_t lba, const BufChain& chunks) {
   const std::size_t total = chain_size(chunks);
-  if (total % kSectorSize != 0 || lba + total / kSectorSize > sectors_) {
+  if (total % kSectorSize != 0 ||
+      !check_range(lba, total / kSectorSize).is_ok()) {
     throw std::out_of_range("MemDisk::write_sync_chain bad range");
   }
-  std::uint8_t* out = data_.data() + lba * kSectorSize;
+  std::uint64_t offset = lba * kSectorSize;
   for (const Buf& chunk : chunks) {
-    if (chunk.empty()) continue;
-    std::memcpy(out, chunk.data(), chunk.size());
-    out += chunk.size();
+    copy_in(offset, chunk.span());
+    offset += chunk.size();
+  }
+}
+
+void MemDisk::copy_in(std::uint64_t offset,
+                      std::span<const std::uint8_t> data) {
+  while (!data.empty()) {
+    const std::size_t in_page = offset % kPageSize;
+    const std::size_t n = std::min(kPageSize - in_page, data.size());
+    std::unique_ptr<Page>& page = pages_[offset / kPageSize];
+    if (!page) page = std::make_unique<Page>();  // value-initialized: zeros
+    std::memcpy(page->data() + in_page, data.data(), n);
+    offset += n;
+    data = data.subspan(n);
   }
 }
 

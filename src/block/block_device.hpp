@@ -3,9 +3,14 @@
 // inline, SimDisk after a modeled service time.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/buf.hpp"
 #include "common/bytes.hpp"
@@ -45,11 +50,15 @@ class BlockDevice {
   Status check_range(std::uint64_t lba, std::uint64_t sectors) const;
 };
 
-/// Instant in-memory disk; also the backing store for SimDisk.
+/// Instant in-memory disk; also the backing store for SimDisk. The
+/// store is sparse: a flat table of kPageSize pages, each allocated (and
+/// zeroed) on its first write, so a volume costs memory only for what has
+/// been written to it. Unwritten ranges read as zeros.
 class MemDisk : public BlockDevice {
  public:
   explicit MemDisk(std::uint64_t sectors)
-      : sectors_(sectors), data_(sectors * kSectorSize, 0) {}
+      : sectors_(sectors),
+        pages_((sectors + kSectorsPerPage - 1) / kSectorsPerPage) {}
 
   void read(std::uint64_t lba, std::uint32_t count, ReadCallback done) override;
   void write(std::uint64_t lba, Bytes data, WriteCallback done) override;
@@ -65,8 +74,17 @@ class MemDisk : public BlockDevice {
   void write_sync_chain(std::uint64_t lba, const BufChain& chunks);
 
  private:
+  static constexpr std::size_t kPageSize = 4096;
+  static constexpr std::uint64_t kSectorsPerPage = kPageSize / kSectorSize;
+
+  using Page = std::array<std::uint8_t, kPageSize>;
+
+  /// Copy `data` into the store at byte `offset`, allocating pages as
+  /// they are first touched. The caller has checked the range.
+  void copy_in(std::uint64_t offset, std::span<const std::uint8_t> data);
+
   std::uint64_t sectors_;
-  Bytes data_;
+  std::vector<std::unique_ptr<Page>> pages_;  // null: never written
 };
 
 }  // namespace storm::block

@@ -1,10 +1,20 @@
 #include "workload/fio.hpp"
 
+#include <stdexcept>
+
 namespace storm::workload {
 
 FioRunner::FioRunner(sim::Executor executor, block::BlockDevice& device,
                      FioConfig config)
-    : sim_(executor), dev_(device), config_(config), rng_(config.seed) {}
+    : sim_(executor), dev_(device), config_(config), rng_(config.seed) {
+  if (config_.request_bytes == 0 ||
+      config_.request_bytes % block::kSectorSize != 0 ||
+      config_.request_bytes / block::kSectorSize > dev_.num_sectors()) {
+    throw std::invalid_argument(
+        "FioRunner: request_bytes must be a nonzero sector multiple no "
+        "larger than the device");
+  }
+}
 
 void FioRunner::start(std::function<void(FioResult)> done) {
   done_ = std::move(done);
@@ -23,12 +33,16 @@ void FioRunner::job_loop(unsigned job_index) {
     return;
   }
   const std::uint32_t sectors = config_.request_bytes / block::kSectorSize;
+  // The constructor checked sectors <= num_sectors(). Random offsets pick
+  // a whole slot below max_lba, sequential ones wrap at max_lba; with
+  // nothing to pick, the request goes to lba 0.
   const std::uint64_t max_lba = dev_.num_sectors() - sectors;
-  std::uint64_t lba;
+  std::uint64_t lba = 0;
   if (config_.random_offsets) {
     // Sector-size aligned random offsets, as fio does by default.
-    lba = rng_.below(max_lba / sectors) * sectors;
-  } else {
+    const std::uint64_t slots = max_lba / sectors;
+    if (slots > 0) lba = rng_.below(slots) * sectors;
+  } else if (max_lba > 0) {
     lba = (reads_ + writes_) * sectors % max_lba;
   }
 

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "block/block_device.hpp"
 #include "block/sim_disk.hpp"
 #include "block/volume.hpp"
+#include "common/rng.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
 
@@ -48,6 +56,146 @@ TEST(MemDisk, RejectsUnalignedWrite) {
   Status status = Status::ok();
   disk.write(0, Bytes(100), [&](Status s) { status = s; });
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(MemDisk, SyncAccessRejectsRangesThatWrapPastTheLastLba) {
+  MemDisk disk(100);
+  const std::uint64_t near_end = std::numeric_limits<std::uint64_t>::max() - 1;
+  EXPECT_THROW(disk.read_sync(near_end, 4), std::out_of_range);
+  const Bytes four_sectors(4 * kSectorSize, 0xab);
+  EXPECT_THROW(disk.write_sync(near_end, four_sectors), std::out_of_range);
+  EXPECT_THROW(disk.write_sync_chain(near_end, {Buf::copy(four_sectors)}),
+               std::out_of_range);
+  EXPECT_THROW(disk.read_sync(98, 4), std::out_of_range);
+  EXPECT_EQ(disk.read_sync(96, 4), Bytes(4 * kSectorSize, 0));
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+/// Cut `data` into a gather chain at random points: some at arbitrary
+/// bytes, some at sector boundaries, with repeated cuts giving empty
+/// chunks.
+BufChain random_chain(Rng& rng, const Bytes& data) {
+  std::vector<std::size_t> cuts = {0, data.size()};
+  const std::size_t extra = rng.below(6);
+  for (std::size_t i = 0; i < extra; ++i) {
+    std::size_t at = rng.below(data.size() + 1);
+    if (rng.chance(0.5)) at -= at % kSectorSize;
+    cuts.push_back(at);
+  }
+  if (rng.chance(0.3)) cuts.push_back(cuts.back());  // an empty chunk
+  std::sort(cuts.begin(), cuts.end());
+  BufChain chain;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    chain.push_back(Buf::copy(
+        std::span<const std::uint8_t>(data).subspan(cuts[i],
+                                                    cuts[i + 1] - cuts[i])));
+  }
+  return chain;
+}
+
+TEST(MemDisk, RandomOpsMatchADenseReference) {
+  // 8 sectors per 4 KiB page; 5 extra sectors leave a partial last page.
+  constexpr std::uint64_t kSectors = 8 * 256 + 5;
+  constexpr std::uint64_t kMaxRun = 24;  // up to 12 KiB: crosses pages
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    MemDisk disk(kSectors);
+    Bytes ref(kSectors * kSectorSize, 0);
+    auto ref_range = [&](std::uint64_t lba, std::uint64_t count) {
+      auto begin = ref.begin() + static_cast<std::ptrdiff_t>(lba * kSectorSize);
+      return Bytes(begin,
+                   begin + static_cast<std::ptrdiff_t>(count * kSectorSize));
+    };
+    for (int op = 0; op < 300; ++op) {
+      // Most lbas are not page-aligned; a tenth land at the device's tail.
+      const std::uint64_t lba = rng.chance(0.1)
+                                    ? kSectors - 1 - rng.below(kMaxRun)
+                                    : rng.below(kSectors);
+      const std::uint64_t count =
+          1 + rng.below(std::min(kMaxRun, kSectors - lba));
+      switch (rng.below(4)) {
+        case 0: {
+          Bytes data = random_bytes(rng, count * kSectorSize);
+          std::copy(data.begin(), data.end(),
+                    ref.begin() + static_cast<std::ptrdiff_t>(lba * kSectorSize));
+          bool done = false;
+          disk.write(lba, std::move(data), [&](Status s) {
+            done = true;
+            EXPECT_TRUE(s.is_ok());
+          });
+          EXPECT_TRUE(done);
+          break;
+        }
+        case 1: {
+          Bytes data = random_bytes(rng, count * kSectorSize);
+          std::copy(data.begin(), data.end(),
+                    ref.begin() + static_cast<std::ptrdiff_t>(lba * kSectorSize));
+          bool done = false;
+          disk.write_gather(lba, random_chain(rng, data), [&](Status s) {
+            done = true;
+            EXPECT_TRUE(s.is_ok());
+          });
+          EXPECT_TRUE(done);
+          break;
+        }
+        case 2: {
+          bool done = false;
+          disk.read(lba, static_cast<std::uint32_t>(count),
+                    [&](Status s, Bytes got) {
+                      done = true;
+                      ASSERT_TRUE(s.is_ok());
+                      EXPECT_EQ(got, ref_range(lba, count))
+                          << "read lba=" << lba << " count=" << count;
+                    });
+          EXPECT_TRUE(done);
+          break;
+        }
+        default:
+          EXPECT_EQ(disk.read_sync(lba, static_cast<std::uint32_t>(count)),
+                    ref_range(lba, count))
+              << "read_sync lba=" << lba << " count=" << count;
+      }
+    }
+    // The whole device, then the partial last page on its own.
+    EXPECT_EQ(disk.read_sync(0, kSectors), ref);
+    EXPECT_EQ(disk.read_sync(kSectors - 5, 5), ref_range(kSectors - 5, 5));
+    // The full read covered pages nothing was written to.
+    const std::size_t page = 8 * kSectorSize;
+    std::size_t untouched = 0;
+    for (std::size_t off = 0; off + page <= ref.size(); off += page) {
+      untouched += std::all_of(ref.begin() + static_cast<std::ptrdiff_t>(off),
+                               ref.begin() +
+                                   static_cast<std::ptrdiff_t>(off + page),
+                               [](std::uint8_t b) { return b == 0; });
+    }
+    EXPECT_GT(untouched, 0u);
+  }
+}
+
+TEST(MemDisk, TwoGiBVolumeStaysCheap) {
+  // A dense store would hold 2048 MB; the page table holds 4 MiB of
+  // pointers plus the pages that were written.
+  constexpr std::uint64_t kSectors = (2ull << 30) / kSectorSize;
+  MemDisk disk(kSectors);
+  constexpr std::uint64_t kWrites = 256;  // 256 x 4 KiB = 1 MiB
+  const Bytes data = testutil::pattern_bytes(4096, 7);
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    disk.write_sync(i * (kSectors / kWrites) + 3, data);  // crosses a page
+  }
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    const std::uint64_t lba = i * (kSectors / kWrites) + 3;
+    ASSERT_EQ(disk.read_sync(lba, 8), data) << "lba=" << lba;
+    ASSERT_EQ(disk.read_sync(lba + 8, 8), Bytes(4096, 0)) << "lba=" << lba;
+  }
+  rusage usage{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  EXPECT_LT(usage.ru_maxrss, 128 * 1024) << "ru_maxrss in KiB";
 }
 
 TEST(SimDisk, CompletionIsDelayedByServiceTime) {

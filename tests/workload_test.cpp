@@ -77,6 +77,98 @@ TEST(Fio, LargerRequestsLowerIopsHigherBandwidth) {
   EXPECT_GT(big.throughput_mb_s, small.throughput_mb_s);
 }
 
+/// A SimDisk that logs the lba of every request it is given.
+class LbaLog : public block::BlockDevice {
+ public:
+  LbaLog(sim::Simulator& sim, std::uint64_t sectors) : disk_(sim, sectors) {}
+
+  void read(std::uint64_t lba, std::uint32_t count,
+            ReadCallback done) override {
+    lbas.push_back(lba);
+    disk_.read(lba, count, std::move(done));
+  }
+  void write(std::uint64_t lba, Bytes data, WriteCallback done) override {
+    lbas.push_back(lba);
+    disk_.write(lba, std::move(data), std::move(done));
+  }
+  std::uint64_t num_sectors() const override { return disk_.num_sectors(); }
+
+  std::vector<std::uint64_t> lbas;
+
+ private:
+  block::SimDisk disk_;
+};
+
+std::vector<std::uint64_t> fio_lbas(std::uint64_t sectors,
+                                    std::uint32_t request_bytes,
+                                    bool random_offsets) {
+  sim::Simulator sim;
+  LbaLog disk(sim, sectors);
+  FioConfig config;
+  config.request_bytes = request_bytes;
+  config.random_offsets = random_offsets;
+  config.duration = sim::milliseconds(2);
+  FioRunner fio(sim, disk, config);
+  bool done = false;
+  fio.start([&](FioResult) { done = true; });
+  sim.run();
+  EXPECT_TRUE(done);
+  return disk.lbas;
+}
+
+TEST(Fio, RejectsZeroRequestBytes) {
+  sim::Simulator sim;
+  block::SimDisk disk(sim, 64);
+  FioConfig config;
+  config.request_bytes = 0;
+  EXPECT_THROW(FioRunner(sim, disk, config), std::invalid_argument);
+}
+
+TEST(Fio, RejectsRequestBytesThatAreNotASectorMultiple) {
+  sim::Simulator sim;
+  block::SimDisk disk(sim, 64);
+  FioConfig config;
+  config.request_bytes = 4096 + 100;
+  EXPECT_THROW(FioRunner(sim, disk, config), std::invalid_argument);
+}
+
+TEST(Fio, RejectsRequestsLargerThanTheDevice) {
+  sim::Simulator sim;
+  block::SimDisk disk(sim, 7);
+  FioConfig config;
+  config.request_bytes = 4096;  // 8 sectors
+  EXPECT_THROW(FioRunner(sim, disk, config), std::invalid_argument);
+}
+
+TEST(Fio, DeviceHoldingExactlyOneRequestAlwaysUsesLbaZero) {
+  for (bool random_offsets : {true, false}) {
+    std::vector<std::uint64_t> lbas = fio_lbas(8, 4096, random_offsets);
+    ASSERT_GT(lbas.size(), 3u) << "random_offsets=" << random_offsets;
+    for (std::uint64_t lba : lbas) EXPECT_EQ(lba, 0u);
+  }
+}
+
+TEST(Fio, RandomOffsetsOnADeviceShortOfTwoRequestsUseLbaZero) {
+  // 12 sectors hold one 8-sector request and half of a second.
+  std::vector<std::uint64_t> lbas = fio_lbas(12, 4096, true);
+  ASSERT_GT(lbas.size(), 3u);
+  for (std::uint64_t lba : lbas) EXPECT_EQ(lba, 0u);
+}
+
+TEST(Fio, LbaSequencesOfRoomyDevicesAreUnchanged) {
+  // Pinned: a device with room for several requests draws exactly these
+  // offsets, so the small-device guards move no fio-driven output.
+  const std::vector<std::uint64_t> random = fio_lbas(64, 4096, true);
+  ASSERT_GE(random.size(), 8u);
+  EXPECT_EQ(std::vector<std::uint64_t>(random.begin(), random.begin() + 8),
+            (std::vector<std::uint64_t>{40, 16, 16, 48, 40, 32, 40, 32}));
+  const std::vector<std::uint64_t> sequential = fio_lbas(64, 4096, false);
+  ASSERT_GE(sequential.size(), 8u);
+  EXPECT_EQ(
+      std::vector<std::uint64_t>(sequential.begin(), sequential.begin() + 8),
+      (std::vector<std::uint64_t>{0, 8, 16, 24, 32, 40, 48, 0}));
+}
+
 // --- postmark ------------------------------------------------------------------
 
 TEST(Postmark, RunsTransactionMixOverSimExt) {
