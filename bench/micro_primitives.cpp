@@ -91,15 +91,17 @@ void BM_PduSerializeParse(benchmark::State& state) {
   iscsi::Pdu pdu = iscsi::make_data_out(
       7, 0, make_data(static_cast<std::size_t>(state.range(0))), true);
   for (auto _ : state) {
-    Bytes wire = iscsi::serialize(pdu);
-    auto parsed = iscsi::parse_pdu(
-        std::span<const std::uint8_t>(wire.data() + 4, wire.size() - 4));
+    const Buf wire(iscsi::serialize(pdu));
+    auto parsed = iscsi::parse_pdu(wire.slice(4, wire.size() - 4));
     benchmark::DoNotOptimize(parsed.is_ok());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_PduSerializeParse)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_PduSerializeParse)
+    ->Arg(4096)
+    ->Arg(iscsi::kMaxDataSegment)
+    ->Arg(65536);
 
 void BM_NatTranslateConntrack(benchmark::State& state) {
   net::NatEngine nat;

@@ -36,8 +36,9 @@ std::string Pdu::summary() const {
 }
 
 // Body layout: 4 one-byte fields, task_tag(4), lba(8), transfer_length(4),
-// data_offset(4), u16-prefixed text, data_size(4), data, data_digest(4),
-// body crc(4) = 38 fixed bytes + text + data.
+// data_offset(4), u16-prefixed text, data_size(4), header_digest(4), data,
+// data_digest(4) = 38 fixed bytes + text + data. Each body byte sits under
+// exactly one of the two digests (see serialize_chunks).
 std::size_t serialized_body_size(const Pdu& pdu) {
   return 38 + pdu.text.size() + pdu.data.size();
 }
@@ -49,8 +50,11 @@ std::size_t serialized_size(const Pdu& pdu) {
 namespace {
 
 /// Everything before the data segment: length prefix, fixed header
-/// fields, text, and the data-size field.
-void write_head(ByteWriter& w, const Pdu& pdu, std::size_t body_len) {
+/// fields, text, the data-size field and the header digest.
+Bytes write_head(const Pdu& pdu, std::size_t body_len) {
+  Bytes head;
+  head.reserve(4 + body_len - pdu.data.size() - 4);
+  ByteWriter w(head);
   w.u32(static_cast<std::uint32_t>(body_len));
   w.u8(static_cast<std::uint8_t>(pdu.opcode));
   w.u8(pdu.flags);
@@ -62,35 +66,22 @@ void write_head(ByteWriter& w, const Pdu& pdu, std::size_t body_len) {
   w.u32(pdu.data_offset);
   w.str(pdu.text);
   w.u32(static_cast<std::uint32_t>(pdu.data.size()));
+  w.u32(crc32(std::span<const std::uint8_t>(head).subspan(4)));
+  return head;
 }
 
 }  // namespace
 
 BufChain serialize_chunks(const Pdu& pdu) {
-  const std::size_t body_len = serialized_body_size(pdu);
-  Bytes head;
-  head.reserve(4 + body_len - pdu.data.size() - 8);
-  ByteWriter w(head);
-  write_head(w, pdu, body_len);
-
-  // The trailing whole-body digest is computed incrementally across the
-  // chunks — the data segment is digested through its refcounted view,
-  // never copied.
-  Crc32 body_crc;
-  body_crc.update(std::span<const std::uint8_t>(head).subspan(4));
-  body_crc.update(pdu.data);
-
-  Bytes tail;
-  tail.reserve(8);
-  ByteWriter t(tail);
-  t.u32(pdu.data.empty() ? 0 : crc32(pdu.data));
-  body_crc.update(tail);  // the data_digest field is inside the body crc
-  t.u32(body_crc.final());
-
   BufChain chain;
   chain.reserve(3);
-  chain.push_back(Buf(std::move(head)));
+  chain.push_back(Buf(write_head(pdu, serialized_body_size(pdu))));
+  // The data segment is digested through its refcounted view, never
+  // copied.
   if (!pdu.data.empty()) chain.push_back(pdu.data);
+  Bytes tail;
+  tail.reserve(4);
+  ByteWriter(tail).u32(crc32(pdu.data));
   chain.push_back(Buf(std::move(tail)));
   return chain;
 }
@@ -109,19 +100,8 @@ Bytes serialize(const Pdu& pdu) {
 
 Result<Pdu> parse_pdu(Buf body) {
   try {
-    if (body.size() < 4) {
-      return error(ErrorCode::kParseError, "truncated PDU body");
-    }
     const std::span<const std::uint8_t> all = body.span();
-    // Verify the trailing whole-body digest before trusting any field.
-    std::span<const std::uint8_t> inner = all.first(all.size() - 4);
-    {
-      ByteReader tail(all.subspan(all.size() - 4));
-      if (tail.u32() != crc32(inner)) {
-        return error(ErrorCode::kParseError, "pdu digest mismatch");
-      }
-    }
-    ByteReader r(inner);
+    ByteReader r(all);
     Pdu pdu;
     pdu.opcode = static_cast<Opcode>(r.u8());
     pdu.flags = r.u8();
@@ -132,28 +112,28 @@ Result<Pdu> parse_pdu(Buf body) {
     pdu.transfer_length = r.u32();
     pdu.data_offset = r.u32();
     pdu.text = r.str();
-    std::uint32_t data_len = r.u32();
+    const std::uint32_t data_len = r.u32();
+    // Verify the header before trusting data_len.
+    const std::size_t header_len = r.position();
+    if (r.u32() != crc32(all.first(header_len))) {
+      return error(ErrorCode::kParseError, "header digest mismatch");
+    }
     const std::size_t data_off = r.position();
     r.skip(data_len);
-    // Zero copy: the data segment is a slice of the body the caller
-    // already holds; whoever mutates it later goes through COW.
-    pdu.data = body.slice(data_off, data_len);
-    pdu.data_digest = r.u32();
+    const std::uint32_t data_digest = r.u32();
     if (r.remaining() != 0) {
       return error(ErrorCode::kParseError, "trailing bytes in PDU");
     }
-    std::uint32_t expect = pdu.data.empty() ? 0 : crc32(pdu.data);
-    if (pdu.data_digest != expect) {
+    // Zero copy: the data segment is a slice of the body the caller
+    // already holds; whoever mutates it later goes through COW.
+    pdu.data = body.slice(data_off, data_len);
+    if (data_digest != crc32(pdu.data)) {
       return error(ErrorCode::kParseError, "data digest mismatch");
     }
     return pdu;
   } catch (const std::out_of_range&) {
     return error(ErrorCode::kParseError, "truncated PDU body");
   }
-}
-
-Result<Pdu> parse_pdu(std::span<const std::uint8_t> body) {
-  return parse_pdu(Buf::copy(body));
 }
 
 std::uint32_t StreamParser::peek_u32() const {
@@ -218,6 +198,11 @@ Status StreamParser::feed(Buf bytes, std::vector<Pdu>& out) {
   }
   while (pending_ >= 4) {
     const std::uint32_t body_len = peek_u32();
+    // No digest covers the prefix: cap it, or a corrupt one would have
+    // the parser buffer up to 4 GiB of the stream waiting for the frame.
+    if (body_len > kMaxPduBody) {
+      return error(ErrorCode::kParseError, "PDU length prefix too large");
+    }
     if (pending_ - 4 < body_len) break;
     auto result = parse_pdu(gather(4, body_len));
     if (!result.is_ok()) {

@@ -24,6 +24,10 @@ namespace storm::iscsi {
 /// many bytes (MaxRecvDataSegmentLength).
 inline constexpr std::uint32_t kMaxDataSegment = 8 * 1024;
 
+/// Largest legal PDU body: 38 fixed bytes, the longest u16-prefixed text
+/// and a full data segment. StreamParser rejects any longer length prefix.
+inline constexpr std::uint32_t kMaxPduBody = 38 + 0xFFFF + kMaxDataSegment;
+
 /// Default iSCSI target port.
 inline constexpr std::uint16_t kIscsiPort = 3260;
 
@@ -62,7 +66,6 @@ struct Pdu {
   std::uint32_t data_offset = 0;     // bytes into the burst (Data-In/Out)
   std::string text;                  // login parameters ("iqn=...")
   Buf data;                          // data segment (refcounted view)
-  std::uint32_t data_digest = 0;     // CRC32 of data (0 when data empty)
 
   bool is_final() const { return flags & kFlagFinal; }
   bool is_read() const { return flags & kFlagRead; }
@@ -74,8 +77,11 @@ struct Pdu {
 std::size_t serialized_body_size(const Pdu& pdu);
 std::size_t serialized_size(const Pdu& pdu);
 
-/// Zero-copy serialization: [prefix + headers + text, data, digests].
-/// The middle chunk *references* pdu.data — no payload byte is copied.
+/// Zero-copy serialization: [prefix + header + header digest, data, data
+/// digest]. The header digest is the CRC32 of the fixed fields, the text
+/// and the data-size field; the data digest is the CRC32 of the data
+/// segment (0 when it is empty). The middle chunk *references* pdu.data —
+/// no payload byte is copied.
 /// Feed the chain to TcpConnection::send(BufChain).
 BufChain serialize_chunks(const Pdu& pdu);
 
@@ -83,11 +89,10 @@ BufChain serialize_chunks(const Pdu& pdu);
 /// prefix included, reserved exactly once). The data segment is copied.
 Bytes serialize(const Pdu& pdu);
 
-/// Parse one PDU from `body` (the bytes after the length prefix).
-/// Returns a parse-error status for malformed bodies. The Buf form sets
-/// pdu.data as an O(1) slice of `body`; the span form copies.
+/// Parse one PDU from `body` (the bytes after the length prefix), checking
+/// each digest once. Returns a parse-error status for malformed bodies;
+/// pdu.data is an O(1) slice of `body`.
 Result<Pdu> parse_pdu(Buf body);
-Result<Pdu> parse_pdu(std::span<const std::uint8_t> body);
 
 /// Incremental reassembly of PDUs from a TCP byte stream. Buffers the
 /// fed chunks by reference; a PDU body that lands inside a single chunk
@@ -96,11 +101,9 @@ Result<Pdu> parse_pdu(std::span<const std::uint8_t> body);
 class StreamParser {
  public:
   /// Feed stream bytes; appends any completed PDUs to `out`.
-  /// Returns an error (and stops consuming) on a malformed PDU.
+  /// Returns an error (and stops consuming) on a malformed PDU or a
+  /// length prefix above kMaxPduBody.
   Status feed(Buf bytes, std::vector<Pdu>& out);
-  Status feed(std::span<const std::uint8_t> bytes, std::vector<Pdu>& out) {
-    return feed(Buf::copy(bytes), out);
-  }
 
   /// Bytes buffered awaiting a complete PDU.
   std::size_t pending_bytes() const { return pending_; }

@@ -299,7 +299,7 @@ TEST(RelayJournal, ReplayHeadIsAlwaysAFreshCommand) {
     if (replay.empty()) continue;
     Bytes head = chain_to_bytes(replay.front());
     auto parsed = iscsi::parse_pdu(
-        std::span<const std::uint8_t>(head.data() + 4, head.size() - 4));
+        Buf::copy(std::span<const std::uint8_t>(head).subspan(4)));
     ASSERT_TRUE(parsed.is_ok()) << "ack=" << ack;
     EXPECT_EQ(parsed.value().opcode, iscsi::Opcode::kScsiCommand)
         << "replay after ack=" << ack << " starts mid-burst with "

@@ -51,8 +51,8 @@ TEST(PduFuzz, RandomPdusRoundTripByteExactly) {
   for (int i = 0; i < 200; ++i) {
     Pdu pdu = random_pdu(rng);
     Bytes wire = serialize(pdu);
-    auto parsed = parse_pdu(std::span<const std::uint8_t>(
-        wire.data() + 4, wire.size() - 4));
+    auto parsed = parse_pdu(
+        Buf::copy(std::span<const std::uint8_t>(wire).subspan(4)));
     ASSERT_TRUE(parsed.is_ok()) << "iteration " << i << ": "
                                 << parsed.status().to_string();
     // Byte-exact: re-serializing the parse yields the same wire image.
@@ -77,7 +77,8 @@ TEST(PduFuzz, RandomSegmentationReassemblesEverything) {
     std::size_t n = std::min<std::size_t>(1 + rng.below(1500),
                                           stream.size() - pos);
     ASSERT_TRUE(parser
-                    .feed(std::span<const std::uint8_t>(stream.data() + pos, n),
+                    .feed(Buf::copy(std::span<const std::uint8_t>(
+                              stream.data() + pos, n)),
                           got)
                     .is_ok());
     pos += n;
@@ -95,7 +96,7 @@ TEST(PduFuzz, EveryTruncationIsARejectedParseNotACrash) {
   Bytes wire = serialize(pdu);
   std::span<const std::uint8_t> body(wire.data() + 4, wire.size() - 4);
   for (std::size_t len = 0; len < body.size(); ++len) {
-    auto parsed = parse_pdu(body.first(len));
+    auto parsed = parse_pdu(Buf::copy(body.first(len)));
     EXPECT_FALSE(parsed.is_ok()) << "truncation to " << len << " accepted";
     EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError);
   }
@@ -105,14 +106,13 @@ TEST(PduFuzz, EverySingleBitFlipInBodyIsDetected) {
   Rng rng(8);
   Pdu pdu = random_pdu(rng);
   pdu.data = pdu.data.slice(0, std::min<std::size_t>(pdu.data.size(), 200));
-  pdu.data_digest = 0;
   Bytes wire = serialize(pdu);
   const std::size_t body_len = wire.size() - 4;
   for (std::size_t bit = 0; bit < body_len * 8; ++bit) {
     Bytes flipped = wire;
     flipped[4 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    auto parsed = parse_pdu(std::span<const std::uint8_t>(
-        flipped.data() + 4, body_len));
+    auto parsed = parse_pdu(Buf::copy(std::span<const std::uint8_t>(
+        flipped.data() + 4, body_len)));
     EXPECT_FALSE(parsed.is_ok())
         << "bit flip at body bit " << bit << " went undetected";
   }
@@ -133,9 +133,9 @@ TEST(PduFuzz, CorruptStreamErrorsWithoutOverread) {
       junk[2] = 0;
       junk[3] = static_cast<std::uint8_t>(rng.below(junk.size() - 4));
     }
-    Status status = parser.feed(junk, got);
+    Status status = parser.feed(Buf(std::move(junk)), got);
     // Either the frame never completes (ok, buffered) or the body parse
-    // fails; a random body passing the whole-body CRC is ~2^-32.
+    // fails; a random body passing both digests is ~2^-64.
     if (status.is_ok()) {
       EXPECT_TRUE(got.empty() || status.is_ok());
     } else {
@@ -166,14 +166,15 @@ TEST(PduFuzz, BitFlippedStreamNeverDeliversAWrongPdu) {
     corrupted[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     StreamParser parser;
     std::vector<Pdu> got;
-    Status status = parser.feed(corrupted, got);
+    Status status = parser.feed(Buf(std::move(corrupted)), got);
     if (status.is_ok()) {
-      // The flip hit a length prefix and the parser is still waiting for
-      // a (bogus) longer frame — fine, but every PDU it *did* deliver
-      // must be one of the originals, byte-exact.
+      // The flip raised a length prefix, still within kMaxPduBody, and
+      // the parser waits for the rest of that longer frame — fine, but
+      // every PDU it *did* deliver must be one of the originals,
+      // byte-exact.
       std::vector<Pdu> originals;
       StreamParser clean;
-      ASSERT_TRUE(clean.feed(stream, originals).is_ok());
+      ASSERT_TRUE(clean.feed(Buf::copy(stream), originals).is_ok());
       ASSERT_LE(got.size(), originals.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(serialize(got[i]), serialize(originals[i]));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "block/volume.hpp"
+#include "common/hash.hpp"
 #include "crypto/sha256.hpp"
 #include "iscsi/initiator.hpp"
 #include "iscsi/pdu.hpp"
@@ -12,6 +13,11 @@ namespace storm::iscsi {
 namespace {
 
 using testutil::ip;
+
+/// A serialized PDU's body: everything after the u32 length prefix.
+Buf body_of(const Bytes& wire) {
+  return Buf::copy(std::span<const std::uint8_t>(wire).subspan(4));
+}
 
 // --- PDU codec ---------------------------------------------------------------
 
@@ -28,8 +34,7 @@ TEST(Pdu, SerializeParseRoundTrip) {
 
   Bytes wire = serialize(pdu);
   // Strip the length prefix for parse_pdu.
-  auto result = parse_pdu(
-      std::span<const std::uint8_t>(wire.data() + 4, wire.size() - 4));
+  auto result = parse_pdu(body_of(wire));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const Pdu& back = result.value();
   EXPECT_EQ(back.opcode, pdu.opcode);
@@ -46,8 +51,7 @@ TEST(Pdu, ParseRejectsCorruptedData) {
   Pdu pdu = make_data_out(1, 0, testutil::pattern_bytes(100), true);
   Bytes wire = serialize(pdu);
   wire[wire.size() - 20] ^= 0xFF;  // flip a data byte: digest must catch it
-  auto result = parse_pdu(
-      std::span<const std::uint8_t>(wire.data() + 4, wire.size() - 4));
+  auto result = parse_pdu(body_of(wire));
   EXPECT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kParseError);
 }
@@ -55,9 +59,42 @@ TEST(Pdu, ParseRejectsCorruptedData) {
 TEST(Pdu, ParseRejectsTruncated) {
   Pdu pdu = make_read_command(1, 0, 4096);
   Bytes wire = serialize(pdu);
-  auto result = parse_pdu(
-      std::span<const std::uint8_t>(wire.data() + 4, wire.size() - 10));
+  auto result = parse_pdu(body_of(wire).slice(0, wire.size() - 10));
   EXPECT_FALSE(result.is_ok());
+}
+
+TEST(Pdu, HeaderDigestFollowsTheDataSizeAndDataDigestEndsTheBody) {
+  Pdu pdu = make_data_out(9, 4096, testutil::pattern_bytes(300), true);
+  pdu.text = "iqn=layout";
+  const Bytes wire = serialize(pdu);
+  ASSERT_EQ(wire.size(), serialized_size(pdu));
+  const std::span<const std::uint8_t> bytes(wire);
+  // Prefix, 24 bytes of fixed fields, u16-prefixed text, data size.
+  const std::size_t header_end = 4 + 24 + 2 + pdu.text.size() + 4;
+  EXPECT_EQ(ByteReader(bytes.subspan(header_end - 4)).u32(), 300u);
+  EXPECT_EQ(ByteReader(bytes.subspan(header_end)).u32(),
+            crc32(bytes.subspan(4, header_end - 4)));
+  EXPECT_EQ(Bytes(wire.begin() + static_cast<std::ptrdiff_t>(header_end + 4),
+                  wire.end() - 4),
+            pdu.data.to_bytes());
+  EXPECT_EQ(ByteReader(bytes.last(4)).u32(), crc32(pdu.data));
+
+  const Bytes bare = serialize(make_read_command(3, 7, 4096));
+  EXPECT_EQ(ByteReader(std::span<const std::uint8_t>(bare).last(4)).u32(), 0u);
+
+  Bytes bad_header = wire;
+  bad_header[header_end] ^= 0x01;
+  auto header_result = parse_pdu(body_of(bad_header));
+  ASSERT_FALSE(header_result.is_ok());
+  EXPECT_EQ(header_result.status().code(), ErrorCode::kParseError);
+  EXPECT_EQ(header_result.status().message(), "header digest mismatch");
+
+  Bytes bad_data = wire;
+  bad_data[wire.size() - 1] ^= 0x01;
+  auto data_result = parse_pdu(body_of(bad_data));
+  ASSERT_FALSE(data_result.is_ok());
+  EXPECT_EQ(data_result.status().code(), ErrorCode::kParseError);
+  EXPECT_EQ(data_result.status().message(), "data digest mismatch");
 }
 
 TEST(StreamParser, ReassemblesAcrossArbitrarySegmentation) {
@@ -74,8 +111,7 @@ TEST(StreamParser, ReassemblesAcrossArbitrarySegmentation) {
   StreamParser parser;
   std::vector<Pdu> got;
   for (std::uint8_t byte : stream) {
-    ASSERT_TRUE(parser.feed(std::span<const std::uint8_t>(&byte, 1), got)
-                    .is_ok());
+    ASSERT_TRUE(parser.feed(Buf(Bytes{byte}), got).is_ok());
   }
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].opcode, Opcode::kLoginRequest);
@@ -94,12 +130,35 @@ TEST(StreamParser, HandlesBatchedPdus) {
   }
   StreamParser parser;
   std::vector<Pdu> got;
-  ASSERT_TRUE(parser.feed(stream, got).is_ok());
+  ASSERT_TRUE(parser.feed(Buf(std::move(stream)), got).is_ok());
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(got[static_cast<std::size_t>(i)].task_tag,
               static_cast<std::uint32_t>(i));
   }
+}
+
+TEST(StreamParser, RejectsALengthPrefixAboveTheLargestBodyAtOnce) {
+  StreamParser parser;
+  std::vector<Pdu> got;
+  Status status = parser.feed(Buf(Bytes{0xFF, 0xFF, 0xFF, 0xF0}), got);
+  EXPECT_EQ(status.code(), ErrorCode::kParseError);
+  EXPECT_TRUE(got.empty());
+
+  // The largest legal PDU still passes: a full text and a full segment.
+  Pdu largest = make_data_out(1, 0, Bytes(kMaxDataSegment, 0x3C), true);
+  largest.text.assign(0xFFFF, 't');
+  ASSERT_EQ(serialized_body_size(largest), kMaxPduBody);
+  StreamParser roomy;
+  ASSERT_TRUE(roomy.feed(Buf(serialize(largest)), got).is_ok());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].text.size(), 0xFFFFu);
+
+  Bytes one_more;
+  ByteWriter(one_more).u32(kMaxPduBody + 1);
+  StreamParser tight;
+  EXPECT_EQ(tight.feed(Buf(std::move(one_more)), got).code(),
+            ErrorCode::kParseError);
 }
 
 // --- end-to-end initiator/target over the fabric ------------------------------
