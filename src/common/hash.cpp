@@ -110,26 +110,21 @@ std::uint64_t bytes_digested() { return g_bytes_digested; }
 
 }  // namespace hashstats
 
-void Crc32::update(std::span<const std::uint8_t> data) {
+std::uint32_t crc32(std::span<const std::uint8_t> data) {
   g_bytes_digested += data.size();
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
+  std::uint32_t c = 0xFFFFFFFFu;
 #if defined(__x86_64__)
   static const bool have_clmul = cpu_has_clmul();
   if (have_clmul && n >= 64) {
     const std::size_t body = n & ~std::size_t{15};
-    c_ = crc_fold_update(c_, p, body);
+    c = crc_fold_update(c, p, body);
     p += body;
     n -= body;
   }
 #endif
-  c_ = crc_table_update(c_, p, n);
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  Crc32 state;
-  state.update(data);
-  return state.final();
+  return crc_table_update(c, p, n) ^ 0xFFFFFFFFu;
 }
 
 namespace {

@@ -23,18 +23,6 @@ std::uint64_t bytes_digested();
 /// Both paths give the same digest.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// Incremental CRC32 over a sequence of spans; final() equals crc32() of
-/// the concatenation. Lets chunked serializers digest a scattered PDU
-/// without first flattening it.
-class Crc32 {
- public:
-  void update(std::span<const std::uint8_t> data);
-  std::uint32_t final() const { return c_ ^ 0xFFFFFFFFu; }
-
- private:
-  std::uint32_t c_ = 0xFFFFFFFFu;
-};
-
 /// 64-bit FNV-1a.
 std::uint64_t fnv1a(std::string_view s);
 std::uint64_t fnv1a(std::span<const std::uint8_t> data);

@@ -21,13 +21,12 @@ constexpr double kNsPerByte = 0.15;
 
 ActiveRelay::ActiveRelay(cloud::Vm& mb_vm, net::SocketAddr upstream,
                          StorageService& service, std::string volume,
-                         RelayFlowControl flow, journal::Config journal_config)
+                         RelayFlowControl flow)
     : vm_(mb_vm), upstream_(upstream), service_(service),
       volume_(std::move(volume)), flow_(flow),
       scope_(telemetry().scope("relay." + vm_.name() + ".")),
       journal_dev_(mb_vm.node().executor(),
-                   telemetry().scope("relay." + vm_.name() + ".journal."),
-                   journal_config),
+                   telemetry().scope("relay." + vm_.name() + ".journal.")),
       stamper_(telemetry(), vm_.name()) {
   // A resume threshold above the pause threshold could never be crossed
   // downward while paused — clamp rather than deadlock.
@@ -603,9 +602,7 @@ bool ActiveRelay::quiescent() const {
   for (const auto& session : sessions_) {
     if (!session_idle(*session)) return false;
   }
-  // The device write pipeline must have drained too — "quiescent" means
-  // no journal write is still in flight.
-  return journal_dev_.flush_idle();
+  return true;
 }
 
 bool ActiveRelay::sessions_established() const {

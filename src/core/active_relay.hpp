@@ -74,8 +74,7 @@ class ActiveRelay {
   /// ServiceContext.
   ActiveRelay(cloud::Vm& mb_vm, net::SocketAddr upstream,
               StorageService& service, std::string volume = {},
-              RelayFlowControl flow = {},
-              journal::Config journal_config = {});
+              RelayFlowControl flow = {});
 
   ActiveRelay(const ActiveRelay&) = delete;
   ActiveRelay& operator=(const ActiveRelay&) = delete;

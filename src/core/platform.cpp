@@ -244,26 +244,8 @@ RelayFlowControl relay_flow_control(const ServiceSpec& spec) {
   return flow;
 }
 
-// Tenant-tunable journal engine knobs, also from the service stanza:
-// `journal_segment_kb` sizes log segments, `journal_group_commit=0`
-// falls back to one NVRAM write per record (the bench baseline; `=1` is
-// the default), and `journal_checkpoint_kb` sets the dead-byte threshold
-// that triggers an automatic checkpoint (0 = explicit checkpoints only).
-journal::Config relay_journal_config(const ServiceSpec& spec) {
-  journal::Config config;
-  if (auto seg = parse_count(spec.param("journal_segment_kb"), 1024)) {
-    config.segment_bytes = *seg;
-  }
-  const std::string group = spec.param("journal_group_commit");
-  if (group == "0" || group == "1") config.group_commit = group == "1";
-  if (auto ckpt = parse_count(spec.param("journal_checkpoint_kb"), 1024)) {
-    config.checkpoint_dead_bytes = *ckpt;
-  }
-  return config;
-}
-
 // Starts the relay `box`'s relay mode calls for; an active one dials
-// `upstream` with the box's own flow-control and journal knobs.
+// `upstream` with the box's own flow-control watermarks.
 void start_relay(MiddleboxInstance& box, net::SocketAddr upstream,
                  const std::string& volume) {
   switch (box.spec.relay) {
@@ -277,7 +259,7 @@ void start_relay(MiddleboxInstance& box, net::SocketAddr upstream,
     case RelayMode::kActive:
       box.active_relay = std::make_unique<ActiveRelay>(
           *box.vm, upstream, *box.service, volume,
-          relay_flow_control(box.spec), relay_journal_config(box.spec));
+          relay_flow_control(box.spec));
       box.active_relay->start();
       break;
   }

@@ -160,14 +160,13 @@ Result<TenantPolicy> parse_policy(const std::string& text) {
         } else if (key == "host") {
           spec.host_index = static_cast<int>(number(key, value, 1, INT_MAX));
         } else {
-          // Journal knobs are read while the attach runs; malformed ones
-          // must not get that far.
-          if (key.starts_with("journal_") && key.ends_with("_kb")) {
+          // The journal watermarks are read while the attach runs;
+          // malformed ones, and any other journal_ key, must not get
+          // that far.
+          if (key == "journal_hwm_kb" || key == "journal_lwm_kb") {
             number(key, value, 1024, SIZE_MAX);
-          } else if (key == "journal_group_commit" && value != "0" &&
-                     value != "1") {
-            return fail("bad flag for " + key + ": '" + value +
-                        "' (expected 0 or 1)");
+          } else if (key.starts_with("journal_")) {
+            return fail("unknown journal key: " + key);
           }
           spec.params[key] = value;
         }

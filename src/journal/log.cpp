@@ -4,24 +4,12 @@
 
 namespace storm::journal {
 
-namespace {
-
-/// Fixed cost of one simulated NVRAM write (the flush/fence the device
-/// charges per write, independent of size) ...
-constexpr sim::Duration kWriteLatency = sim::microseconds(4);
-/// ... plus this much per byte written (device bandwidth).
-constexpr double kNsPerByte = 0.25;
-
-}  // namespace
-
-Device::Device(sim::Executor executor, obs::Scope scope, Config config)
-    : sim_(executor), scope_(std::move(scope)), config_(config) {
+Device::Device(sim::Executor, obs::Scope scope, Config config)
+    : scope_(std::move(scope)), config_(config) {
   if (config_.segment_bytes < kRecordOverhead + 1) {
     config_.segment_bytes = kRecordOverhead + 1;
   }
 }
-
-Device::~Device() { flush_token_.cancel(); }
 
 // ------------------------------------------------------------- streams
 
@@ -65,16 +53,8 @@ void Device::note_append(SegmentState& seg, std::uint64_t seq) {
   seg.max_seq = std::max(seg.max_seq, seq);
 }
 
-void Device::stage_commit(std::uint64_t seq, std::size_t frame_bytes,
-                          CommitFn cb) {
-  pending_.push_back(PendingCommit{seq, sim_.now(), frame_bytes,
-                                   std::move(cb)});
-  schedule_flush();
-}
-
 std::uint64_t Device::append(StreamId stream, const BufChain& payload,
-                             std::uint64_t watermark, bool boundary,
-                             CommitFn on_commit) {
+                             std::uint64_t watermark, bool boundary) {
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
     // Adopted stream id (standby handoff, post-recovery append): learn it.
@@ -87,8 +67,7 @@ std::uint64_t Device::append(StreamId stream, const BufChain& payload,
   SegmentState& seg = active_segment(len);
   const std::uint64_t seq = next_seq_++;
   const std::uint8_t flags = boundary ? kBoundary : 0;
-  const std::size_t frame =
-      seg.segment.append(stream, seq, watermark, flags, payload);
+  seg.segment.append(stream, seq, watermark, flags, payload);
   note_append(seg, seq);
 
   st.records.push_back(LiveRecord{seq, watermark, boundary,
@@ -99,61 +78,8 @@ std::uint64_t Device::append(StreamId stream, const BufChain& payload,
 
   scope_.counter("appends").add();
   scope_.counter("append_bytes").add(len);
-  stage_commit(seq, frame, std::move(on_commit));
   update_gauges();
   return seq;
-}
-
-// --------------------------------------------------------- group commit
-
-void Device::schedule_flush() {
-  if (flush_in_flight_ || pending_.empty()) return;
-  // Group commit: one simulated NVRAM write covers everything staged so
-  // far; records arriving while it is in flight form the next group.
-  // Baseline (group_commit=false): one write per record, serialized.
-  const std::size_t batch =
-      config_.group_commit ? pending_.size() : std::size_t{1};
-  std::size_t batch_bytes = 0;
-  for (std::size_t i = 0; i < batch; ++i) {
-    batch_bytes += pending_[i].frame_bytes;
-  }
-  flush_in_flight_ = true;
-  const sim::Duration cost =
-      kWriteLatency +
-      static_cast<sim::Duration>(kNsPerByte *
-                                 static_cast<double>(batch_bytes));
-  const std::uint64_t epoch = epoch_;
-  flush_token_ = sim_.schedule_in(cost, [this, epoch, batch] {
-    if (epoch_ != epoch) return;  // a crash invalidated this write
-    complete_flush(batch);
-  });
-}
-
-void Device::complete_flush(std::size_t batch_records) {
-  flush_in_flight_ = false;
-  const sim::Time now = sim_.now();
-  std::size_t batch_bytes = 0;
-  std::vector<CommitFn> callbacks;
-  callbacks.reserve(batch_records);
-  for (std::size_t i = 0; i < batch_records && !pending_.empty(); ++i) {
-    PendingCommit& entry = pending_.front();
-    committed_seq_ = entry.seq;
-    batch_bytes += entry.frame_bytes;
-    scope_.histogram("commit_latency_ns")
-        .record(static_cast<std::int64_t>(now - entry.appended));
-    if (entry.on_commit) callbacks.push_back(std::move(entry.on_commit));
-    pending_.pop_front();
-  }
-  scope_.counter("commits").add();
-  scope_.counter("committed_records").add(batch_records);
-  scope_.counter("committed_bytes").add(batch_bytes);
-  scope_.histogram("group_records")
-      .record(static_cast<std::int64_t>(batch_records));
-  scope_.histogram("group_bytes").record(static_cast<std::int64_t>(batch_bytes));
-  // Callbacks run after the bookkeeping: one may append again (and the
-  // next flush must see a consistent pipeline).
-  for (CommitFn& cb : callbacks) cb();
-  schedule_flush();
 }
 
 // ----------------------------------------------------------------- trim
@@ -209,15 +135,14 @@ void Device::checkpoint() {
   Bytes payload = encode_checkpoint(horizon());
   SegmentState& seg = active_segment(payload.size());
   const std::uint64_t seq = next_seq_++;
-  const std::size_t frame = seg.segment.append(
-      kMetaStream, seq, 0, kCheckpoint, BufChain{Buf(std::move(payload))});
+  seg.segment.append(kMetaStream, seq, 0, kCheckpoint,
+                     BufChain{Buf(std::move(payload))});
   note_append(seg, seq);
   // Only the latest checkpoint is live; the one it supersedes becomes
   // dead weight in its segment.
   if (has_checkpoint_segment_) segment_release(checkpoint_segment_);
   has_checkpoint_segment_ = true;
   checkpoint_segment_ = seg.segment.id();
-  stage_commit(seq, frame, {});
   ++checkpoints_;
   scope_.counter("checkpoints").add();
   dead_bytes_ = 0;
@@ -301,10 +226,6 @@ Device::Image Device::export_image() const {
 }
 
 void Device::crash() {
-  ++epoch_;  // in-flight NVRAM writes die with the power
-  flush_token_.cancel();
-  flush_in_flight_ = false;
-  pending_.clear();
   streams_.clear();
   dropped_streams_.clear();
   for (SegmentState& seg : segments_) {
@@ -333,9 +254,6 @@ Device::ReplayStats Device::recover() {
   // Idempotent: reset every piece of volatile state up front, so recover()
   // can run more than once over the same NVRAM (a standby exports the dead
   // box's journal, then the box itself restarts and replays it again).
-  flush_token_.cancel();
-  flush_in_flight_ = false;
-  pending_.clear();
   for (SegmentState& seg : segments_) {
     seg.live = 0;
     seg.min_seq = UINT64_MAX;
@@ -433,8 +351,6 @@ Device::ReplayStats Device::recover() {
 
   next_seq_ = std::max(next_seq_, max_seq + 1);
   next_stream_ = std::max(next_stream_, max_stream + 1);
-  // Everything that survived in NVRAM is durable by definition.
-  committed_seq_ = next_seq_ - 1;
   reclaim_segments();
 
   scope_.counter("replays").add();

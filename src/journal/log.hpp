@@ -12,14 +12,10 @@
 //     frame ends the log. This is what makes power-failure recovery a
 //     byte-exact, testable operation (tests/journal_testutil.hpp sweeps
 //     kills across every record boundary and mid-record).
-//   * Group commit: appends store their bytes into NVRAM immediately
-//     (byte-addressable persistence — the store itself is power-fail
-//     safe, which is what lets the relay early-ACK without waiting), but
-//     the device write pipeline that makes commit *latency* visible
-//     drains them in batches: one simulated NVRAM write (fixed latency +
-//     per-byte cost) covers every record staged while the previous write
-//     was in flight, amortizing the per-write latency that a
-//     one-write-per-burst journal pays on every PDU.
+//   * Byte-addressable persistence: append() stores the record into
+//     NVRAM and returns; the store itself is power-fail safe, which is
+//     what lets the relay early-ACK without waiting. No device write is
+//     modelled on top, so the journal schedules no simulator events.
 //   * Checkpoint + segment truncation (checkpoint.hpp): ack-driven trims
 //     move in-memory cursors; a checkpoint record makes the horizon
 //     durable and lets whole dead segments be dropped — space reclaim is
@@ -36,7 +32,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -46,7 +41,6 @@
 #include "journal/segment.hpp"
 #include "obs/registry.hpp"
 #include "sim/simulator.hpp"
-#include "sim/time.hpp"
 
 namespace storm::journal {
 
@@ -55,10 +49,6 @@ struct Config {
   /// one cannot fit the next record (oversize records get a segment of
   /// their own).
   std::size_t segment_bytes = 256 * 1024;
-  /// Batch all records staged during the in-flight write into the next
-  /// write (group commit). false = one NVRAM write per record, the
-  /// per-burst baseline the bench compares against.
-  bool group_commit = true;
   /// Auto-checkpoint once this many dead (trimmed) frame bytes have
   /// accumulated since the last checkpoint; 0 = explicit checkpoints
   /// only. Checkpoints are also when dead whole segments are reclaimed.
@@ -69,8 +59,6 @@ struct Config {
 /// relay, one per middle-box VM, shared by every session and direction.
 class Device {
  public:
-  using CommitFn = std::function<void()>;
-
   struct ReplayStats {
     std::size_t recovered = 0;  // live records rebuilt into streams
     std::size_t skipped = 0;    // below the checkpoint horizon
@@ -89,8 +77,10 @@ class Device {
     }
   };
 
-  Device(sim::Executor executor, obs::Scope scope, Config config = {});
-  ~Device();
+  /// The executor is unused: the device schedules nothing. It stays in
+  /// the signature for callers that construct a Device next to a
+  /// simulator.
+  Device(sim::Executor, obs::Scope scope, Config config = {});
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -104,12 +94,10 @@ class Device {
 
   /// Append one record. The payload is stored into the active segment
   /// (the NVRAM copy — charged to the copy ledger) and indexed; the
-  /// record is power-fail safe when this returns. `on_commit` fires when
-  /// the device write pipeline has drained it (group commit latency).
-  /// Returns the record's device-wide sequence number.
+  /// record is power-fail safe when this returns. Returns the record's
+  /// device-wide sequence number.
   std::uint64_t append(StreamId stream, const BufChain& payload,
-                       std::uint64_t watermark, bool boundary,
-                       CommitFn on_commit = {});
+                       std::uint64_t watermark, bool boundary);
 
   /// Burst-atomic logical trim: drop `stream`'s acknowledged prefix up
   /// to the furthest burst boundary at or below `acked_watermark` —
@@ -133,16 +121,12 @@ class Device {
   std::size_t device_bytes() const;  // physical bytes held in segments
   std::size_t segment_count() const { return segments_.size(); }
   std::uint64_t appended_seq() const { return next_seq_ - 1; }
-  std::uint64_t committed_seq() const { return committed_seq_; }
-  /// No append is waiting on the write pipeline.
-  bool flush_idle() const { return !flush_in_flight_ && pending_.empty(); }
   std::uint64_t checkpoints_written() const { return checkpoints_; }
-  const Config& config() const { return config_; }
 
   // --- crash / recovery ---
   Image export_image() const;
-  /// Power failure: volatile state (stream index, staged commit
-  /// callbacks, in-flight write) is gone; segment bytes survive.
+  /// Power failure: the volatile stream index is gone; segment bytes
+  /// survive.
   void crash();
   /// Rebuild the stream index by scanning the segments: accept the valid
   /// CRC-framed prefix, apply the latest checkpoint horizon, truncate
@@ -174,25 +158,15 @@ class Device {
     std::uint64_t min_seq = UINT64_MAX;
     std::uint64_t max_seq = 0;
   };
-  struct PendingCommit {
-    std::uint64_t seq = 0;
-    sim::Time appended = 0;
-    std::size_t frame_bytes = 0;
-    CommitFn on_commit;
-  };
 
   SegmentState& active_segment(std::size_t payload_len);
   void note_append(SegmentState& seg, std::uint64_t seq);
-  void stage_commit(std::uint64_t seq, std::size_t frame_bytes, CommitFn cb);
-  void schedule_flush();
-  void complete_flush(std::size_t batch_records);
   void segment_release(std::uint32_t segment_id);
   void maybe_auto_checkpoint();
   void reclaim_segments();
   void update_gauges();
   Checkpoint horizon() const;
 
-  sim::Executor sim_;
   obs::Scope scope_;
   Config config_;
 
@@ -205,11 +179,6 @@ class Device {
   std::uint32_t next_segment_id_ = 0;
   StreamId next_stream_ = 1;  // 0 is the meta stream
   std::uint64_t next_seq_ = 1;
-  std::uint64_t committed_seq_ = 0;
-  std::uint64_t epoch_ = 0;  // bumped by crash(); stale flushes no-op
-  bool flush_in_flight_ = false;
-  sim::CancelToken flush_token_;
-  std::deque<PendingCommit> pending_;
   std::size_t dead_bytes_ = 0;  // trimmed frame bytes since last checkpoint
   bool has_checkpoint_segment_ = false;
   std::uint32_t checkpoint_segment_ = 0;  // holds the latest checkpoint
@@ -226,11 +195,8 @@ class Stream {
   explicit Stream(Device& device)
       : device_(&device), id_(device.open_stream()) {}
 
-  void append(BufChain wire, std::uint64_t watermark, bool boundary = true,
-              Device::CommitFn on_commit = {}) {
-    if (device_ != nullptr) {
-      device_->append(id_, wire, watermark, boundary, std::move(on_commit));
-    }
+  void append(BufChain wire, std::uint64_t watermark, bool boundary = true) {
+    if (device_ != nullptr) device_->append(id_, wire, watermark, boundary);
   }
   void trim(std::uint64_t acked_watermark) {
     if (device_ != nullptr) device_->trim(id_, acked_watermark);

@@ -63,9 +63,9 @@ ScanResult scan_image(std::span<const std::uint8_t> image) {
   return result;
 }
 
-std::size_t Segment::append(StreamId stream, std::uint64_t seq,
-                            std::uint64_t watermark, std::uint8_t flags,
-                            const BufChain& payload) {
+void Segment::append(StreamId stream, std::uint64_t seq,
+                     std::uint64_t watermark, std::uint8_t flags,
+                     const BufChain& payload) {
   const std::size_t start = data_.size();
   ByteWriter writer(data_);
   writer.u32(kRecordMagic);
@@ -76,7 +76,6 @@ std::size_t Segment::append(StreamId stream, std::uint64_t seq,
   writer.u32(static_cast<std::uint32_t>(chain_size(payload)));
   for (const Buf& chunk : payload) writer.raw(chunk.span());
   writer.u32(crc32(std::span<const std::uint8_t>(data_).subspan(start)));
-  return data_.size() - start;
 }
 
 void Segment::truncate(std::size_t valid_bytes) {

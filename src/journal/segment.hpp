@@ -102,14 +102,13 @@ class Segment {
     return data_.size() + frame_size(payload_len) <= capacity_;
   }
 
-  /// Append one framed record; returns the frame's byte count. The
-  /// payload chain is gathered straight into the segment image (one copy
-  /// — the NVRAM store) without flattening it into a temporary first. The
-  /// caller (the log) guarantees fits() or accepts growth past capacity
-  /// for oversize records.
-  std::size_t append(StreamId stream, std::uint64_t seq,
-                     std::uint64_t watermark, std::uint8_t flags,
-                     const BufChain& payload);
+  /// Append one framed record. The payload chain is gathered straight
+  /// into the segment image (one copy — the NVRAM store) without
+  /// flattening it into a temporary first. The caller (the log)
+  /// guarantees fits() or accepts growth past capacity for oversize
+  /// records.
+  void append(StreamId stream, std::uint64_t seq, std::uint64_t watermark,
+              std::uint8_t flags, const BufChain& payload);
 
   /// Drop everything after `valid_bytes` (recovery truncates the torn
   /// tail so new appends continue from the last valid frame).

@@ -77,9 +77,9 @@ std::pair<std::uint64_t, std::uint64_t> ExtentSet::take_front(
 
 CopyMachine::CopyMachine(sim::Executor executor, net::TokenBucket& pacer,
                          block::BlockDevice* target, ExtentSet& dirty,
-                         Hooks hooks, Config config)
+                         Hooks hooks)
     : sim_(executor), pacer_(pacer), target_(target), dirty_(dirty),
-      hooks_(std::move(hooks)), config_(config) {}
+      hooks_(std::move(hooks)) {}
 
 void CopyMachine::kick() {
   if (halted_ || in_flight_) return;
@@ -98,7 +98,7 @@ void CopyMachine::step() {
     if (hooks_.on_drained) hooks_.on_drained();
     return;
   }
-  auto [begin, end] = dirty_.take_front(config_.chunk_sectors);
+  auto [begin, end] = dirty_.take_front(kChunkSectors);
   in_flight_ = true;
   active_begin_ = begin;
   active_end_ = end;

@@ -57,11 +57,6 @@ class ExtentSet {
 /// completions hold the machine alive across halt()/teardown.
 class CopyMachine : public std::enable_shared_from_this<CopyMachine> {
  public:
-  struct Config {
-    /// Sectors per copy op (64 KiB at 512-byte sectors).
-    std::uint32_t chunk_sectors = 128;
-  };
-
   struct Hooks {
     /// Read `sectors` sectors at `lba` from an up-to-date copy. The owner
     /// picks the source each call (a live replica's device, or the primary
@@ -82,8 +77,7 @@ class CopyMachine : public std::enable_shared_from_this<CopyMachine> {
   };
 
   CopyMachine(sim::Executor executor, net::TokenBucket& pacer,
-              block::BlockDevice* target, ExtentSet& dirty, Hooks hooks,
-              Config config);
+              block::BlockDevice* target, ExtentSet& dirty, Hooks hooks);
 
   CopyMachine(const CopyMachine&) = delete;
   CopyMachine& operator=(const CopyMachine&) = delete;
@@ -112,6 +106,9 @@ class CopyMachine : public std::enable_shared_from_this<CopyMachine> {
   std::uint64_t bytes_copied() const { return bytes_copied_; }
 
  private:
+  /// Sectors per copy op (64 KiB at 512-byte sectors).
+  static constexpr std::uint32_t kChunkSectors = 128;
+
   void step();
   void copy_chunk(std::uint64_t begin, std::uint64_t end);
 
@@ -120,7 +117,6 @@ class CopyMachine : public std::enable_shared_from_this<CopyMachine> {
   block::BlockDevice* target_;
   ExtentSet& dirty_;
   Hooks hooks_;
-  Config config_;
 
   bool halted_ = false;
   bool in_flight_ = false;

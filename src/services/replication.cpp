@@ -19,8 +19,6 @@ constexpr std::uint8_t kRecState = 2;
 
 /// Per-I/O dispatch cost.
 constexpr sim::Duration kPerIoCost = sim::microseconds(2);
-/// Sectors per rebuild copy chunk.
-constexpr std::uint32_t kRebuildChunkSectors = 128;
 
 }  // namespace
 
@@ -575,7 +573,7 @@ void ReplicationService::start_rebuild(std::size_t i) {
   };
   replica.machine = std::make_shared<CopyMachine>(
       executor_, *replica.pacer, replica.device, replica.dirty,
-      std::move(hooks), CopyMachine::Config{kRebuildChunkSectors});
+      std::move(hooks));
   log_info("replication") << "replica " << replica.volume << " rebuilding "
                           << replica.dirty.sectors() << " sectors";
   persist_state();

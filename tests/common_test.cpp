@@ -110,29 +110,6 @@ TEST(Hash, Crc32MatchesBitwiseOracleOnPayloadSizes) {
   }
 }
 
-TEST(Hash, ChainedUpdatesEqualOneShotAtRandomSplits) {
-  // Each update starts from the running state, whichever path it takes,
-  // so any split of a buffer must give the one-shot digest.
-  const Bytes buf = random_bytes(20'000, 3);
-  const std::span<const std::uint8_t> all(buf);
-  const std::uint32_t expect = crc32_bitwise(all);
-  ASSERT_EQ(crc32(all), expect);
-  Rng rng(4);
-  for (int round = 0; round < 200; ++round) {
-    Crc32 state;
-    std::size_t pos = 0;
-    while (pos < all.size()) {
-      // Mix short pieces (table only) with long ones (fold + tail).
-      const std::size_t cap = rng.chance(0.5) ? 80 : 3000;
-      const std::size_t n =
-          std::min<std::size_t>(rng.below(cap + 1), all.size() - pos);
-      state.update(all.subspan(pos, n));
-      pos += n;
-    }
-    ASSERT_EQ(state.final(), expect) << "round " << round;
-  }
-}
-
 TEST(Hash, Fnv1aKnownVector) {
   // FNV-1a 64-bit of empty string is the offset basis.
   EXPECT_EQ(fnv1a(std::string_view{}), 0xcbf29ce484222325ull);

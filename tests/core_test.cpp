@@ -23,7 +23,7 @@ TEST(Policy, ParsesFullGrammar) {
 tenant alice
 volume vm1 vol1
   service monitor relay=passive vcpus=4
-  service encryption relay=active key=s3cret host=2 journal_group_commit=0
+  service encryption relay=active key=s3cret host=2 journal_hwm_kb=64
 volume vm2 vol2
   service replication replicas=r1,r2
 )");
@@ -38,7 +38,7 @@ volume vm2 vol2
   EXPECT_EQ(p.volumes[0].chain[0].vcpus, 4u);
   EXPECT_EQ(p.volumes[0].chain[1].param("key"), "s3cret");
   EXPECT_EQ(p.volumes[0].chain[1].host_index, 2);
-  EXPECT_EQ(p.volumes[0].chain[1].param("journal_group_commit"), "0");
+  EXPECT_EQ(p.volumes[0].chain[1].param("journal_hwm_kb"), "64");
   EXPECT_EQ(p.volumes[1].chain[0].param("replicas"), "r1,r2");
 }
 
@@ -53,8 +53,8 @@ TEST(Policy, RejectsMalformedInput) {
                             "  service replication relay=passive").is_ok())
       << "replication must demand an active relay";
 
-  // Numeric values and 0/1 flags: empty, non-digit, negative, overflowing
-  // or out-of-range text is a parse error naming the line, never an
+  // Numeric values: empty, non-digit, negative, overflowing or
+  // out-of-range text is a parse error naming the line, never an
   // exception.
   const char* bad_numbers[] = {
       "  service noop vcpus=abc\n",
@@ -64,11 +64,6 @@ TEST(Policy, RejectsMalformedInput) {
       "  service noop host=2x\n",
       "  service noop journal_hwm_kb=12k\n",
       "  service noop journal_lwm_kb=-4\n",
-      "  service noop journal_segment_kb=\n",
-      "  service noop journal_checkpoint_kb=99999999999999999999\n",
-      "  service noop journal_group_commit=false\n",
-      "  service noop journal_group_commit=\n",
-      "  service noop journal_group_commit=2\n",
       "  service noop\n  replicas x\n",
       "  service noop\n  replicas 2 min=one\n",
       "  service replication replicas=r1\n  quorum w=two\n",
@@ -80,6 +75,22 @@ TEST(Policy, RejectsMalformedInput) {
     ASSERT_FALSE(parsed.is_ok()) << service;
     EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError) << service;
     EXPECT_NE(parsed.status().message().find("line "), std::string::npos)
+        << parsed.status().to_string();
+  }
+  // The watermarks are the only journal keys; any other journal_ key,
+  // however well-formed its value, is a parse error that names it.
+  const std::string unknown_journal_keys[] = {
+      "journal_group_commit=1",
+      "journal_segment_kb=64",
+      "journal_checkpoint_kb=128",
+  };
+  for (const std::string& kv : unknown_journal_keys) {
+    auto parsed = parse_policy("tenant t\nvolume vm1 vol1\n  service noop " +
+                               kv + "\n");
+    ASSERT_FALSE(parsed.is_ok()) << kv;
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError) << kv;
+    const std::string key = kv.substr(0, kv.find('='));
+    EXPECT_NE(parsed.status().message().find(key), std::string::npos)
         << parsed.status().to_string();
   }
   const char* bad_qos[] = {"qos rate_mbps=\n", "qos rate_mbps=-8\n",

@@ -62,7 +62,6 @@ TEST_F(FailureTest, JournalReplaysAfterBackpressurePausedCrash) {
   spec.relay = RelayMode::kActive;
   spec.params["journal_hwm_kb"] = "32";
   spec.params["journal_lwm_kb"] = "8";
-  spec.params["journal_segment_kb"] = "64";  // several segments in play
   Status status = error(ErrorCode::kIoError, "unset");
   DeploymentHandle dep;
   platform_.attach_with_chain("vm", "vol", {spec},
@@ -76,7 +75,6 @@ TEST_F(FailureTest, JournalReplaysAfterBackpressurePausedCrash) {
   dep.attachment()->initiator->set_recovery({.enabled = true});
   core::ActiveRelay* relay = dep.active_relay(0);
   ASSERT_NE(relay, nullptr);
-  ASSERT_EQ(relay->journal_device().config().segment_bytes, 64u * 1024u);
 
   cloud_.storage(0).node().set_down(true);
 

@@ -190,17 +190,13 @@ TEST(PduFuzz, BitFlippedStreamNeverDeliversAWrongPdu) {
 /// Build a healthy multi-segment journal image and remember every record
 /// ever appended, keyed by device sequence number.
 struct JournalCorpus {
+  static constexpr journal::Config kConfig{.segment_bytes = 512,
+                                           .checkpoint_dead_bytes = 0};
   sim::Simulator sim;
   journal::Device device;
   std::map<std::uint64_t, Bytes> payload_by_seq;
 
-  JournalCorpus()
-      : device(sim, sim.telemetry().scope("journal."), [] {
-          journal::Config config;
-          config.segment_bytes = 512;
-          config.checkpoint_dead_bytes = 0;
-          return config;
-        }()) {
+  JournalCorpus() : device(sim, sim.telemetry().scope("journal."), kConfig) {
     Rng rng(4242);
     const journal::StreamId a = device.open_stream();
     const journal::StreamId b = device.open_stream();
@@ -258,7 +254,7 @@ TEST(JournalReplayFuzz, TornAndBitFlippedImagesNeverCrashOrYieldBadRecords) {
     // framing means a corrupted frame is dropped, never delivered.
     sim::Simulator sim;
     journal::Device recovered(sim, sim.telemetry().scope("journal."),
-                              corpus.device.config());
+                              JournalCorpus::kConfig);
     const journal::Device::ReplayStats stats = recovered.load(mutated);
     torn_total += stats.torn;
     for (const Bytes& seg_bytes : recovered.export_image().segments) {

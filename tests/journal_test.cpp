@@ -1,4 +1,4 @@
-// Journal engine suite: record framing, group commit, checkpointing and
+// Journal engine suite: record framing, durable appends, checkpointing and
 // segment reclaim — plus the crash-point harness sweeps (kill at every
 // record boundary and mid-record) and the randomized crash property test
 // that replays hundreds of seeded write/trim/checkpoint schedules.
@@ -86,61 +86,43 @@ TEST(JournalCheckpoint, CodecRoundTrip) {
   EXPECT_FALSE(decoded.covers(5, 0));
 }
 
-// --------------------------------------------------------- group commit
-
-TEST(JournalDevice, GroupCommitBatchesRecordsStagedDuringTheWrite) {
-  sim::Simulator sim;
-  journal::Config config;
-  config.group_commit = true;
-  journal::Device device(sim, sim.telemetry().scope("journal."), config);
-  const journal::StreamId s = device.open_stream();
-
-  std::vector<std::uint64_t> committed;
-  for (int i = 0; i < 8; ++i) {
-    device.append(s, {Buf(testutil::pattern_bytes(64))}, (i + 1) * 64, true,
-                  [&committed, i] { committed.push_back(i); });
-  }
-  // All appended before the sim ran: the first write covers record 0 (it
-  // was alone when staged... actually the first schedule happens at
-  // append #1 with one record staged); everything staged while it was in
-  // flight commits as one group.
-  sim.run();
-  ASSERT_EQ(committed.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(committed[i], static_cast<std::uint64_t>(i)) << "commit order";
-  }
-  EXPECT_EQ(device.committed_seq(), device.appended_seq());
-  EXPECT_TRUE(device.flush_idle());
-  // 8 records, but far fewer NVRAM writes than 8: the second write
-  // covered all 7 records staged during the first.
-  const std::uint64_t commits =
-      sim.telemetry().counter("journal.commits").value();
-  EXPECT_LE(commits, 2u);
-}
-
-TEST(JournalDevice, BaselineModeWritesOneRecordPerCommit) {
-  sim::Simulator sim;
-  journal::Config config;
-  config.group_commit = false;
-  journal::Device device(sim, sim.telemetry().scope("journal."), config);
-  const journal::StreamId s = device.open_stream();
-  for (int i = 0; i < 8; ++i) {
-    device.append(s, {Buf(testutil::pattern_bytes(64))}, (i + 1) * 64, true);
-  }
-  sim.run();
-  EXPECT_EQ(sim.telemetry().counter("journal.commits").value(), 8u);
-  EXPECT_EQ(device.committed_seq(), device.appended_seq());
-}
+// ------------------------------------------------------ durable appends
 
 TEST(JournalDevice, AppendIsDurableBeforeTheCommitLatencyElapses) {
   // The early-ACK contract: a record is power-fail safe the moment
-  // append() returns, even if the device write pipeline never ran.
+  // append() returns, without the simulator ever running.
   JournalHarness h(small_segments());
   const journal::StreamId s = h.open_stream();
   Rng rng(7);
   h.append_burst(s, rng, 3, 200);
-  // No h.settle(): crash with the flush still pending.
-  h.verify_recovery(h.device.export_image(), "pre-flush crash");
+  h.verify_recovery(h.device.export_image(), "crash right after append");
+}
+
+TEST(JournalDevice, AppendTrimAndCheckpointQueueNoEvent) {
+  // The journal is byte-addressable NVRAM: append, trim and checkpoint
+  // (explicit or automatic) store, index and return. None of them leaves
+  // a simulator event behind.
+  journal::Config config;
+  config.segment_bytes = 512;
+  config.checkpoint_dead_bytes = 1024;
+  JournalHarness h(config);
+  const journal::StreamId a = h.open_stream();
+  const journal::StreamId b = h.open_stream();
+  Rng rng(5);
+  h.append_burst(a, rng, 3, 120);
+  h.append_burst(b, rng, 2, 90);
+  EXPECT_EQ(h.sim.pending(), 0u) << "after appends";
+  h.trim(a, h.watermark(a));
+  EXPECT_EQ(h.sim.pending(), 0u) << "after a trim";
+  h.checkpoint();
+  EXPECT_EQ(h.device.checkpoints_written(), 1u);
+  EXPECT_EQ(h.sim.pending(), 0u) << "after an explicit checkpoint";
+  for (int burst = 0; burst < 8; ++burst) {
+    h.trim(b, h.append_burst(b, rng, 1, 256));
+  }
+  EXPECT_GT(h.device.checkpoints_written(), 1u) << "auto-checkpoint fired";
+  EXPECT_EQ(h.sim.pending(), 0u) << "after auto-checkpoints";
+  h.verify_recovery(h.device.export_image(), "no events");
 }
 
 // -------------------------------------------- checkpoint + segment churn
@@ -165,7 +147,7 @@ TEST(JournalDevice, CheckpointReclaimsDeadSegmentsAndSkipsOnReplay) {
   // Replay the surviving image: every pre-checkpoint record is skipped.
   sim::Simulator sim2;
   journal::Device recovered(sim2, sim2.telemetry().scope("journal."),
-                            h.device.config());
+                            h.config);
   const auto stats = recovered.load(h.device.export_image());
   EXPECT_EQ(stats.recovered, 0u);
   EXPECT_EQ(recovered.stream_bytes(s), 0u);
@@ -259,7 +241,7 @@ TEST(JournalCrash, ZeroAcknowledgedBurstsLostAtAnyBoundaryKill) {
     }
     sim::Simulator sim2;
     journal::Device recovered(sim2, sim2.telemetry().scope("journal."),
-                              h.device.config());
+                              h.config);
     const auto stats = recovered.load(cut);
     EXPECT_EQ(stats.recovered + stats.skipped, kept)
         << "seg=" << kp.segment << " keep=" << kp.keep_bytes;
@@ -278,7 +260,6 @@ std::string run_random_crash_schedule(std::uint64_t seed) {
   journal::Config config;
   config.segment_bytes = 256 + rng.below(1024);
   config.checkpoint_dead_bytes = rng.chance(0.5) ? 0 : 512 + rng.below(2048);
-  config.group_commit = rng.chance(0.8);
   JournalHarness h(config);
 
   std::vector<journal::StreamId> streams;
@@ -289,16 +270,14 @@ std::string run_random_crash_schedule(std::uint64_t seed) {
   for (std::size_t op = 0; op < ops; ++op) {
     journal::StreamId s = streams[rng.below(streams.size())];
     const double roll = rng.next_double();
-    if (roll < 0.55) {
+    if (roll < 0.6) {
       h.append_burst(s, rng, 1 + rng.below(4), 16 + rng.below(200));
-    } else if (roll < 0.75) {
+    } else if (roll < 0.8) {
       // Ack a random point — sometimes mid-burst, sometimes beyond.
       const std::uint64_t wm = h.watermark(s);
       h.trim(s, wm == 0 ? 0 : rng.below(wm + wm / 4 + 1));
-    } else if (roll < 0.85) {
+    } else if (roll < 0.92) {
       h.checkpoint();
-    } else if (roll < 0.93) {
-      if (rng.chance(0.5)) h.settle();
     } else {
       h.drop_stream(s);
       streams.erase(std::find(streams.begin(), streams.end(), s));
@@ -383,7 +362,7 @@ TEST(JournalMultiplex, RecoveredStreamStateIsIndependentOfInterleaving) {
 
     sim::Simulator sim2;
     journal::Device recovered(sim2, sim2.telemetry().scope("journal."),
-                              h->device.config());
+                              h->config);
     recovered.load(h->device.export_image());
     std::vector<Bytes> out;
     for (const BufChain& chain : recovered.stream_records(a)) {
@@ -413,7 +392,6 @@ TEST(JournalMultiplex, SameSeedInterleavingExportsByteIdenticalTelemetry) {
         h.checkpoint();
       }
     }
-    h.settle();
     h.device.crash();
     h.device.recover();
     return h.sim.telemetry().to_json(/*include_spans=*/true);
@@ -421,7 +399,7 @@ TEST(JournalMultiplex, SameSeedInterleavingExportsByteIdenticalTelemetry) {
   const std::string first = run();
   EXPECT_EQ(first, run());
   EXPECT_NE(first.find("journal.replays"), std::string::npos);
-  EXPECT_NE(first.find("journal.commit_latency_ns"), std::string::npos);
+  EXPECT_NE(first.find("journal.appends"), std::string::npos);
 }
 
 }  // namespace

@@ -52,11 +52,13 @@ struct ExpectedStream {
 
 class JournalHarness {
  public:
-  explicit JournalHarness(journal::Config config = {},
+  explicit JournalHarness(journal::Config device_config = {},
                           std::string scope_prefix = "journal.")
-      : device(sim, sim.telemetry().scope(scope_prefix), config) {}
+      : config(device_config),
+        device(sim, sim.telemetry().scope(scope_prefix), config) {}
 
   sim::Simulator sim;
+  const journal::Config config;  // recovery devices are built alike
   journal::Device device;
 
   journal::StreamId open_stream() { return device.open_stream(); }
@@ -120,10 +122,6 @@ class JournalHarness {
     device.checkpoint();
     sync_checkpoints();
   }
-
-  /// Drain the device's write pipeline (group-commit flushes are sim
-  /// events; a schedule that never runs the sim never commits).
-  void settle() { sim.run(); }
 
   std::uint64_t watermark(journal::StreamId stream) {
     return watermarks_[stream];
@@ -216,7 +214,7 @@ class JournalHarness {
     sim::Simulator recovery_sim;
     journal::Device recovered(recovery_sim,
                               recovery_sim.telemetry().scope("journal."),
-                              device.config());
+                              config);
     const journal::Device::ReplayStats stats = recovered.load(image);
 
     const auto expected = expected_recovery(image);

@@ -91,10 +91,8 @@ class CopyMachineTest : public ::testing::Test {
     };
     hooks.on_drained = [this] { ++drained_; };
     hooks.on_target_error = [this](Status) { ++target_errors_; };
-    CopyMachine::Config config;
-    config.chunk_sectors = 128;
     return std::make_shared<CopyMachine>(sim_.executor(0), *pacer_, &target_,
-                                         dirty_, hooks, config);
+                                         dirty_, hooks);
   }
 
   sim::Simulator sim_;
