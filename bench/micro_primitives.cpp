@@ -20,7 +20,6 @@
 #include "common/hash.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
-#include "crypto/sha256.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/flow_switch.hpp"
 #include "net/nat.hpp"
@@ -65,17 +64,6 @@ void BM_ChaCha20Crypt(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ChaCha20Crypt)->Arg(4096)->Arg(65536);
-
-void BM_Sha256(benchmark::State& state) {
-  Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto digest = crypto::sha256(data);
-    benchmark::DoNotOptimize(digest.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536);
 
 void BM_Crc32(benchmark::State& state) {
   Bytes data = make_data(65536);

@@ -8,7 +8,6 @@
 
 #include "cloud/cloud.hpp"
 #include "core/platform.hpp"
-#include "crypto/sha256.hpp"
 #include "services/registry.hpp"
 
 using namespace storm;
@@ -70,10 +69,8 @@ volume db-vm pii-vol
   }
   std::printf("storage backend sees plaintext: %s\n",
               leaked ? "YES (bad!)" : "no — ciphertext only");
-  std::printf("  at-rest sha256: %s\n",
-              crypto::digest_hex(crypto::sha256(at_rest)).c_str());
-  std::printf("  plaintext sha256: %s\n",
-              crypto::digest_hex(crypto::sha256(customer_record)).c_str());
+  std::printf("  at-rest bytes:   %s\n", to_hex(at_rest, 16).c_str());
+  std::printf("  plaintext bytes: %s\n", to_hex(customer_record, 16).c_str());
 
   // And the VM reads its plaintext back, transparently.
   Bytes read_back;

@@ -39,29 +39,6 @@ void MemDisk::write(std::uint64_t lba, Bytes data, WriteCallback done) {
   done(Status::ok());
 }
 
-void BlockDevice::write_gather(std::uint64_t lba, BufChain chunks,
-                               WriteCallback done) {
-  // Fallback for devices without direct store access: flatten (a counted
-  // copy) and take the contiguous path.
-  write(lba, chain_to_bytes(chunks), std::move(done));
-}
-
-void MemDisk::write_gather(std::uint64_t lba, BufChain chunks,
-                           WriteCallback done) {
-  const std::size_t total = chain_size(chunks);
-  if (total % kSectorSize != 0) {
-    done(error(ErrorCode::kInvalidArgument, "unaligned write size"));
-    return;
-  }
-  Status status = check_range(lba, total / kSectorSize);
-  if (!status.is_ok()) {
-    done(status);
-    return;
-  }
-  write_sync_chain(lba, chunks);
-  done(Status::ok());
-}
-
 Bytes MemDisk::read_sync(std::uint64_t lba, std::uint32_t count) const {
   Status status = check_range(lba, count);
   if (!status.is_ok()) {

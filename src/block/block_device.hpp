@@ -34,15 +34,6 @@ class BlockDevice {
   /// Write `data` (must be sector-aligned in size) starting at `lba`.
   virtual void write(std::uint64_t lba, Bytes data, WriteCallback done) = 0;
 
-  /// Scatter-gather write: the chunks are stored consecutively from
-  /// `lba`; their total size must be sector-aligned. The default
-  /// implementation flattens the chain (one counted copy) and calls
-  /// write(); devices with direct store access override it to copy each
-  /// chunk straight into place, so a burst assembled from wire segments
-  /// never needs an intermediate contiguous buffer.
-  virtual void write_gather(std::uint64_t lba, BufChain chunks,
-                            WriteCallback done);
-
   virtual std::uint64_t num_sectors() const = 0;
 
  protected:
@@ -62,8 +53,6 @@ class MemDisk : public BlockDevice {
 
   void read(std::uint64_t lba, std::uint32_t count, ReadCallback done) override;
   void write(std::uint64_t lba, Bytes data, WriteCallback done) override;
-  void write_gather(std::uint64_t lba, BufChain chunks,
-                    WriteCallback done) override;
   std::uint64_t num_sectors() const override { return sectors_; }
 
   /// Synchronous accessors for tests, mkfs and the semantic engine's

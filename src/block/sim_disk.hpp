@@ -25,9 +25,13 @@ class SimDisk : public BlockDevice {
 
   void read(std::uint64_t lba, std::uint32_t count, ReadCallback done) override;
   void write(std::uint64_t lba, Bytes data, WriteCallback done) override;
-  void write_gather(std::uint64_t lba, BufChain chunks,
-                    WriteCallback done) override;
   std::uint64_t num_sectors() const override { return store_->num_sectors(); }
+  /// Scatter-gather write (the iSCSI target's write path): the chunks are
+  /// stored consecutively from `lba`; their total size must be
+  /// sector-aligned. Each chunk is copied straight into the store at
+  /// completion, so a burst assembled from wire segments never needs an
+  /// intermediate contiguous buffer.
+  void write_gather(std::uint64_t lba, BufChain chunks, WriteCallback done);
 
   /// Direct access to the backing store (mkfs, test inspection).
   MemDisk& store() { return *store_; }

@@ -173,7 +173,9 @@ void ActiveRelay::on_stream_data(Session& session, Direction dir,
                              << ": parse error: " << status.to_string();
     telemetry().record_event("relay " + vm_.name() +
                              ": parse error: " + status.to_string());
-    session.downstream->abort();
+    // After restart() or adopt_sessions() the upstream leg is re-dialed
+    // before the initiator reconnects, so downstream may still be null.
+    if (session.downstream != nullptr) session.downstream->abort();
     if (session.upstream != nullptr) session.upstream->abort();
     return;
   }

@@ -462,7 +462,7 @@ void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
   std::weak_ptr<MiddleboxInstance> from = source;
   std::weak_ptr<MiddleboxInstance> to = target;
   poll_until(
-      cloud_.simulator().now() + drain_timeout_,
+      cloud_.simulator().now() + kDrainTimeout,
       [this, cookie, vm_port, from] {
         Deployment* dep = deployment_by_cookie(cookie);
         auto source = from.lock();
@@ -939,11 +939,12 @@ Status StormPlatform::detach_deployment(std::uint64_t cookie) {
   }
   dep->state = DeploymentState::kDraining;
   if (dep->attachment.initiator != nullptr) {
-    dep->attachment.initiator->set_admission(false);
+    dep->attachment.initiator->set_admission_mode(
+        iscsi::AdmissionMode::kClosed);
   }
   telemetry().add_event(dep->attach_span, "drain_begin");
   poll_until(
-      cloud_.simulator().now() + drain_timeout_,
+      cloud_.simulator().now() + kDrainTimeout,
       [this, cookie] {
         Deployment* dep = deployment_by_cookie(cookie);
         return dep == nullptr || deployment_quiescent(*dep);
@@ -1084,7 +1085,8 @@ Status StormPlatform::fence_deployment(Deployment& dep,
   if (dep.attachment.initiator != nullptr) {
     // Fail closed: no new commands enter, in-flight ones error back to
     // the caller for retry at a higher layer.
-    dep.attachment.initiator->set_admission(false);
+    dep.attachment.initiator->set_admission_mode(
+        iscsi::AdmissionMode::kClosed);
     dep.attachment.initiator->fail_outstanding(
         error(ErrorCode::kUnavailable, "deployment fenced: " + reason));
   }

@@ -259,7 +259,7 @@ class StormPlatform {
   /// Upper bound on how long a drain waits for in-flight work before
   /// forcing teardown anyway (a wedged chain must not block detach
   /// forever).
-  void set_drain_timeout(sim::Duration timeout) { drain_timeout_ = timeout; }
+  static constexpr sim::Duration kDrainTimeout = sim::seconds(2);
 
  private:
   friend class DeploymentHandle;
@@ -315,7 +315,7 @@ class StormPlatform {
   Status restart_middlebox(Deployment& deployment, std::size_t position);
   /// The drain protocol: close the initiator's admission gate, then
   /// poll_until the chain is quiescent and tear it down — forced once
-  /// drain_timeout_ elapses, so a wedged chain cannot pin the deployment
+  /// kDrainTimeout elapses, so a wedged chain cannot pin the deployment
   /// forever. An idle chain tears down synchronously.
   Status detach_deployment(std::uint64_t cookie);
   /// Recompute splice.chain from the current boxes vector.
@@ -369,7 +369,6 @@ class StormPlatform {
   std::map<std::string, std::unique_ptr<ReplicaSet>> replica_sets_;
   std::map<std::string, std::unique_ptr<net::TokenBucket>> qos_buckets_;
   std::unique_ptr<ChainHealthManager> health_;
-  sim::Duration drain_timeout_ = sim::seconds(2);
   std::uint64_t next_cookie_ = 1;
   std::uint16_t next_flow_port_ = 40000;
   unsigned next_mb_host_ = 0;

@@ -23,8 +23,6 @@ class Aes {
   void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
   void decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
 
-  int rounds() const { return rounds_; }
-
  private:
   int rounds_;                                  // 10 (AES-128) or 14 (AES-256)
   std::array<std::uint8_t, 16 * 15> round_keys_{};  // (rounds+1) * 16

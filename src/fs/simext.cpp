@@ -119,10 +119,7 @@ void SimExt::mount(DoneCb done) {
       bitmaps.push_back(sb_.group_first_block(g));
       bitmaps.push_back(sb_.group_first_block(g) + 1);
     }
-    ensure_blocks(std::move(bitmaps), [this, done](Status s) {
-      if (s.is_ok()) mounted_ = true;
-      done(s);
-    });
+    ensure_blocks(std::move(bitmaps), done);
   });
 }
 

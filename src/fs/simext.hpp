@@ -65,7 +65,6 @@ class SimExt {
 
   /// Read the superblock and prefetch allocation bitmaps.
   void mount(DoneCb done);
-  bool mounted() const { return mounted_; }
   const SuperBlock& superblock() const { return sb_; }
 
   // All paths are absolute, '/'-separated.
@@ -182,7 +181,6 @@ class SimExt {
   sim::Executor sim_;
   block::BlockDevice& dev_;
   Options options_;
-  bool mounted_ = false;
   SuperBlock sb_;
 
   std::map<std::uint32_t, Bytes> cache_;

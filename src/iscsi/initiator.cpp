@@ -78,7 +78,7 @@ void Initiator::dial() {
 }
 
 void Initiator::reconnect() {
-  if (failed_ || logging_out_ || logged_in_) return;
+  if (failed_ || logged_in_) return;
   dial();
 }
 
@@ -106,7 +106,7 @@ Status Initiator::admit(const Command& cmd) const {
   if (admission_ == AdmissionMode::kClosed) {
     return error(ErrorCode::kUnavailable, "session draining");
   }
-  if (failed_ || logging_out_ || (!logged_in_ && !recovery_.enabled)) {
+  if (failed_ || (!logged_in_ && !recovery_.enabled)) {
     return error(ErrorCode::kFailedPrecondition, "session not established");
   }
   // The wire carries a 32-bit byte count; a write also moves whole
@@ -156,17 +156,9 @@ void Initiator::issue(std::uint32_t tag, const Command& cmd) {
   for (const Pdu& pdu : split_write(tag, cmd.lba, cmd.data)) send_pdu(pdu);
 }
 
-void Initiator::logout() {
-  logging_out_ = true;  // a deliberate teardown must not trigger recovery
-  if (conn_ == nullptr || failed_) return;
-  Pdu pdu;
-  pdu.opcode = Opcode::kLogoutRequest;
-  send_pdu(pdu);
-}
-
 void Initiator::arm_watchdog() {
   watchdog_.cancel();
-  if (!recovery_.enabled || logging_out_ || failed_) return;
+  if (!recovery_.enabled || failed_) return;
   watchdog_ = node_.executor().schedule_in(
       kResponseTimeout, [this] { on_watchdog(); });
 }
@@ -268,8 +260,7 @@ void Initiator::on_closed(Status status) {
   logged_in_ = false;
   conn_ = nullptr;
   watchdog_.cancel();
-  if (recovery_.enabled && !logging_out_ &&
-      attempts_ < kMaxRecoveryAttempts) {
+  if (recovery_.enabled && attempts_ < kMaxRecoveryAttempts) {
     ++attempts_;
     recovering_ = true;
     parser_ = StreamParser{};  // mid-PDU bytes from the old stream are gone
@@ -308,7 +299,7 @@ void Initiator::set_admission_mode(AdmissionMode mode) {
 }
 
 void Initiator::kick() {
-  if (conn_ == nullptr || failed_ || logging_out_) return;
+  if (conn_ == nullptr || failed_) return;
   log_info("iscsi-init") << iqn_ << ": kicked; dropping session for "
                             "immediate re-dial";
   conn_->abort();  // enter on_closed -> recovery reconnect path

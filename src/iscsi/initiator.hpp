@@ -68,8 +68,6 @@ class Initiator {
   /// Write sector-aligned `data` at sector `lba`.
   void write(std::uint64_t lba, Bytes data, WriteCallback done);
 
-  void logout();
-
   /// Enable/configure session recovery. With recovery on, commands issued
   /// while disconnected are queued and sent after the next re-login.
   void set_recovery(RecoveryPolicy policy) { recovery_ = policy; }
@@ -79,15 +77,11 @@ class Initiator {
   /// once reconnection attempts are exhausted.
   void set_on_failure(FailureCallback cb) { on_failure_ = std::move(cb); }
 
-  /// Admission gate (StorM drain protocol): while closed, new read/write
-  /// calls fail fast with kUnavailable instead of entering the chain.
-  /// Commands already in flight are unaffected — that is the point: the
-  /// chain drains to empty instead of being torn down mid-command.
-  void set_admission(bool open) {
-    set_admission_mode(open ? AdmissionMode::kOpen : AdmissionMode::kClosed);
-  }
-
-  /// Three-state admission gate. kDeferred (open-iscsi's
+  /// Three-state admission gate (StorM drain protocol). kClosed fails new
+  /// read/write calls fast with kUnavailable instead of letting them enter
+  /// the chain; commands already in flight are unaffected — that is the
+  /// point: the chain drains to empty instead of being torn down
+  /// mid-command. kDeferred (open-iscsi's
   /// queue-during-replacement behaviour) parks new commands without
   /// issuing them — they don't count as outstanding(), so the chain can
   /// drain to empty under a live workload; reopening issues the parked
@@ -95,8 +89,6 @@ class Initiator {
   /// commands (a fence outranks a migration in progress).
   void set_admission_mode(AdmissionMode mode);
   AdmissionMode admission_mode() const { return admission_; }
-  /// Commands parked behind a kDeferred gate.
-  std::size_t deferred() const { return deferred_.size(); }
 
   /// Commands issued but not yet responded to.
   std::size_t outstanding() const { return commands_.size(); }
@@ -171,7 +163,6 @@ class Initiator {
   StreamParser parser_;
   bool logged_in_ = false;
   bool failed_ = false;
-  bool logging_out_ = false;
   bool recovering_ = false;
   AdmissionMode admission_ = AdmissionMode::kOpen;
   std::deque<Command> deferred_;

@@ -211,9 +211,6 @@ class Stream {
   std::size_t bytes() const {
     return device_ != nullptr ? device_->stream_bytes(id_) : 0;
   }
-  std::size_t torn_tail_bytes() const {
-    return device_ != nullptr ? device_->stream_torn_tail_bytes(id_) : 0;
-  }
   std::size_t complete_bytes() const {
     return device_ != nullptr ? device_->stream_complete_bytes(id_) : 0;
   }

@@ -53,13 +53,11 @@ bool NatEngine::translate(Packet& pkt) {
   const FourTuple key = pkt.four_tuple();
 
   if (auto it = forward_.find(key); it != forward_.end()) {
-    ++conntrack_hits_;
     if (tel_conntrack_hits_ != nullptr) tel_conntrack_hits_->add();
     apply(pkt, it->second.to);
     return true;
   }
   if (auto it = reverse_.find(key); it != reverse_.end()) {
-    ++conntrack_hits_;
     if (tel_conntrack_hits_ != nullptr) tel_conntrack_hits_->add();
     apply(pkt, it->second.to);
     return true;
@@ -74,7 +72,6 @@ bool NatEngine::translate(Packet& pkt) {
     if (rule.dnat_port) translated.dst.port = *rule.dnat_port;
     if (translated == key) return false;  // no-op rule
 
-    ++rule_hits_;
     if (tel_rule_hits_ != nullptr) tel_rule_hits_->add();
     const FourTuple reply{translated.dst, translated.src};
     // A new flow translated onto a reply tuple another flow still holds
@@ -90,11 +87,6 @@ bool NatEngine::translate(Packet& pkt) {
     return true;
   }
   return false;
-}
-
-void NatEngine::flush_conntrack() {
-  forward_.clear();
-  reverse_.clear();
 }
 
 std::size_t NatEngine::flush_conntrack_by_cookie(std::uint64_t cookie) {

@@ -58,12 +58,11 @@ class NatEngine {
   bool translate(Packet& pkt);
 
   std::size_t conntrack_size() const { return forward_.size(); }
-  void flush_conntrack();
   /// Drop conntrack entries created by rules tagged `cookie`.
   std::size_t flush_conntrack_by_cookie(std::uint64_t cookie);
 
   /// Wire hit accounting into the telemetry registry (NetNode does this;
-  /// an unbound engine just keeps its local counts). `rule_hits` counts
+  /// an unbound engine counts nothing). `rule_hits` counts
   /// first-packet rule matches (conntrack entry creation), `conntrack_hits`
   /// translations served from established entries.
   void bind_telemetry(obs::Counter* rule_hits, obs::Counter* conntrack_hits) {
@@ -71,14 +70,9 @@ class NatEngine {
     tel_conntrack_hits_ = conntrack_hits;
   }
 
-  std::uint64_t rule_hits() const { return rule_hits_; }
-  std::uint64_t conntrack_hits() const { return conntrack_hits_; }
-
  private:
   static void apply(Packet& pkt, const FourTuple& to);
 
-  std::uint64_t rule_hits_ = 0;
-  std::uint64_t conntrack_hits_ = 0;
   obs::Counter* tel_rule_hits_ = nullptr;
   obs::Counter* tel_conntrack_hits_ = nullptr;
   /// Conntrack value: the rewrite plus the cookie of the rule that

@@ -291,7 +291,6 @@ void ReplicationService::handle_write_burst(
         quorum_.write_quorum,
         static_cast<std::uint32_t>(1 + live_targets.size()));
     if (pw.required < quorum_.write_quorum) {
-      ++quorum_degraded_commits_;
       scope_.counter("replication.quorum_degraded_commits").add();
     }
     pending_[task_tag] = std::move(pw);
@@ -368,7 +367,6 @@ void ReplicationService::maybe_commit(std::uint32_t task_tag) {
     // Copies died under the write: lower the bar to what is still
     // attainable (counted) rather than failing the tenant's write.
     pw.required = std::max<std::uint32_t>(attainable, 1);
-    ++quorum_degraded_commits_;
     scope_.counter("replication.quorum_degraded_commits").add();
   }
   if (!pw.responded && current >= pw.required) {

@@ -102,9 +102,6 @@ class ReplicationService : public core::StorageService {
     return stale_reads_prevented_;
   }
   std::uint64_t quorum_commits() const { return quorum_commits_; }
-  std::uint64_t quorum_degraded_commits() const {
-    return quorum_degraded_commits_;
-  }
   std::uint64_t quorum_failures() const { return quorum_failures_; }
   std::uint64_t rebuilds_completed() const { return rebuilds_completed_; }
   std::uint64_t rebuild_bytes() const { return rebuild_bytes_; }
@@ -240,7 +237,6 @@ class ReplicationService : public core::StorageService {
   std::uint64_t failovers_ = 0;
   std::uint64_t stale_reads_prevented_ = 0;
   std::uint64_t quorum_commits_ = 0;
-  std::uint64_t quorum_degraded_commits_ = 0;
   std::uint64_t quorum_failures_ = 0;
   std::uint64_t rebuilds_completed_ = 0;
   std::uint64_t rebuild_bytes_ = 0;

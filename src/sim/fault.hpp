@@ -57,9 +57,8 @@ struct FaultEvent {
 class FaultPlan {
  public:
   FaultPlan(Executor executor, std::uint64_t seed)
-      : sim_(executor), rng_(seed), seed_(seed) {}
+      : sim_(executor), rng_(seed) {}
 
-  std::uint64_t seed() const { return seed_; }
   Rng& rng() { return rng_; }
 
   /// Roll the dice for one packet crossing a link labelled `label`.
@@ -96,7 +95,6 @@ class FaultPlan {
  private:
   Executor sim_;
   Rng rng_;
-  std::uint64_t seed_;
   std::vector<FaultEvent> trace_;
   std::uint64_t dropped_ = 0;
   std::uint64_t corrupted_ = 0;

@@ -136,12 +136,7 @@ TEST(MemDisk, RandomOpsMatchADenseReference) {
           Bytes data = random_bytes(rng, count * kSectorSize);
           std::copy(data.begin(), data.end(),
                     ref.begin() + static_cast<std::ptrdiff_t>(lba * kSectorSize));
-          bool done = false;
-          disk.write_gather(lba, random_chain(rng, data), [&](Status s) {
-            done = true;
-            EXPECT_TRUE(s.is_ok());
-          });
-          EXPECT_TRUE(done);
+          disk.write_sync_chain(lba, random_chain(rng, data));
           break;
         }
         case 2: {
@@ -241,6 +236,50 @@ TEST(SimDisk, DataPersistsThroughStore) {
   disk.write(5, data, [](Status s) { ASSERT_TRUE(s.is_ok()); });
   sim.run();
   EXPECT_EQ(disk.store().read_sync(5, 1), data);
+  EXPECT_EQ(disk.writes(), 1u);
+}
+
+// write_gather is the iSCSI target's only write path. A bad request
+// errors back at once: no completion is scheduled and the store is
+// untouched.
+TEST(SimDisk, GatherWriteRejectsBadRequestsWithoutScheduling) {
+  sim::Simulator sim;
+  SimDisk disk(sim, 100);
+  const Bytes data = testutil::pattern_bytes(2 * kSectorSize);
+  auto chain = [&](std::size_t bytes) {
+    const auto view = std::span<const std::uint8_t>(data).first(bytes);
+    return BufChain{Buf::copy(view.first(bytes / 2)),
+                    Buf::copy(view.subspan(bytes / 2))};
+  };
+  struct Case {
+    const char* what;
+    std::uint64_t lba;
+    std::size_t bytes;
+  };
+  for (const Case& c : {Case{"unaligned size", 0, kSectorSize + 100},
+                        Case{"past the last lba", 99, 2 * kSectorSize},
+                        Case{"wrapping lba", UINT64_MAX, 2 * kSectorSize}}) {
+    SCOPED_TRACE(c.what);
+    bool called = false;
+    Status status = Status::ok();
+    disk.write_gather(c.lba, chain(c.bytes), [&](Status s) {
+      called = true;
+      status = s;
+    });
+    EXPECT_TRUE(called) << "a rejected write completes synchronously";
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(sim.pending(), 0u) << "no completion may be scheduled";
+  }
+  EXPECT_EQ(disk.writes(), 0u);
+  EXPECT_EQ(disk.store().read_sync(98, 2), Bytes(2 * kSectorSize, 0));
+
+  // A good request: the chunks land back to back at the modeled time.
+  Status status = error(ErrorCode::kIoError, "unset");
+  disk.write_gather(98, chain(data.size()), [&](Status s) { status = s; });
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_EQ(disk.store().read_sync(98, 2), data);
   EXPECT_EQ(disk.writes(), 1u);
 }
 

@@ -8,7 +8,6 @@
 #include "core/platform.hpp"
 #include "core/policy.hpp"
 #include "core/reconstruction.hpp"
-#include "crypto/sha256.hpp"
 #include "fs/simext.hpp"
 #include "testutil.hpp"
 

@@ -6,7 +6,6 @@
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
-#include "crypto/sha256.hpp"
 
 namespace storm::crypto {
 namespace {
@@ -162,43 +161,6 @@ TEST(ChaCha20, RejectsBadKeyOrNonce) {
   Bytes key32(32), nonce11(11);
   EXPECT_THROW(chacha20_crypt(key32, nonce11, 0, buf, buf),
                std::invalid_argument);
-}
-
-// --- SHA-256 ----------------------------------------------------------------
-
-TEST(Sha256, KnownAnswers) {
-  EXPECT_EQ(digest_hex(sha256(Bytes{})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(digest_hex(sha256(to_bytes("abc"))),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(
-      digest_hex(sha256(to_bytes(
-          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, ChunkedUpdateMatchesOneShot) {
-  Bytes data(1000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i);
-  }
-  Sha256 chunked;
-  std::size_t pos = 0;
-  for (std::size_t chunk : {1u, 7u, 63u, 64u, 65u, 500u, 300u}) {
-    std::size_t n = std::min(chunk, data.size() - pos);
-    chunked.update(std::span<const std::uint8_t>(data.data() + pos, n));
-    pos += n;
-  }
-  chunked.update(std::span<const std::uint8_t>(data.data() + pos,
-                                               data.size() - pos));
-  EXPECT_EQ(chunked.finish(), sha256(data));
-}
-
-TEST(Sha256, MillionAs) {
-  // FIPS 180-4 long vector: one million 'a'.
-  Bytes data(1'000'000, 'a');
-  EXPECT_EQ(digest_hex(sha256(data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 }  // namespace

@@ -324,6 +324,40 @@ TEST_F(FailureTest, ReadsAfterRecoveryAreServed) {
   EXPECT_EQ(got, data);
 }
 
+// restart() re-dials the upstream leg before the initiator reconnects,
+// so for a while the resumed session has no downstream connection. A
+// malformed PDU from upstream in that window must only drop the upstream
+// leg, not reach for the missing downstream one.
+TEST_F(FailureTest, GarbageFromUpstreamBeforeTheInitiatorReconnects) {
+  cloud_.create_vm("vm", "t", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol", 20'000).is_ok());
+  DeploymentHandle dep = deploy_active("vm", "vol");
+  core::ActiveRelay& relay = *dep.active_relay(0);
+
+  // A fake target takes the real one's port and answers every new
+  // connection with garbage: 0xFFFFFFFF is a length prefix no PDU has.
+  net::TcpStack& storage = cloud_.storage(0).node().tcp();
+  storage.stop_listening(iscsi::kIscsiPort);
+  int answered = 0;
+  storage.listen(iscsi::kIscsiPort, [&](net::TcpConnection& conn) {
+    conn.send(Bytes(64, 0xFF));
+    ++answered;
+  });
+
+  ASSERT_TRUE(dep.crash_middlebox(0).is_ok());
+  ASSERT_TRUE(dep.restart_middlebox(0).is_ok());
+  sim_.run_for(sim::milliseconds(5));
+
+  EXPECT_EQ(answered, 1) << "the restart must re-dial the upstream leg";
+  EXPECT_FALSE(relay.crashed());
+  bool parse_error = false;
+  for (const auto& event : sim_.telemetry().recorder().events()) {
+    parse_error = parse_error ||
+                  event.what.find(": parse error: ") != std::string::npos;
+  }
+  EXPECT_TRUE(parse_error) << "the garbage must reach the relay's parser";
+}
+
 TEST_F(FailureTest, DetachMidWriteDrainsWithoutLossOrDuplication) {
   cloud::Vm& vm = cloud_.create_vm("vm", "t", 0);
   ASSERT_TRUE(cloud_.create_volume("vol", 40'000).is_ok());
@@ -390,8 +424,7 @@ TEST_F(FailureTest, DetachOfDeadChainForcesTeardownAtDrainTimeout) {
   ASSERT_GT(dep.attachment()->initiator->outstanding(), 0u);
   ASSERT_TRUE(dep.crash_middlebox(0).is_ok());
 
-  constexpr sim::Duration kTimeout = sim::milliseconds(5);
-  platform_.set_drain_timeout(kTimeout);
+  constexpr sim::Duration kTimeout = core::StormPlatform::kDrainTimeout;
   const sim::Time begin = sim_.now();
   ASSERT_TRUE(dep.detach().is_ok());
   sim_.run_until(begin + kTimeout - sim::microseconds(200));

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "block/block_device.hpp"
-#include "crypto/sha256.hpp"
 #include "fs/layout.hpp"
 #include "fs/simext.hpp"
 #include "sim/simulator.hpp"
@@ -183,7 +182,7 @@ TEST_F(SimExtTest, LargeFileUsesIndirectBlocks) {
   ASSERT_TRUE(write("/big", 0, data).is_ok());
   auto [status, got] = read("/big", 0, 200 * 1024);
   ASSERT_TRUE(status.is_ok());
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(data));
+  EXPECT_TRUE(testutil::same_bytes(got, data));
 }
 
 TEST_F(SimExtTest, SixtyFourMiBFileRoundTripsAtDefaultStack) {
@@ -212,7 +211,7 @@ TEST_F(SimExtTest, SixtyFourMiBFileRoundTripsAtDefaultStack) {
   });
   sim_.run();
   ASSERT_TRUE(status.is_ok()) << status.to_string();
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(data));
+  EXPECT_TRUE(testutil::same_bytes(got, data));
 }
 
 TEST_F(SimExtTest, UnlinkFreesSpace) {
@@ -479,7 +478,7 @@ TEST_P(FileSizeSweep, RoundTripsAtSize) {
   ASSERT_TRUE(write("/sweep", 0, data).is_ok());
   auto [status, got] = read("/sweep", 0, size + 100);
   ASSERT_TRUE(status.is_ok()) << status.to_string();
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(data));
+  EXPECT_TRUE(testutil::same_bytes(got, data));
   auto [stat_status, info] = stat("/sweep");
   ASSERT_TRUE(stat_status.is_ok());
   EXPECT_EQ(info.size, size);
@@ -517,7 +516,7 @@ TEST_P(OverwriteSweep, SurroundingBytesIntact) {
             expect.begin() + static_cast<std::ptrdiff_t>(offset));
   auto [status, got] = read("/ow", 0, file_size);
   ASSERT_TRUE(status.is_ok());
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(expect));
+  EXPECT_TRUE(testutil::same_bytes(got, expect));
   ASSERT_TRUE(unlink("/ow").is_ok());
 }
 

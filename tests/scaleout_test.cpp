@@ -383,14 +383,13 @@ TEST_F(ScaleoutTest, ScaleDownWithWedgedVictimTimesOutAndKeepsIt) {
   ASSERT_GT(initiator->outstanding(), 0u);
   victim->active_relay->crash();
 
-  platform_.set_drain_timeout(sim::milliseconds(5));
   Status scale = Status::ok();
   bool scaled = false;
   platform_.scale_service_replicas("t", "noop", 1, [&](Status s) {
     scale = s;
     scaled = true;
   });
-  sim_.run_for(sim::milliseconds(50));
+  sim_.run_for(core::StormPlatform::kDrainTimeout + sim::milliseconds(50));
 
   ASSERT_TRUE(scaled);
   EXPECT_EQ(scale.code(), ErrorCode::kDeadlineExceeded) << scale.to_string();

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "core/platform.hpp"
-#include "crypto/sha256.hpp"
 #include "fs/simext.hpp"
 #include "services/encrypted_disk.hpp"
 #include "services/encryption.hpp"

@@ -1,8 +1,12 @@
 // Shared helpers for building small simulated topologies in tests.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,26 @@ inline Bytes pattern_bytes(std::size_t n, std::uint8_t seed = 1) {
     v = static_cast<std::uint8_t>(v * 31 + 7);
   }
   return out;
+}
+
+/// Byte-for-byte equality that, on a mismatch, reports the two sizes and
+/// the first differing offset instead of dumping both buffers:
+///   EXPECT_TRUE(testutil::same_bytes(got, want));
+inline ::testing::AssertionResult same_bytes(
+    std::span<const std::uint8_t> got, std::span<const std::uint8_t> want) {
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(),
+                                    want.end());
+  if (g == got.end() && w == want.end()) {
+    return ::testing::AssertionSuccess();
+  }
+  auto failure = ::testing::AssertionFailure();
+  failure << "got " << got.size() << " bytes, want " << want.size()
+          << "; first difference at offset " << (g - got.begin());
+  if (g != got.end() && w != want.end()) {
+    failure << " (got 0x" << to_hex({&*g, 1}) << ", want 0x"
+            << to_hex({&*w, 1}) << ")";
+  }
+  return failure;
 }
 
 /// Two nodes on one subnet joined by a single full-duplex link.
