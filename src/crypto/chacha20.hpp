@@ -10,7 +10,9 @@ namespace storm::crypto {
 
 /// XOR `in` with the ChaCha20 keystream into `out` (encrypt == decrypt).
 /// key is 32 bytes, nonce is 12 bytes; `counter` is the initial block
-/// counter (use the sector/offset so random access stays consistent).
+/// counter (use the sector/offset so random access stays consistent);
+/// block i uses `counter + i` mod 2^32. `in` and `out` may be the same
+/// span (in place), but must not overlap otherwise.
 void chacha20_crypt(std::span<const std::uint8_t> key,
                     std::span<const std::uint8_t> nonce, std::uint32_t counter,
                     std::span<const std::uint8_t> in,

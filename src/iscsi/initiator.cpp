@@ -248,7 +248,10 @@ void Initiator::handle_pdu(Pdu pdu) {
       return;
     }
     case Opcode::kLogoutResponse:
-      conn_->close();
+      // This initiator never asks to log out, so the response is
+      // unsolicited: the session stays up and its commands run on.
+      log_warn("iscsi-init") << iqn_
+                             << ": ignoring unsolicited Logout-Response";
       return;
     default:
       return;

@@ -36,8 +36,11 @@ void Histogram::record(std::int64_t value) {
   if (count_ == 0 || value < min_) min_ = value;
   if (count_ == 0 || value > max_) max_ = value;
   ++count_;
-  sum_ += value;
-  ++buckets_[bucket_index(static_cast<std::uint64_t>(value))];
+  sum_ = static_cast<std::int64_t>(static_cast<std::uint64_t>(sum_) +
+                                   static_cast<std::uint64_t>(value));
+  const std::uint32_t index = bucket_index(static_cast<std::uint64_t>(value));
+  if (index >= buckets_.size()) buckets_.resize(index + 1);
+  ++buckets_[index];
 }
 
 double Histogram::mean() const {
@@ -53,8 +56,8 @@ double Histogram::percentile(double p) const {
   const auto target = static_cast<std::uint64_t>(
       std::ceil(p / 100.0 * static_cast<double>(count_)));
   std::uint64_t seen = 0;
-  for (const auto& [index, n] : buckets_) {
-    seen += n;
+  for (std::uint32_t index = 0; index < buckets_.size(); ++index) {
+    seen += buckets_[index];
     if (seen >= target) {
       // Clamp the representative into the observed range so percentiles
       // never stray outside [min, max].
@@ -77,8 +80,9 @@ void Histogram::clear() {
 
 std::map<std::int64_t, std::uint64_t> Histogram::buckets() const {
   std::map<std::int64_t, std::uint64_t> out;
-  for (const auto& [index, n] : buckets_) {
-    out[bucket_representative(index)] += n;
+  for (std::uint32_t index = 0; index < buckets_.size(); ++index) {
+    const std::uint64_t n = buckets_[index];
+    if (n != 0) out[bucket_representative(index)] += n;
   }
   return out;
 }

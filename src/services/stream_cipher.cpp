@@ -1,5 +1,6 @@
 #include "services/stream_cipher.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -25,22 +26,24 @@ StreamCipherService::StreamCipherService(Bytes key) {
 void StreamCipherService::crypt(std::uint64_t byte_position,
                                 std::span<std::uint8_t> data) {
   // Key the stream to the 64-byte-block-aligned volume position so random
-  // access stays self-consistent; handle intra-block offsets by
-  // processing the unaligned head separately.
+  // access stays self-consistent: block counter = position / 64, mod 2^32.
+  // An unaligned head takes the tail of its block; the rest is one
+  // keystream run from the next block boundary.
+  const std::uint8_t nonce[12] = {};
   std::size_t done = 0;
-  while (done < data.size()) {
-    std::uint64_t pos = byte_position + done;
-    std::uint32_t counter = static_cast<std::uint32_t>(pos / 64);
-    std::uint32_t skip = static_cast<std::uint32_t>(pos % 64);
-    std::uint8_t nonce[12] = {};
+  if (const std::size_t skip = byte_position % 64; skip != 0) {
     std::uint8_t block[64];
-    crypto::chacha20_block(key_, std::span<const std::uint8_t>(nonce, 12),
-                           counter, block);
-    std::size_t n = std::min<std::size_t>(64 - skip, data.size() - done);
-    for (std::size_t i = 0; i < n; ++i) {
-      data[done + i] ^= block[skip + i];
-    }
-    done += n;
+    crypto::chacha20_block(key_, nonce,
+                           static_cast<std::uint32_t>(byte_position / 64),
+                           block);
+    done = std::min<std::size_t>(64 - skip, data.size());
+    for (std::size_t i = 0; i < done; ++i) data[i] ^= block[skip + i];
+  }
+  if (done < data.size()) {
+    const auto counter =
+        static_cast<std::uint32_t>((byte_position + done) / 64);
+    const std::span<std::uint8_t> rest = data.subspan(done);
+    crypto::chacha20_crypt(key_, nonce, counter, rest, rest);
   }
   processed_ += data.size();
 }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
 
@@ -161,6 +164,83 @@ TEST(ChaCha20, RejectsBadKeyOrNonce) {
   Bytes key32(32), nonce11(11);
   EXPECT_THROW(chacha20_crypt(key32, nonce11, 0, buf, buf),
                std::invalid_argument);
+}
+
+// --- ChaCha20: the multi-block kernel against the per-block reference -------
+
+/// The keystream built one RFC 8439 block at a time, XORed byte by byte.
+Bytes per_block_reference(std::span<const std::uint8_t> key,
+                          std::span<const std::uint8_t> nonce,
+                          std::uint32_t counter,
+                          std::span<const std::uint8_t> in) {
+  Bytes out(in.size());
+  std::uint8_t block[64];
+  for (std::size_t off = 0; off < in.size(); off += 64) {
+    chacha20_block(key, nonce, counter++, block);
+    const std::size_t n = std::min<std::size_t>(64, in.size() - off);
+    for (std::size_t i = 0; i < n; ++i) out[off + i] = in[off + i] ^ block[i];
+  }
+  return out;
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+/// chacha20_crypt over `in` placed `shift` bytes past an aligned start,
+/// out of place (into a buffer shifted by `out_shift`) and in place.
+void expect_matches_reference(const Bytes& key, const Bytes& nonce,
+                              std::uint32_t counter, const Bytes& in,
+                              std::size_t shift, std::size_t out_shift) {
+  const Bytes want = per_block_reference(key, nonce, counter, in);
+  std::vector<std::uint64_t> in_words(in.size() / 8 + 3);
+  std::vector<std::uint64_t> out_words(in.size() / 8 + 3);
+  auto* src = reinterpret_cast<std::uint8_t*>(in_words.data()) + shift;
+  auto* dst = reinterpret_cast<std::uint8_t*>(out_words.data()) + out_shift;
+  if (!in.empty()) std::memcpy(src, in.data(), in.size());
+
+  chacha20_crypt(key, nonce, counter, {src, in.size()}, {dst, in.size()});
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), dst))
+      << "out of place: len=" << in.size() << " counter=" << counter
+      << " shift=" << shift << "/" << out_shift;
+
+  chacha20_crypt(key, nonce, counter, {src, in.size()}, {src, in.size()});
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), src))
+      << "in place: len=" << in.size() << " counter=" << counter
+      << " shift=" << shift;
+}
+
+TEST(ChaCha20, CryptMatchesThePerBlockReference) {
+  Rng rng(20);
+  std::vector<std::size_t> lengths = {0,   1,   63,  64,  65,  255, 256,
+                                      257, 511, 512, 513, 768, 1024, 3000};
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng.below(3001));
+  for (std::size_t len : lengths) {
+    const Bytes key = random_bytes(rng, 32);
+    const Bytes nonce = random_bytes(rng, 12);
+    const Bytes in = random_bytes(rng, len);
+    const auto counter = rng.next_u32();
+    const std::size_t shift = rng.below(16);
+    expect_matches_reference(key, nonce, counter, in, shift,
+                             (shift + 1 + rng.below(15)) % 16);
+  }
+}
+
+// Lane j of a pass encrypts block counter + j: a pass that starts within
+// a few blocks of 2^32 must wrap each lane's counter exactly as the
+// per-block path wraps its own.
+TEST(ChaCha20, CryptWrapsTheBlockCounterLikeThePerBlockReference) {
+  Rng rng(21);
+  for (std::uint32_t back = 0; back <= 20; ++back) {
+    const std::uint32_t counter = 0u - back;  // 2^32 - back
+    for (std::size_t len : {255u, 256u, 257u, 511u, 512u, 513u, 768u, 1500u}) {
+      expect_matches_reference(random_bytes(rng, 32), random_bytes(rng, 12),
+                               counter, random_bytes(rng, len),
+                               1 + back % 15, back % 16);
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "iscsi/pdu.hpp"
 #include "iscsi/remote_disk.hpp"
 #include "iscsi/target.hpp"
+#include "obs/registry.hpp"
 #include "testutil.hpp"
 
 namespace storm::iscsi {
@@ -158,6 +159,74 @@ TEST(StreamParser, RejectsALengthPrefixAboveTheLargestBodyAtOnce) {
   StreamParser tight;
   EXPECT_EQ(tight.feed(Buf(std::move(one_more)), got).code(),
             ErrorCode::kParseError);
+}
+
+// --- a scripted peer ----------------------------------------------------------
+
+// The initiator never sends a Logout-Request, so any Logout-Response is
+// unsolicited. It must not end the session: the command in flight
+// completes on the same connection, with no recovery.
+TEST(Initiator, UnsolicitedLogoutResponseKeepsTheSessionUp) {
+  testutil::TwoNodeNet net;
+  // A scripted target: it accepts any login and answers the first command
+  // with a Logout-Response at once and its SCSI Response 1 ms later. A
+  // re-issued command (after a recovery) is answered at once.
+  int accepted = 0;
+  bool logout_sent = false;
+  net::TcpConnection* peer = nullptr;
+  StreamParser parser;
+  auto send_response = [&](int session, std::uint32_t tag) {
+    if (peer != nullptr && accepted == session) {
+      peer->send(serialize(make_scsi_response(tag, kStatusGood)));
+    }
+  };
+  net.b.tcp().listen(kIscsiPort, [&](net::TcpConnection& conn) {
+    const int session = ++accepted;
+    peer = &conn;
+    parser = StreamParser{};
+    conn.set_on_closed([&](Status) { peer = nullptr; });
+    conn.set_on_data([&, session](Buf bytes) {
+      std::vector<Pdu> pdus;
+      ASSERT_TRUE(parser.feed(std::move(bytes), pdus).is_ok());
+      for (const Pdu& pdu : pdus) {
+        if (pdu.opcode == Opcode::kLoginRequest) {
+          peer->send(serialize(make_login_response(kStatusGood)));
+        } else if (pdu.opcode == Opcode::kScsiCommand && !logout_sent) {
+          logout_sent = true;
+          Pdu logout;
+          logout.opcode = Opcode::kLogoutResponse;
+          logout.task_tag = pdu.task_tag;
+          peer->send(serialize(logout));
+          net.sim.schedule_in(sim::milliseconds(1),
+                              [&, session, tag = pdu.task_tag] {
+                                send_response(session, tag);
+                              });
+        } else if (pdu.opcode == Opcode::kScsiCommand) {
+          send_response(session, pdu.task_tag);
+        }
+      }
+    });
+  });
+
+  Initiator initiator(net.a, net::SocketAddr{ip("10.0.0.2"), kIscsiPort},
+                      "iqn.scripted");
+  initiator.set_recovery(RecoveryPolicy{.enabled = true});
+  Status login = error(ErrorCode::kIoError, "unset");
+  initiator.login([&](Status s) { login = s; });
+  net.sim.run();
+  ASSERT_TRUE(login.is_ok()) << login.to_string();
+
+  Status write = error(ErrorCode::kIoError, "unset");
+  initiator.write(0, testutil::pattern_bytes(block::kSectorSize),
+                  [&](Status s) { write = s; });
+  net.sim.run();
+
+  EXPECT_TRUE(logout_sent);
+  EXPECT_TRUE(write.is_ok()) << write.to_string();
+  EXPECT_TRUE(initiator.logged_in());
+  EXPECT_EQ(accepted, 1) << "the initiator must not re-dial";
+  EXPECT_EQ(
+      net.sim.telemetry().counter("iscsi.initiator.recoveries").value(), 0u);
 }
 
 // --- end-to-end initiator/target over the fabric ------------------------------

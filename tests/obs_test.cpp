@@ -78,6 +78,39 @@ TEST(Histogram, HdrBucketsBoundRelativeError) {
   EXPECT_EQ(total, h.count());
 }
 
+// The export pinned at the edges of the bucket range: a negative sample
+// (clamped to 0), the last exact bucket, the first quantized one, and
+// samples up to INT64_MAX (whose sum wraps). These figures are what the
+// telemetry dumps carry, so the bucket store must not move them.
+TEST(Histogram, ExportIsPinnedAcrossTheWholeRange) {
+  Histogram h;
+  for (std::int64_t v : {std::int64_t{-5}, std::int64_t{0}, std::int64_t{63},
+                         std::int64_t{64}, std::int64_t{1'000'000},
+                         std::int64_t{1} << 40, INT64_MAX}) {
+    h.record(v);
+  }
+  EXPECT_EQ(h.count(), 7u);
+  EXPECT_EQ(h.min(), 0);
+  EXPECT_EQ(h.max(), INT64_MAX);
+  EXPECT_EQ(h.sum(), -9223370937342147906);
+  EXPECT_EQ(h.percentile(50), 64.0);
+  EXPECT_EQ(h.percentile(99), 9187343239835811839.0);
+  const std::map<std::int64_t, std::uint64_t> expect = {
+      {0, 2},
+      {63, 1},
+      {64, 1},
+      {1'003'519, 1},
+      {1'108'101'562'367, 1},
+      {9'187'343'239'835'811'839, 1}};
+  EXPECT_EQ(h.buckets(), expect);
+
+  h.clear();
+  EXPECT_TRUE(h.buckets().empty());
+  EXPECT_EQ(h.percentile(50), 0.0);
+  h.record(7);
+  EXPECT_EQ(h.buckets(), (std::map<std::int64_t, std::uint64_t>{{7, 1}}));
+}
+
 // -------------------------------------------------------------- tracing
 
 TEST(Tracer, ParentChildSpansAndEvents) {

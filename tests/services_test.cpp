@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/platform.hpp"
+#include "crypto/chacha20.hpp"
 #include "fs/simext.hpp"
 #include "services/encrypted_disk.hpp"
 #include "services/encryption.hpp"
@@ -180,6 +183,74 @@ TEST_F(ServicesTest, StreamCipherWorksUnderPassiveRelay) {
   EXPECT_EQ(read_disk(vm.disk(), 50, 16), data);
   auto volume = cloud_.storage(0).volumes().find_by_name("vol1");
   EXPECT_NE(volume.value()->disk().store().read_sync(50, 16), data);
+}
+
+/// A bare per-flow context: stream_cipher only needs the flow's identity
+/// and a (null) telemetry scope.
+class BareContext : public core::ServiceContext {
+ public:
+  void inject_to_target(iscsi::Pdu) override {}
+  void inject_to_initiator(iscsi::Pdu) override {}
+  const obs::Scope& scope() override { return scope_; }
+  const std::string& volume() const override { return volume_; }
+
+ private:
+  obs::Scope scope_;
+  std::string volume_;
+};
+
+/// The cipher's keystream as it was first written: one RFC 8439 block per
+/// 64-byte volume block (counter = position / 64, mod 2^32), XORed from
+/// the position's offset in its block.
+Bytes per_block_cipher(const Bytes& key, std::uint64_t byte_position,
+                       Bytes data) {
+  const std::uint8_t nonce[12] = {};
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const std::uint64_t pos = byte_position + done;
+    std::uint8_t block[64];
+    crypto::chacha20_block(key, nonce, static_cast<std::uint32_t>(pos / 64),
+                           block);
+    const std::size_t skip = pos % 64;
+    const std::size_t n = std::min<std::size_t>(64 - skip, data.size() - done);
+    for (std::size_t i = 0; i < n; ++i) data[done + i] ^= block[skip + i];
+    done += n;
+  }
+  return data;
+}
+
+// Immediate write data lands at lba * 512 + data_offset % 512, so a
+// crafted offset puts the payload at any position within a 64-byte block,
+// including payloads that end before the block does. The LBAs near 2^29
+// put the block counter within a few blocks of 2^32, so runs wrap it.
+TEST(StreamCipher, MatchesThePerBlockKeystreamAtEveryOffset) {
+  const Bytes key(32, 0x42);
+  StreamCipherService cipher(key);
+  BareContext ctx;
+  std::uint32_t tag = 0;
+  std::uint64_t bytes = 0;
+  for (std::uint64_t lba : {0ull, 1ull, 1000ull, (1ull << 29) - 1,
+                            (1ull << 29) - 2, 1ull << 40}) {
+    for (std::uint32_t offset : {0u, 1u, 17u, 63u, 64u, 70u, 511u}) {
+      for (std::size_t len : {1u, 5u, 57u, 63u, 64u, 65u, 255u, 256u, 300u,
+                              513u, 4096u, 4096u + 13u}) {
+        const Bytes plain = testutil::pattern_bytes(
+            len, static_cast<std::uint8_t>(len + offset));
+        iscsi::Pdu pdu = iscsi::make_write_command(
+            ++tag, lba, static_cast<std::uint32_t>(len));
+        pdu.flags = iscsi::kFlagFinal;
+        pdu.data_offset = offset;
+        pdu.data = Buf::copy(plain);
+        cipher.on_pdu(ctx, core::Direction::kToTarget, pdu);
+        const std::uint64_t position = lba * block::kSectorSize + offset;
+        EXPECT_TRUE(testutil::same_bytes(
+            pdu.data.span(), per_block_cipher(key, position, plain)))
+            << "lba=" << lba << " offset=" << offset << " len=" << len;
+        bytes += len;
+      }
+    }
+  }
+  EXPECT_EQ(cipher.bytes_processed(), bytes);
 }
 
 // --- monitor ---------------------------------------------------------------------
