@@ -174,6 +174,7 @@ int main() {
   std::printf("%-11s %5s %8s %6s %5s %4s %7s %6s %7s %5s %5s %s\n",
               "scenario", "seed", "sim_ms", "drop", "corr", "dup", "retx",
               "csumd", "replays", "recov", "fail", "data_ok");
+  int bad_rows = 0;
   for (const Scenario& scenario : scenarios) {
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
       Outcome o = run_scenario(scenario, seed);
@@ -188,7 +189,13 @@ int main() {
                   static_cast<unsigned long long>(o.replays),
                   static_cast<unsigned long long>(o.recoveries),
                   o.failed_writes, o.data_ok ? "yes" : "NO");
+      if (!o.data_ok) ++bad_rows;
     }
+  }
+  if (bad_rows > 0) {
+    std::fprintf(stderr, "FAIL: %d scenario runs ended data_ok=NO\n",
+                 bad_rows);
+    return 1;
   }
   return 0;
 }

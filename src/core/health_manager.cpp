@@ -55,13 +55,6 @@ void ChainHealthManager::stop() {
   }
   running_ = false;
   tick_token_.cancel();
-  // Unhook the stall callbacks: the stacks outlive this manager only by
-  // accident of destruction order, and a dangling std::function target
-  // must never be left behind.
-  for (net::TcpStack* stack : hooked_stacks_) {
-    stack->set_on_stall(nullptr);
-  }
-  hooked_stacks_.clear();
 }
 
 void ChainHealthManager::tick() {
@@ -78,7 +71,6 @@ void ChainHealthManager::tick() {
         bh.last_alive = telemetry().now();
       }
     }
-    install_stall_hooks(*dep);
     if (dep->state != DeploymentState::kActive) {
       continue;
     }
@@ -267,88 +259,8 @@ void ChainHealthManager::finish_recovery(Deployment& dep, ChainHealth& chain) {
                    std::string(to_string(chain.outcome)) + ")");
 }
 
-void ChainHealthManager::on_tcp_stall(const net::FourTuple& flow,
-                                      unsigned retries) {
-  if (!running_) {
-    return;
-  }
-  obs::Registry& reg = telemetry();
-  reg.counter("health.tcp_stalls").add();
-  reg.record_event("health: tcp stall on " + net::to_string(flow) + " (" +
-                   std::to_string(retries) + " retries)");
-  // The stall callback fires inside TCP timer processing; the probe may
-  // tear connections down, so defer it to a fresh event.
-  platform_.cloud_.simulator().schedule_in(0, [this] {
-    if (running_) {
-      stall_probe();
-    }
-  });
-}
-
-void ChainHealthManager::stall_probe() {
-  // Exhausted retransmission backoff is already a missed deadline: any
-  // monitored box that fails its liveness probe right now is declared
-  // failed without waiting out the heartbeat miss counter.
-  for (auto& dep : platform_.deployments_) {
-    if (dep->state != DeploymentState::kActive) {
-      continue;
-    }
-    auto it = chains_.find(dep->splice.cookie);
-    if (it == chains_.end() ||
-        it->second.boxes.size() != dep->boxes.size()) {
-      continue;  // not yet monitored; the next tick picks it up
-    }
-    ChainHealth& chain = it->second;
-    for (std::size_t i = 0; i < dep->boxes.size(); ++i) {
-      BoxHealth& bh = chain.boxes[i];
-      if (bh.state != RelayHealth::kAlive &&
-          bh.state != RelayHealth::kSuspect) {
-        continue;
-      }
-      if (!box_alive(*dep, i)) {
-        declare_failed(*dep, chain, i, "tcp stall");
-        break;  // the recovery policy may have reshaped the chain
-      }
-    }
-  }
-}
-
-void ChainHealthManager::install_stall_hooks(Deployment& dep) {
-  auto hook = [this](net::NetNode& node) {
-    net::TcpStack* stack = &node.tcp();
-    for (net::TcpStack* seen : hooked_stacks_) {
-      if (seen == stack) {
-        return;
-      }
-    }
-    hooked_stacks_.push_back(stack);
-    stack->set_on_stall([this](const net::FourTuple& flow, unsigned retries) {
-      on_tcp_stall(flow, retries);
-    });
-  };
-  // The legs that matter: the compute host dialing into the chain, and
-  // every middle-box VM (including warm standbys) dialing upstream.
-  hook(platform_.cloud_.compute(dep.attachment.host_index).node());
-  for (auto& box : dep.boxes) {
-    hook(box->vm->node());
-    if (box->standby) {
-      hook(box->standby->vm->node());
-    }
-  }
-}
-
 void ChainHealthManager::forget_deployment(std::uint64_t cookie) {
   chains_.erase(cookie);
-}
-
-void ChainHealthManager::unhook_node(net::TcpStack* stack) {
-  for (auto it = hooked_stacks_.begin(); it != hooked_stacks_.end(); ++it) {
-    if (*it == stack) {
-      stack->set_on_stall(nullptr);
-      hooked_stacks_.erase(it);
-      return;
-    }
-  }
 }
 
 RelayHealth ChainHealthManager::status(std::uint64_t cookie,

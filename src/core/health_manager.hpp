@@ -4,13 +4,10 @@
 // afterwards — a crashed relay VM otherwise silently stalls every spliced
 // volume behind it.
 //
-// Detection is two-pronged, both driven by the sim clock:
-//  * heartbeats: every kHeartbeatInterval the manager probes each
-//    middle-box (VM power state + relay crash flag); kMissThreshold
-//    consecutive misses declare the relay failed,
-//  * TCP stall signals: the TCP layer reports exhausted retransmission
-//    backoff (TcpStack::set_on_stall), which short-circuits the heartbeat
-//    deadline — backoff exhaustion is already conclusive.
+// Detection is one sim-clock heartbeat: every kHeartbeatInterval the
+// manager probes each middle-box (VM power state + relay crash flag), and
+// kMissThreshold consecutive misses declare the relay failed, long before
+// any TCP connection behind it exhausts its retransmission backoff.
 //
 // On failure the manager dumps the FlightRecorder, opens a
 // "failover.<vm>:<volume>" trace span, and executes the per-service
@@ -31,7 +28,6 @@
 #include <vector>
 
 #include "core/policy.hpp"
-#include "net/tcp.hpp"
 #include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -56,8 +52,8 @@ enum class RelayHealth {
 const char* to_string(RelayHealth state);
 
 /// Dump the registry's flight-recorder tail to the warning log. Called on
-/// *every* relay failure path — heartbeat miss, TCP stall, fence — not
-/// only on explicit ActiveRelay::crash().
+/// every declared relay failure, whatever the recovery policy then does —
+/// not only on explicit ActiveRelay::crash().
 void dump_flight_recorder(obs::Registry& registry, const std::string& why);
 
 class ChainHealthManager {
@@ -94,15 +90,8 @@ class ChainHealthManager {
   /// Safe for unknown cookies.
   void forget_deployment(std::uint64_t cookie);
 
-  /// Stop watching one TCP stack (replica parked / VM powered off): the
-  /// stall callback is cleared so a dark node can never call back into
-  /// the manager, and the stack is dropped from the hooked list so a
-  /// later revive re-hooks it cleanly. Safe for unhooked stacks.
-  void unhook_node(net::TcpStack* stack);
-
   /// Number of chains currently carrying health records (tests).
   std::size_t monitored_chains() const { return chains_.size(); }
-  std::size_t hooked_stacks() const { return hooked_stacks_.size(); }
 
  private:
   struct BoxHealth {
@@ -130,18 +119,12 @@ class ChainHealthManager {
                       std::size_t position, const std::string& how);
   void check_recovery(Deployment& dep, ChainHealth& chain);
   void finish_recovery(Deployment& dep, ChainHealth& chain);
-  /// TCP stall fast path: probe immediately, skipping the miss counter —
-  /// exhausted backoff is already a missed deadline.
-  void on_tcp_stall(const net::FourTuple& flow, unsigned retries);
-  void stall_probe();
-  void install_stall_hooks(Deployment& dep);
   obs::Registry& telemetry() const;
 
   StormPlatform& platform_;
   bool running_ = false;
   sim::CancelToken tick_token_;
   std::map<std::uint64_t, ChainHealth> chains_;  // by splice cookie
-  std::vector<net::TcpStack*> hooked_stacks_;
   std::uint64_t failures_ = 0;
   std::uint64_t recoveries_ = 0;
 };

@@ -581,12 +581,10 @@ void StormPlatform::park_replica(ReplicaSet& set,
     }
   }
   // Silence before power-off (journal intact, sessions already migrated
-  // away) so a later revive can restart() it; unhook the stall callback
-  // so the dark VM cannot ring the health manager's doorbell.
+  // away) so a later revive can restart() it.
   if (box->active_relay != nullptr && !box->active_relay->crashed()) {
     box->active_relay->crash();
   }
-  health_->unhook_node(&box->vm->node().tcp());
   box->vm->node().set_down(true);
   set.parked.push_back(box);
   telemetry().record_event("scaleout: parked replica " + box->replica_label);

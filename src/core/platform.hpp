@@ -304,7 +304,7 @@ class StormPlatform {
   /// order), then run `done`.
   void rebalance_flows(ReplicaSet& set, std::function<void(Status)> done);
   /// Retire a drained replica: shut its relay down, power the VM off,
-  /// unhook its stall callback, move it to the parked list.
+  /// move it to the parked list.
   void park_replica(ReplicaSet& set,
                     std::shared_ptr<MiddleboxInstance> box);
   Deployment* deployment_by_cookie(std::uint64_t cookie);

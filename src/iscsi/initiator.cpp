@@ -286,7 +286,6 @@ void Initiator::on_closed(Status status) {
     cb(failure);
   }
   fail_all(failure, "failed");
-  if (on_failure_) on_failure_(failure);
 }
 
 void Initiator::set_admission_mode(AdmissionMode mode) {

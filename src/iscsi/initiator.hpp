@@ -46,7 +46,6 @@ class Initiator {
   using LoginCallback = std::function<void(Status)>;
   using ReadCallback = std::function<void(Status, Bytes)>;
   using WriteCallback = std::function<void(Status)>;
-  using FailureCallback = std::function<void(Status)>;
 
   /// `target` is the address the initiator dials. StorM's splicing NAT
   /// may transparently redirect the flow; the initiator neither knows nor
@@ -71,11 +70,6 @@ class Initiator {
   /// Enable/configure session recovery. With recovery on, commands issued
   /// while disconnected are queued and sent after the next re-login.
   void set_recovery(RecoveryPolicy policy) { recovery_ = policy; }
-
-  /// Fired when the session drops with commands outstanding (all pending
-  /// callbacks also fire with errors). With recovery enabled, only fires
-  /// once reconnection attempts are exhausted.
-  void set_on_failure(FailureCallback cb) { on_failure_ = std::move(cb); }
 
   /// Three-state admission gate (StorM drain protocol). kClosed fails new
   /// read/write calls fast with kUnavailable instead of letting them enter
@@ -173,7 +167,6 @@ class Initiator {
   sim::CancelToken watchdog_;
 
   LoginCallback login_cb_;
-  FailureCallback on_failure_;
   std::map<std::uint32_t, Command> commands_;  // issued, by task tag
 
   std::uint64_t recoveries_ = 0;

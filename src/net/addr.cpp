@@ -34,12 +34,4 @@ std::string to_string(Ipv4Addr ip) {
   return buf;
 }
 
-std::string to_string(SocketAddr addr) {
-  return to_string(addr.ip) + ":" + std::to_string(addr.port);
-}
-
-std::string to_string(const FourTuple& tuple) {
-  return to_string(tuple.src) + "->" + to_string(tuple.dst);
-}
-
 }  // namespace storm::net

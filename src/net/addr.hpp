@@ -50,8 +50,6 @@ struct SocketAddr {
   auto operator<=>(const SocketAddr&) const = default;
 };
 
-std::string to_string(SocketAddr addr);
-
 /// Connection 4-tuple as used by NAT conntrack and connection attribution.
 struct FourTuple {
   SocketAddr src;
@@ -59,7 +57,5 @@ struct FourTuple {
 
   auto operator<=>(const FourTuple&) const = default;
 };
-
-std::string to_string(const FourTuple& tuple);
 
 }  // namespace storm::net

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -25,7 +24,6 @@ struct FlowMatch {
   std::optional<std::uint16_t> dst_port;
 
   bool matches(int in_port_arg, const Packet& pkt) const;
-  std::string to_string() const;
 };
 
 enum class FlowActionType {

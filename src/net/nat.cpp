@@ -1,7 +1,6 @@
 #include "net/nat.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace storm::net {
 
@@ -11,27 +10,6 @@ bool NatRule::matches(const Packet& pkt) const {
   if (match_dst_ip && *match_dst_ip != pkt.ip.dst) return false;
   if (match_dst_port && *match_dst_port != pkt.tcp.dst_port) return false;
   return true;
-}
-
-std::string NatRule::to_string() const {
-  std::ostringstream out;
-  out << "match{";
-  if (match_src_ip) out << " src=" << storm::net::to_string(*match_src_ip);
-  if (match_src_port) out << " sport=" << *match_src_port;
-  if (match_dst_ip) out << " dst=" << storm::net::to_string(*match_dst_ip);
-  if (match_dst_port) out << " dport=" << *match_dst_port;
-  out << " } ->";
-  if (snat_ip || snat_port) {
-    out << " SNAT";
-    if (snat_ip) out << " " << storm::net::to_string(*snat_ip);
-    if (snat_port) out << ":" << *snat_port;
-  }
-  if (dnat_ip || dnat_port) {
-    out << " DNAT";
-    if (dnat_ip) out << " " << storm::net::to_string(*dnat_ip);
-    if (dnat_port) out << ":" << *dnat_port;
-  }
-  return out.str();
 }
 
 std::size_t NatEngine::remove_rules_by_cookie(std::uint64_t cookie,

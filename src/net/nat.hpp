@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -36,7 +35,6 @@ struct NatRule {
   std::uint64_t cookie = 0;
 
   bool matches(const Packet& pkt) const;
-  std::string to_string() const;
 };
 
 class NatEngine {

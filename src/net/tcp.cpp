@@ -369,7 +369,6 @@ void TcpConnection::on_rto() {
                            state_ == State::kSynReceived;
   if (!outstanding) return;
   if (retries_ >= kTcpMaxRetries) {
-    if (stack_.on_stall_) stack_.on_stall_(four_tuple(), retries_);
     enter_closed(error(ErrorCode::kConnectionFailed,
                        "retransmission timeout"));
     return;
@@ -380,9 +379,6 @@ void TcpConnection::on_rto() {
   stack_.ensure_telemetry();
   stack_.tel_rto_fired_->add();
   stack_.tel_retransmits_->add();
-  if (retries_ == kTcpStallRetries && stack_.on_stall_) {
-    stack_.on_stall_(four_tuple(), retries_);
-  }
   rto_ = std::min<sim::Duration>(rto_ * 2, kTcpMaxRto);
   rewind_and_resend();
   arm_rto();

@@ -46,15 +46,13 @@ inline constexpr std::uint32_t kDefaultWindow = 64 * 1024;
 
 // Retransmission timing. The initial RTO is deliberately generous (the
 // simulated fabric has sub-millisecond RTTs) so spurious retransmission
-// never happens on a clean path; backoff doubles up to the cap, then the
-// connection is declared dead after kTcpMaxRetries consecutive timeouts.
+// never happens on a clean path; backoff doubles up to the cap, and the
+// timeout after kTcpMaxRetries consecutive ones closes the connection
+// with kConnectionFailed. That close is the stack's only failure report:
+// middle-box liveness is the chain health manager's heartbeat.
 inline constexpr sim::Duration kTcpInitialRto = sim::milliseconds(200);
 inline constexpr sim::Duration kTcpMaxRto = sim::seconds(10);
 inline constexpr unsigned kTcpMaxRetries = 8;
-// Consecutive timeouts after which the stack reports the connection as
-// stalled (see TcpStack::set_on_stall) — early enough that a health
-// manager can react long before the connection is declared dead.
-inline constexpr unsigned kTcpStallRetries = 3;
 
 class TcpConnection {
  public:
@@ -255,12 +253,6 @@ class TcpConnection {
 class TcpStack {
  public:
   using AcceptCallback = std::function<void(TcpConnection&)>;
-  /// Stall report: a connection has hit `retries` consecutive
-  /// retransmission timeouts without forward progress. Fired once at
-  /// kTcpStallRetries and again when the connection is declared dead at
-  /// kTcpMaxRetries. The callback runs inside TCP timer processing and
-  /// must not destroy connections directly — defer via Simulator::post.
-  using StallCallback = std::function<void(const FourTuple&, unsigned)>;
 
   explicit TcpStack(NetNode& node) : node_(node) {}
 
@@ -286,10 +278,6 @@ class TcpStack {
   /// goodbye. Peers discover the loss via retransmission timeout or via
   /// the RSTs this stack sends for unknown segments after restart.
   void reset();
-
-  /// Register the stall observer (StorM's chain health manager uses this
-  /// as its exhausted-backoff failure signal).
-  void set_on_stall(StallCallback cb) { on_stall_ = std::move(cb); }
 
   /// Default advertised/receive and send window for new connections.
   void set_default_window(std::uint32_t bytes) { default_window_ = bytes; }
@@ -329,7 +317,6 @@ class TcpStack {
   NetNode& node_;
   std::map<FourTuple, std::unique_ptr<TcpConnection>> connections_;
   std::map<std::uint16_t, AcceptCallback> listeners_;
-  StallCallback on_stall_;
   std::uint16_t next_ephemeral_ = 49152;
   std::uint16_t last_connect_port_ = 0;
   std::uint32_t default_window_ = kDefaultWindow;

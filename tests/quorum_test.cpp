@@ -466,5 +466,48 @@ TEST_F(QuorumTest, RelayCrashDegradesConservativelyAndRebuildResumes) {
   EXPECT_EQ(service_->replica_version(1), service_->set_version());
 }
 
+TEST_F(QuorumTest, RelayCrashMidRebuildResumesTheCopy) {
+  // 256 KB/s: re-silvering 4 MB of missed writes takes ~16 simulated
+  // seconds, so the relay can crash while the copy machine runs.
+  setup(2, 2, /*rebuild_rate=*/256 * 1024);
+  dep_.attachment()->initiator->set_recovery({.enabled = true});
+  kill_replica_session(1);
+  for (int i = 0; i < 64; ++i) {
+    write(static_cast<std::uint64_t>(i) * 128,
+          Bytes(128 * block::kSectorSize, static_cast<std::uint8_t>(i + 1)));
+  }
+  ASSERT_EQ(service_->replica_state(1), ReplicaState::kDegraded);
+  // Probe on a short clock (not sim_.run(), which would finish the
+  // rebuild) until the re-attached copy starts rebuilding.
+  for (int i = 0; i < 200 &&
+                  service_->replica_state(1) != ReplicaState::kRebuilding;
+       ++i) {
+    service_->on_health_probe(sim_.now());
+    sim_.run_for(sim::milliseconds(1));
+  }
+  ASSERT_EQ(service_->replica_state(1), ReplicaState::kRebuilding);
+
+  // The crash halts the copy machine. Only the journaled version map
+  // says the copy was rebuilding; recovery must read it back as
+  // degraded, or the probe would never kick a new machine for it.
+  ASSERT_TRUE(dep_.crash_middlebox(0).is_ok());
+  sim_.run_for(sim::milliseconds(10));
+  ASSERT_TRUE(dep_.restart_middlebox(0).is_ok());
+  sim_.run_for(sim::milliseconds(10));
+  EXPECT_EQ(service_->replica_state(1), ReplicaState::kDegraded);
+
+  probe_until([&] {
+    return service_->live_replicas() == 2 &&
+           service_->rebuild_backlog_sectors() == 0;
+  }, /*max_probes=*/2000);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(backing("replica1").read_sync(static_cast<std::uint64_t>(i) *
+                                                128, 128),
+              Bytes(128 * block::kSectorSize, static_cast<std::uint8_t>(i + 1)))
+        << "extent " << i;
+  }
+  EXPECT_EQ(service_->replica_version(1), service_->set_version());
+}
+
 }  // namespace
 }  // namespace storm::services

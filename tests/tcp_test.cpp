@@ -277,34 +277,27 @@ TEST(Tcp, ManyConcurrentConnections) {
   EXPECT_EQ(total_received, static_cast<std::size_t>(kConns) * 1000u);
 }
 
-TEST(Tcp, StallSignalFiresEarlyAndAtExhaustion) {
-  // The health manager's fast path: the stack reports a stalling
-  // connection once at kTcpStallRetries and again when backoff is
-  // exhausted, identifying the flow each time.
+TEST(Tcp, ExhaustedRetryBudgetClosesTheConnectionWithAnError) {
+  // A peer that goes silent is only ever reported by the close: every
+  // retransmission times out until the retry budget is gone, then the
+  // connection fails with kConnectionFailed, once.
   TwoNodeNet net;
   net.b.tcp().listen(80, [](TcpConnection&) {});
-  std::vector<unsigned> stalls;
-  FourTuple stalled_flow{};
-  net.a.tcp().set_on_stall([&](const FourTuple& flow, unsigned retries) {
-    stalls.push_back(retries);
-    stalled_flow = flow;
-  });
   TcpConnection& client =
       net.a.tcp().connect(SocketAddr{ip("10.0.0.2"), 80}, [] {});
+  std::vector<Status> closes;
+  client.set_on_closed([&](Status s) { closes.push_back(s); });
   net.sim.run();
-  ASSERT_TRUE(stalls.empty()) << "no stall on a healthy connection";
+  ASSERT_EQ(client.state(), TcpConnection::State::kEstablished);
+  ASSERT_TRUE(closes.empty());
 
-  // Silence the peer and push data into the void: every retransmission
-  // times out until the retry budget is gone.
   net.b.set_down(true);
   client.send(testutil::pattern_bytes(1000));
   net.sim.run();
 
-  ASSERT_EQ(stalls.size(), 2u);
-  EXPECT_EQ(stalls[0], kTcpStallRetries);
-  EXPECT_EQ(stalls[1], kTcpMaxRetries);
-  EXPECT_EQ(stalled_flow.src, client.local());
-  EXPECT_EQ(stalled_flow.dst, client.remote());
+  ASSERT_EQ(closes.size(), 1u);
+  EXPECT_EQ(closes[0].code(), ErrorCode::kConnectionFailed);
+  EXPECT_EQ(client.retransmits(), kTcpMaxRetries);
   EXPECT_EQ(client.state(), TcpConnection::State::kClosed);
 }
 
