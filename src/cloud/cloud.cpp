@@ -148,35 +148,32 @@ Cloud::FlowCacheStats Cloud::flow_cache_stats() {
 
 Vm& Cloud::create_vm(const std::string& name, const std::string& tenant,
                      unsigned host_index, unsigned vcpus) {
-  auto vm = std::make_unique<Vm>(*this, name, tenant, host_index, vcpus);
-  Vm& ref = *vm;
-  ref.ip_ = make_ip(kVmBase, next_vm_ip_++);
-  ref.mac_ = next_mac();
-  ComputeHost& host = compute(host_index);
-  host.ovs().attach(*ref.link_, 1);
-  ref.node_->add_nic(ref.mac_, ref.ip_, kInstanceSubnet, *ref.link_, 0);
-  ref.node_->set_packet_processing(ref.cpu_.get(), kVmPacketCost,
-                                   kVmNsPerByte);
-  ref.node_->tcp().set_default_window(config_.tcp_window);
-  register_link(*ref.link_, "vm." + ref.name_);
-  vms_.push_back(std::move(vm));
-  return ref;
+  return build_vm(name, tenant, host_index, vcpus,
+                  make_ip(kVmBase, next_vm_ip_++), kVmPacketCost,
+                  kVmNsPerByte);
 }
 
 Vm& Cloud::create_middlebox_vm(const std::string& name,
                                const std::string& tenant,
                                unsigned host_index, unsigned vcpus) {
+  Vm& vm = build_vm(name, tenant, host_index, vcpus,
+                    make_ip(kMbBase, next_mb_ip_++), kMbPacketCost,
+                    kMbNsPerByte);
+  vm.node_->set_ip_forward(true);
+  return vm;
+}
+
+Vm& Cloud::build_vm(const std::string& name, const std::string& tenant,
+                    unsigned host_index, unsigned vcpus, net::Ipv4Addr ip,
+                    sim::Duration packet_cost, double ns_per_byte) {
   auto vm = std::make_unique<Vm>(*this, name, tenant, host_index, vcpus);
   Vm& ref = *vm;
-  ref.ip_ = make_ip(kMbBase, next_mb_ip_++);
+  ref.ip_ = ip;
   ref.mac_ = next_mac();
-  ComputeHost& host = compute(host_index);
-  host.ovs().attach(*ref.link_, 1);
+  compute(host_index).ovs().attach(*ref.link_, 1);
   ref.node_->add_nic(ref.mac_, ref.ip_, kInstanceSubnet, *ref.link_, 0);
-  ref.node_->set_packet_processing(ref.cpu_.get(), kMbPacketCost,
-                                   kMbNsPerByte);
+  ref.node_->set_packet_processing(ref.cpu_.get(), packet_cost, ns_per_byte);
   ref.node_->tcp().set_default_window(config_.tcp_window);
-  ref.node_->set_ip_forward(true);
   register_link(*ref.link_, "vm." + ref.name_);
   vms_.push_back(std::move(vm));
   return ref;

@@ -266,6 +266,12 @@ class Cloud {
 
   void run_attach_queue(unsigned host_index);
 
+  /// The one VM builder behind create_vm and create_middlebox_vm: only
+  /// the address and the guest's per-packet costs differ.
+  Vm& build_vm(const std::string& name, const std::string& tenant,
+               unsigned host_index, unsigned vcpus, net::Ipv4Addr ip,
+               sim::Duration packet_cost, double ns_per_byte);
+
   /// Track a link under `label` and apply the current fault plan to it.
   void register_link(net::Link& link, std::string label);
 

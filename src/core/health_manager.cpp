@@ -62,7 +62,7 @@ void ChainHealthManager::tick() {
     return;
   }
   for (auto& dep : platform_.deployments_) {
-    ChainHealth& chain = chains_[dep->splice.cookie];
+    ChainHealth& chain = dep->health;
     if (chain.boxes.size() != dep->boxes.size()) {
       // First sight of this chain (or an add/remove_middlebox reshaped
       // it): everything is presumed alive as of now.
@@ -75,9 +75,9 @@ void ChainHealthManager::tick() {
       continue;
     }
     if (chain.recovering) {
-      check_recovery(*dep, chain);
+      check_recovery(*dep);
     }
-    probe_deployment(*dep, chain);
+    probe_deployment(*dep);
   }
   tick_token_ = platform_.cloud_.simulator().schedule_in(
       kHeartbeatInterval, [this] { tick(); });
@@ -95,12 +95,11 @@ bool ChainHealthManager::box_alive(const Deployment& dep,
   return true;
 }
 
-void ChainHealthManager::probe_deployment(Deployment& dep,
-                                          ChainHealth& chain) {
+void ChainHealthManager::probe_deployment(Deployment& dep) {
   const sim::Time now = telemetry().now();
   obs::Registry& reg = telemetry();
   for (std::size_t i = 0; i < dep.boxes.size(); ++i) {
-    BoxHealth& bh = chain.boxes[i];
+    BoxHealth& bh = dep.health.boxes[i];
     // Services piggyback their own failure detection and repair state
     // machines (replica death declaration, re-attach, rebuild kicks) on
     // the heartbeat cadence — one recovery-latency knob for the chain.
@@ -130,16 +129,16 @@ void ChainHealthManager::probe_deployment(Deployment& dep,
                        std::to_string(kMissThreshold) + " misses)");
     }
     if (bh.misses >= kMissThreshold) {
-      declare_failed(dep, chain, i, "heartbeat deadline");
+      declare_failed(dep, i, "heartbeat deadline");
       break;  // the recovery policy may have reshaped the chain
     }
   }
 }
 
-void ChainHealthManager::declare_failed(Deployment& dep, ChainHealth& chain,
-                                        std::size_t position,
+void ChainHealthManager::declare_failed(Deployment& dep, std::size_t position,
                                         const std::string& how) {
   obs::Registry& reg = telemetry();
+  ChainHealth& chain = dep.health;
   BoxHealth& bh = chain.boxes[position];
   bh.state = RelayHealth::kFailed;
   ++failures_;
@@ -155,7 +154,6 @@ void ChainHealthManager::declare_failed(Deployment& dep, ChainHealth& chain,
   dump_flight_recorder(reg, "relay " + box_name + " failed (" + how + ")");
 
   chain.recovering = true;
-  chain.recovery_kind = policy;
   chain.recovering_position = position;
   chain.failure_last_alive = bh.last_alive;
   chain.failed_at = reg.now();
@@ -220,7 +218,8 @@ void ChainHealthManager::declare_failed(Deployment& dep, ChainHealth& chain,
   reg.counter("health.fences").add();
 }
 
-void ChainHealthManager::check_recovery(Deployment& dep, ChainHealth& chain) {
+void ChainHealthManager::check_recovery(Deployment& dep) {
+  const ChainHealth& chain = dep.health;
   bool restored = true;
   if (chain.outcome == RelayHealth::kStandbyPromoted &&
       chain.recovering_position < dep.boxes.size()) {
@@ -235,12 +234,13 @@ void ChainHealthManager::check_recovery(Deployment& dep, ChainHealth& chain) {
     restored = restored && initiator->logged_in() && !initiator->recovering();
   }
   if (restored) {
-    finish_recovery(dep, chain);
+    finish_recovery(dep);
   }
 }
 
-void ChainHealthManager::finish_recovery(Deployment& dep, ChainHealth& chain) {
+void ChainHealthManager::finish_recovery(Deployment& dep) {
   obs::Registry& reg = telemetry();
+  ChainHealth& chain = dep.health;
   const sim::Time now = reg.now();
   // MTTR runs from the instant the failed relay was last known alive to
   // the data path being fully restored — detection latency included.
@@ -259,22 +259,22 @@ void ChainHealthManager::finish_recovery(Deployment& dep, ChainHealth& chain) {
                    std::string(to_string(chain.outcome)) + ")");
 }
 
-void ChainHealthManager::forget_deployment(std::uint64_t cookie) {
-  chains_.erase(cookie);
+std::size_t ChainHealthManager::monitored_chains() const {
+  return platform_.deployments_.size();
 }
 
 RelayHealth ChainHealthManager::status(std::uint64_t cookie,
                                        std::size_t position) const {
-  auto it = chains_.find(cookie);
-  if (it == chains_.end() || position >= it->second.boxes.size()) {
+  const Deployment* dep = platform_.deployment_by_cookie(cookie);
+  if (dep == nullptr || position >= dep->health.boxes.size()) {
     return RelayHealth::kAlive;
   }
-  return it->second.boxes[position].state;
+  return dep->health.boxes[position].state;
 }
 
 RelayHealth ChainHealthManager::last_outcome(std::uint64_t cookie) const {
-  auto it = chains_.find(cookie);
-  return it == chains_.end() ? RelayHealth::kAlive : it->second.outcome;
+  const Deployment* dep = platform_.deployment_by_cookie(cookie);
+  return dep == nullptr ? RelayHealth::kAlive : dep->health.outcome;
 }
 
 }  // namespace storm::core

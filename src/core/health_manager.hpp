@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -56,6 +55,26 @@ const char* to_string(RelayHealth state);
 /// not only on explicit ActiveRelay::crash().
 void dump_flight_recorder(obs::Registry& registry, const std::string& why);
 
+struct BoxHealth {
+  RelayHealth state = RelayHealth::kAlive;
+  unsigned misses = 0;
+  sim::Time last_alive = 0;
+};
+
+/// One chain's health record. It lives on its Deployment, so it is
+/// destroyed with the boxes it probes and can never outlive them.
+struct ChainHealth {
+  std::vector<BoxHealth> boxes;
+  // In-flight recovery (kStandby/kBypass): completion is polled each
+  // tick — the failover span stays open until the data path is back.
+  bool recovering = false;
+  std::size_t recovering_position = 0;
+  sim::Time failure_last_alive = 0;  // MTTR clock starts here
+  sim::Time failed_at = 0;           // detection instant
+  obs::SpanId failover_span = 0;
+  RelayHealth outcome = RelayHealth::kAlive;
+};
+
 class ChainHealthManager {
  public:
   /// Heartbeat cadence. The detection deadline is
@@ -85,46 +104,23 @@ class ChainHealthManager {
   std::uint64_t failures_detected() const { return failures_; }
   std::uint64_t recoveries_completed() const { return recoveries_; }
 
-  /// Deployment torn down (detach/rollback): drop its chain record so a
-  /// stale entry can't keep probing box pointers the teardown destroyed.
-  /// Safe for unknown cookies.
-  void forget_deployment(std::uint64_t cookie);
-
-  /// Number of chains currently carrying health records (tests).
-  std::size_t monitored_chains() const { return chains_.size(); }
+  /// Number of chains carrying health records: every live deployment
+  /// (tests).
+  std::size_t monitored_chains() const;
 
  private:
-  struct BoxHealth {
-    RelayHealth state = RelayHealth::kAlive;
-    unsigned misses = 0;
-    sim::Time last_alive = 0;
-  };
-  struct ChainHealth {
-    std::vector<BoxHealth> boxes;
-    // In-flight recovery (kStandby/kBypass): completion is polled each
-    // tick — the failover span stays open until the data path is back.
-    bool recovering = false;
-    RecoveryPolicyKind recovery_kind = RecoveryPolicyKind::kFence;
-    std::size_t recovering_position = 0;
-    sim::Time failure_last_alive = 0;  // MTTR clock starts here
-    sim::Time failed_at = 0;           // detection instant
-    obs::SpanId failover_span = 0;
-    RelayHealth outcome = RelayHealth::kAlive;
-  };
-
   void tick();
-  void probe_deployment(Deployment& dep, ChainHealth& chain);
+  void probe_deployment(Deployment& dep);
   bool box_alive(const Deployment& dep, std::size_t position) const;
-  void declare_failed(Deployment& dep, ChainHealth& chain,
-                      std::size_t position, const std::string& how);
-  void check_recovery(Deployment& dep, ChainHealth& chain);
-  void finish_recovery(Deployment& dep, ChainHealth& chain);
+  void declare_failed(Deployment& dep, std::size_t position,
+                      const std::string& how);
+  void check_recovery(Deployment& dep);
+  void finish_recovery(Deployment& dep);
   obs::Registry& telemetry() const;
 
   StormPlatform& platform_;
   bool running_ = false;
   sim::CancelToken tick_token_;
-  std::map<std::uint64_t, ChainHealth> chains_;  // by splice cookie
   std::uint64_t failures_ = 0;
   std::uint64_t recoveries_ = 0;
 };

@@ -182,24 +182,24 @@ Result<std::unique_ptr<MiddleboxInstance>> StormPlatform::build_box(
                  "service '" + spec.type + "': no compute host " +
                      std::to_string(spec.host_index));
   }
+  auto factory = factories_.find(spec.type);
+  if (spec.relay != RelayMode::kForward && factory == factories_.end()) {
+    return error(ErrorCode::kNotFound,
+                 "no service registered for type '" + spec.type + "'");
+  }
   auto box = std::make_unique<MiddleboxInstance>();
   box->spec = spec;
   unsigned host = place_middlebox(spec, vm_host);
   box->vm = &cloud_.create_middlebox_vm(label, tenant, host, spec.vcpus);
 
   if (spec.relay != RelayMode::kForward) {
-    auto it = factories_.find(spec.type);
-    if (it == factories_.end()) {
-      return error(ErrorCode::kNotFound,
-                   "no service registered for type '" + spec.type + "'");
-    }
     ServiceEnv env;
     env.cloud = &cloud_;
     env.platform = this;
     env.mb_vm = box->vm;
     env.volume = volume;
     env.spec = &box->spec;
-    auto service = it->second(env);
+    auto service = factory->second(env);
     if (!service.is_ok()) return service.status();
     box->service = std::move(service).take();
     if (box->service->requires_active_relay() &&
@@ -216,12 +216,6 @@ Result<std::unique_ptr<MiddleboxInstance>> StormPlatform::build_box(
                    "service '" + spec.type +
                        "' is confidentiality-critical: recovery=bypass "
                        "would fail open");
-    }
-    if (spec.recovery == RecoveryPolicyKind::kStandby &&
-        spec.relay != RelayMode::kActive) {
-      return error(ErrorCode::kInvalidArgument,
-                   "service '" + spec.type +
-                       "': recovery=standby requires relay=active");
     }
   }
   return box;
@@ -275,6 +269,29 @@ void initialize_services(const std::vector<StorageService*>& services,
   join->seal();
 }
 
+// A flow move tears the initiator's downstream TCP leg; session recovery
+// re-dials from the pinned source port and re-issues whatever was in
+// flight. Without it every command that met the old path would fail, so
+// a move turns recovery on unless the caller already configured it.
+void arm_session_recovery(iscsi::Initiator& initiator) {
+  if (initiator.recovery_policy().enabled) return;
+  iscsi::RecoveryPolicy recovery;
+  recovery.enabled = true;
+  recovery.reconnect_delay = sim::milliseconds(1);
+  initiator.set_recovery(recovery);
+}
+
+// Stops a box from carrying traffic: an active relay crashes with its
+// journal intact (and takes its VM down); any other box just loses power.
+// Both are no-ops on a box that is already silent.
+void silence(MiddleboxInstance& box) {
+  if (box.active_relay != nullptr) {
+    box.active_relay->crash();
+  } else {
+    box.vm->node().set_down(true);
+  }
+}
+
 }  // namespace
 
 void StormPlatform::wire_relays(Deployment& deployment) {
@@ -318,7 +335,6 @@ Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::build_replica(
     // service are intact, so scale-up skips both boot and setup time.
     std::shared_ptr<MiddleboxInstance> box = set.parked.back();
     set.parked.pop_back();
-    box->vm->node().set_down(false);
     box->active_relay->restart();
     set.ring.add_node(box->replica_label);
     set.replicas.push_back(box);
@@ -376,10 +392,6 @@ Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::build_replica(
 Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::acquire_replica(
     Deployment& dep, const ServiceSpec& spec, const std::string& tenant,
     unsigned vm_host, std::vector<StorageService*>* fresh_services) {
-  if (spec.relay != RelayMode::kActive) {
-    return error(ErrorCode::kInvalidArgument,
-                 "replicas stanza requires relay=active");
-  }
   const std::string key = tenant + "|" + spec.type;
   auto it = replica_sets_.find(key);
   if (it == replica_sets_.end()) {
@@ -441,15 +453,9 @@ void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
                "flow migration needs a live initiator and active relays"));
     return;
   }
-  // The handoff tears the initiator's downstream TCP leg; session
-  // recovery re-dials from the pinned source port and re-issues whatever
-  // the reopened gate admits. Without it, parked commands would fail.
-  if (!initiator->recovery_policy().enabled) {
-    iscsi::RecoveryPolicy recovery;
-    recovery.enabled = true;
-    recovery.reconnect_delay = sim::milliseconds(1);
-    initiator->set_recovery(recovery);
-  }
+  // handoff() arms it too; arming before the drain keeps the whole move
+  // under recovery, so a leg torn while the chain drains is re-dialed.
+  arm_session_recovery(*initiator);
   // Park new commands instead of failing them: the chain drains to empty
   // under a live workload, and nothing issued during the move is lost.
   initiator->set_admission_mode(iscsi::AdmissionMode::kDeferred);
@@ -487,16 +493,9 @@ void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
           return;
         }
         // Quiescent: snapshot the drained session (login + empty unacked
-        // tail) and tear it out of the source relay. The departing
-        // replica's capture DNAT is cookie-tagged but
-        // refresh_capture_rules only touches the *new* chain's VMs —
-        // flush it explicitly or the old VM keeps capturing the flow.
-        RelayJournalSnapshot snapshot =
-            source->active_relay->extract_session(vm_port);
-        source->vm->node().nat().remove_rules_by_cookie(
-            cookie, /*flush_conntrack=*/true);
-        target->active_relay->register_volume(vm_port, dep->volume);
-        handoff(*dep, position, target, std::move(snapshot));
+        // tail) and tear it out of the source relay.
+        handoff(*dep, position, target,
+                source->active_relay->extract_session(vm_port));
         // Reopen the gate: parked commands queue behind session recovery
         // and issue after the re-login lands.
         initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
@@ -580,12 +579,9 @@ void StormPlatform::park_replica(ReplicaSet& set,
       break;
     }
   }
-  // Silence before power-off (journal intact, sessions already migrated
-  // away) so a later revive can restart() it.
-  if (box->active_relay != nullptr && !box->active_relay->crashed()) {
-    box->active_relay->crash();
-  }
-  box->vm->node().set_down(true);
+  // Journal intact, sessions already migrated away: a later revive can
+  // restart() it.
+  silence(*box);
   set.parked.push_back(box);
   telemetry().record_event("scaleout: parked replica " + box->replica_label);
 }
@@ -685,6 +681,13 @@ void StormPlatform::attach_with_chain(
     const std::string& vm_name, const std::string& volume_name,
     std::vector<ServiceSpec> chain,
     std::function<void(Result<DeploymentHandle>)> done) {
+  // Every spec is checked before anything is provisioned: the cloud
+  // cannot destroy a VM, so a box built for a bad spec would leak.
+  Status valid = validate_chain(chain);
+  if (!valid.is_ok()) {
+    done(valid);
+    return;
+  }
   cloud::Vm* vm = cloud_.find_vm(vm_name);
   if (vm == nullptr) {
     done(error(ErrorCode::kNotFound, "no VM " + vm_name));
@@ -892,9 +895,6 @@ void StormPlatform::teardown_rules(Deployment* dep) {
 void StormPlatform::rollback_deployment(Deployment* dep) {
   teardown_rules(dep);
   release_replica_flows(*dep);
-  // Drop the chain's health record with it: a stale entry would keep
-  // probing box pointers the erase below is about to destroy.
-  health_->forget_deployment(dep->splice.cookie);
   telemetry().end_span(dep->attach_span);
   for (auto it = deployments_.begin(); it != deployments_.end(); ++it) {
     if (it->get() == dep) {
@@ -996,7 +996,15 @@ void StormPlatform::rebuild_chain(Deployment& deployment) {
 void StormPlatform::handoff(Deployment& dep, std::size_t position,
                             std::shared_ptr<MiddleboxInstance> target,
                             RelayJournalSnapshot snapshot) {
+  iscsi::Initiator* initiator = dep.attachment.initiator;
+  if (initiator != nullptr) arm_session_recovery(*initiator);
+  // The departing hop's capture DNAT is cookie-tagged, but
+  // refresh_capture_rules only touches the *new* chain's VMs: flush it
+  // here, or the old VM keeps capturing the flow.
+  dep.boxes[position]->vm->node().nat().remove_rules_by_cookie(
+      dep.splice.cookie, /*flush_conntrack=*/true);
   if (target != nullptr) {
+    target->active_relay->register_volume(dep.splice.vm_port, dep.volume);
     dep.boxes[position] = target;
   } else {
     dep.boxes.erase(dep.boxes.begin() + static_cast<std::ptrdiff_t>(position));
@@ -1011,7 +1019,7 @@ void StormPlatform::handoff(Deployment& dep, std::size_t position,
   }
   // Re-dial now rather than at watchdog expiry; the reconnection is
   // adopted by the target's pseudo-server.
-  if (dep.attachment.initiator != nullptr) dep.attachment.initiator->kick();
+  if (initiator != nullptr) initiator->kick();
 }
 
 Status StormPlatform::promote_standby(Deployment& dep, std::size_t position) {
@@ -1033,7 +1041,7 @@ Status StormPlatform::promote_standby(Deployment& dep, std::size_t position) {
   // NVRAM handoff: snapshot the dead relay's journal — it survives the
   // VM's power loss — then silence whatever is left of the relay.
   RelayJournalSnapshot snapshot = failed->active_relay->export_journal();
-  if (!failed->active_relay->crashed()) failed->active_relay->crash();
+  silence(*failed);
   handoff(dep, position, standby, std::move(snapshot));
   telemetry().add_event(dep.attach_span, "standby_promoted", position);
   telemetry().record_event("failover " + dep.vm + ":" + dep.volume +
@@ -1061,11 +1069,7 @@ Status StormPlatform::bypass_middlebox(Deployment& dep,
   }
   // Silence the box (it may be half-dead rather than fully gone), then
   // route around it and let the initiator re-dial the shortened chain.
-  if (box->active_relay != nullptr) {
-    if (!box->active_relay->crashed()) box->active_relay->crash();
-  } else {
-    box->vm->node().set_down(true);
-  }
+  silence(*box);
   telemetry().add_event(dep.attach_span, "bypassed", position);
   telemetry().record_event("failover " + dep.vm + ":" + dep.volume +
                            ": bypassing " + box->vm->name());
@@ -1113,13 +1117,11 @@ Status StormPlatform::crash_middlebox(Deployment& deployment,
   if (position >= deployment.boxes.size()) {
     return error(ErrorCode::kInvalidArgument, "position out of range");
   }
-  MiddleboxInstance* box = deployment.boxes[position].get();
-  if (box->active_relay) {
-    box->active_relay->crash();
-  } else {
-    telemetry().record_event("mb " + box->vm->name() + ": node down");
-    box->vm->node().set_down(true);
+  MiddleboxInstance& box = *deployment.boxes[position];
+  if (box.active_relay == nullptr) {
+    telemetry().record_event("mb " + box.vm->name() + ": node down");
   }
+  silence(box);
   return Status::ok();
 }
 
@@ -1158,6 +1160,8 @@ DeploymentHandle StormPlatform::find_deployment(const std::string& vm,
 Status StormPlatform::add_middlebox(Deployment& deployment,
                                     const ServiceSpec& spec,
                                     std::size_t position) {
+  Status valid = validate_chain({spec});
+  if (!valid.is_ok()) return valid;
   if (spec.relay == RelayMode::kActive) {
     return error(ErrorCode::kInvalidArgument,
                  "cannot insert an active relay into a live flow "

@@ -23,6 +23,7 @@
 #include "cloud/cloud.hpp"
 #include "core/active_relay.hpp"
 #include "core/attribution.hpp"
+#include "core/health_manager.hpp"
 #include "core/passive_relay.hpp"
 #include "core/policy.hpp"
 #include "core/sdn_controller.hpp"
@@ -34,7 +35,6 @@
 namespace storm::core {
 
 class StormPlatform;
-class ChainHealthManager;
 
 /// Everything a service factory may need.
 struct ServiceEnv {
@@ -84,6 +84,7 @@ struct Deployment {
   std::vector<std::shared_ptr<MiddleboxInstance>> boxes;
   obs::SpanId attach_span = 0;  // "deploy.<vm>:<volume>", ends at detach
   DeploymentState state = DeploymentState::kActive;
+  ChainHealth health;  // the health manager's record of this chain
 };
 
 /// A pool of interchangeable active-relay replicas standing in for one
@@ -293,8 +294,8 @@ class StormPlatform {
   /// boxes and erase its ring assignments. Pooled relays stay up.
   void release_replica_flows(Deployment& dep);
   /// Move dep's flow from the pooled box at `position` to `target`:
-  /// deferred admission -> poll_until drained -> extract_session, NAT
-  /// flush on the old VM, handoff -> reopen. Parked commands are
+  /// session recovery on, deferred admission -> poll_until drained ->
+  /// handoff of the extracted session -> reopen. Parked commands are
   /// replayed, never failed.
   void migrate_flow(Deployment& dep, std::size_t position,
                     std::shared_ptr<MiddleboxInstance> target,
@@ -321,10 +322,13 @@ class StormPlatform {
   /// Recompute splice.chain from the current boxes vector.
   void rebuild_chain(Deployment& deployment);
   /// The one flow-handoff path (standby promotion, replica migration,
-  /// bypass): re-point hop `position` at `target` — or drop the hop when
-  /// `target` is null — refresh the capture NAT, reprogram the steering
-  /// rules, adopt `snapshot` on the target's relay and kick the initiator
-  /// to re-dial the new path.
+  /// bypass); the callers differ only in where `snapshot` comes from.
+  /// Turns the initiator's session recovery on if it is off, flushes the
+  /// departing hop's cookie-tagged NAT rules, registers the flow's volume
+  /// on the target, re-points hop `position` at `target` — or drops the
+  /// hop when `target` is null — refreshes the capture NAT, reprograms
+  /// the steering rules, adopts `snapshot` on the target's relay and
+  /// kicks the initiator to re-dial the new path.
   void handoff(Deployment& dep, std::size_t position,
                std::shared_ptr<MiddleboxInstance> target,
                RelayJournalSnapshot snapshot);

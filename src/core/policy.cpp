@@ -248,107 +248,111 @@ Status validate_policy(const TenantPolicy& policy) {
       return error(ErrorCode::kInvalidArgument,
                    "volume " + volume.volume + " has an empty service chain");
     }
-    for (const auto& spec : volume.chain) {
-      if (spec.type.empty()) {
-        return error(ErrorCode::kInvalidArgument, "service without a type");
-      }
-      if (spec.vcpus == 0) {
-        return error(ErrorCode::kInvalidArgument,
-                     "service " + spec.type + " requests 0 vCPUs");
-      }
-      // Replication rewrites command routing, which requires terminating
-      // the TCP stream — it cannot run as a packet-level relay.
-      if (spec.type == "replication" && spec.relay != RelayMode::kActive) {
-        return error(ErrorCode::kInvalidArgument,
-                     "replication requires relay=active");
-      }
-      // Standby promotion replays an NVRAM journal, which only the
-      // active relay keeps.
-      if (spec.recovery == RecoveryPolicyKind::kStandby &&
-          spec.relay != RelayMode::kActive) {
+    Status status = validate_chain(volume.chain);
+    if (!status.is_ok()) return status;
+  }
+  return Status::ok();
+}
+
+Status validate_chain(const std::vector<ServiceSpec>& chain) {
+  for (const auto& spec : chain) {
+    if (spec.type.empty()) {
+      return error(ErrorCode::kInvalidArgument, "service without a type");
+    }
+    if (spec.vcpus == 0) {
+      return error(ErrorCode::kInvalidArgument,
+                   "service " + spec.type + " requests 0 vCPUs");
+    }
+    // Replication rewrites command routing, which requires terminating
+    // the TCP stream — it cannot run as a packet-level relay.
+    if (spec.type == "replication" && spec.relay != RelayMode::kActive) {
+      return error(ErrorCode::kInvalidArgument,
+                   "replication requires relay=active");
+    }
+    // Standby promotion replays an NVRAM journal, which only the
+    // active relay keeps.
+    if (spec.recovery == RecoveryPolicyKind::kStandby &&
+        spec.relay != RelayMode::kActive) {
+      return error(ErrorCode::kInvalidArgument,
+                   "service " + spec.type +
+                       ": recovery=standby requires relay=active");
+    }
+    if (spec.quorum.enabled) {
+      if (spec.type != "replication") {
         return error(ErrorCode::kInvalidArgument,
                      "service " + spec.type +
-                         ": recovery=standby requires relay=active");
+                         ": quorum stanza is only valid on replication");
       }
-      if (spec.quorum.enabled) {
-        if (spec.type != "replication") {
-          return error(ErrorCode::kInvalidArgument,
-                       "service " + spec.type +
-                           ": quorum stanza is only valid on replication");
-        }
-        if (spec.quorum.write_quorum == 0) {
-          return error(ErrorCode::kInvalidArgument,
-                       "quorum requires w >= 1");
-        }
-        // Copies available = primary + declared replicas; W above that
-        // could never be met.
-        const std::string replicas = spec.param("replicas");
-        unsigned copies = 1;
-        if (!replicas.empty()) {
-          ++copies;
-          for (char c : replicas) {
-            if (c == ',') ++copies;
-          }
-        }
-        if (spec.quorum.write_quorum > copies) {
-          return error(ErrorCode::kInvalidArgument,
-                       "quorum w=" +
-                           std::to_string(spec.quorum.write_quorum) +
-                           " exceeds the " + std::to_string(copies) +
-                           " configured copies");
-        }
-        if (spec.quorum.rebuild_rate_bytes_per_sec == 0) {
-          return error(ErrorCode::kInvalidArgument,
-                       "quorum rebuild rate must be non-zero");
+      if (spec.quorum.write_quorum == 0) {
+        return error(ErrorCode::kInvalidArgument, "quorum requires w >= 1");
+      }
+      // Copies available = primary + declared replicas; W above that
+      // could never be met.
+      const std::string replicas = spec.param("replicas");
+      unsigned copies = 1;
+      if (!replicas.empty()) {
+        ++copies;
+        for (char c : replicas) {
+          if (c == ',') ++copies;
         }
       }
-      if (spec.replicas.enabled) {
-        // A replica set load-balances *flows*, so every instance must
-        // terminate TCP — packet-level relays have no session to pin.
-        if (spec.relay != RelayMode::kActive) {
-          return error(ErrorCode::kInvalidArgument,
-                       "service " + spec.type +
-                           ": replicas requires relay=active");
-        }
-        // Replication owns per-volume version maps: two instances would
-        // silently fork the map. Replica-safety of custom services is
-        // re-checked at deploy time via StorageService::replica_safe().
-        if (spec.type == "replication" || spec.type == "monitor") {
-          return error(ErrorCode::kInvalidArgument,
-                       "service " + spec.type +
-                           " keeps per-volume state and cannot be "
-                           "replicated across instances");
-        }
-        // Standby promotion moves a box into one deployment's chain; a
-        // pooled replica is shared across flows, so the two mechanisms
-        // compose wrong. Replica sets recover by rebalancing instead.
-        if (spec.recovery == RecoveryPolicyKind::kStandby) {
-          return error(ErrorCode::kInvalidArgument,
-                       "service " + spec.type +
-                           ": recovery=standby cannot combine with a "
-                           "replica set (rebalancing is the recovery)");
-        }
-        if (spec.replicas.count == 0 || spec.replicas.min_count == 0) {
-          return error(ErrorCode::kInvalidArgument,
-                       "replicas requires count >= 1 and min >= 1");
-        }
-        if (spec.replicas.min_count > spec.replicas.count ||
-            spec.replicas.count > spec.replicas.max_count) {
-          return error(ErrorCode::kInvalidArgument,
-                       "replicas requires min <= count <= max");
-        }
+      if (spec.quorum.write_quorum > copies) {
+        return error(ErrorCode::kInvalidArgument,
+                     "quorum w=" + std::to_string(spec.quorum.write_quorum) +
+                         " exceeds the " + std::to_string(copies) +
+                         " configured copies");
       }
-      // Bypass is fail-open: known confidentiality-critical built-ins are
-      // rejected here; custom services are re-checked at deploy time via
-      // StorageService::confidentiality_critical().
-      if (spec.recovery == RecoveryPolicyKind::kBypass &&
-          (spec.type == "encryption" || spec.type == "stream_cipher" ||
-           spec.type == "replication")) {
-        return error(ErrorCode::kPermissionDenied,
+      if (spec.quorum.rebuild_rate_bytes_per_sec == 0) {
+        return error(ErrorCode::kInvalidArgument,
+                     "quorum rebuild rate must be non-zero");
+      }
+    }
+    if (spec.replicas.enabled) {
+      // A replica set load-balances *flows*, so every instance must
+      // terminate TCP — packet-level relays have no session to pin.
+      if (spec.relay != RelayMode::kActive) {
+        return error(ErrorCode::kInvalidArgument,
                      "service " + spec.type +
-                         " is confidentiality-critical: recovery=bypass "
-                         "would fail open");
+                         ": replicas requires relay=active");
       }
+      // Replication owns per-volume version maps: two instances would
+      // silently fork the map. Replica-safety of custom services is
+      // re-checked at deploy time via StorageService::replica_safe().
+      if (spec.type == "replication" || spec.type == "monitor") {
+        return error(ErrorCode::kInvalidArgument,
+                     "service " + spec.type +
+                         " keeps per-volume state and cannot be "
+                         "replicated across instances");
+      }
+      // Standby promotion moves a box into one deployment's chain; a
+      // pooled replica is shared across flows, so the two mechanisms
+      // compose wrong. Replica sets recover by rebalancing instead.
+      if (spec.recovery == RecoveryPolicyKind::kStandby) {
+        return error(ErrorCode::kInvalidArgument,
+                     "service " + spec.type +
+                         ": recovery=standby cannot combine with a "
+                         "replica set (rebalancing is the recovery)");
+      }
+      if (spec.replicas.count == 0 || spec.replicas.min_count == 0) {
+        return error(ErrorCode::kInvalidArgument,
+                     "replicas requires count >= 1 and min >= 1");
+      }
+      if (spec.replicas.min_count > spec.replicas.count ||
+          spec.replicas.count > spec.replicas.max_count) {
+        return error(ErrorCode::kInvalidArgument,
+                     "replicas requires min <= count <= max");
+      }
+    }
+    // Bypass is fail-open: known confidentiality-critical built-ins are
+    // rejected here; custom services are re-checked at deploy time via
+    // StorageService::confidentiality_critical().
+    if (spec.recovery == RecoveryPolicyKind::kBypass &&
+        (spec.type == "encryption" || spec.type == "stream_cipher" ||
+         spec.type == "replication")) {
+      return error(ErrorCode::kPermissionDenied,
+                   "service " + spec.type +
+                       " is confidentiality-critical: recovery=bypass "
+                       "would fail open");
     }
   }
   return Status::ok();

@@ -140,8 +140,14 @@ std::optional<std::uint64_t> parse_count(
     const std::string& text, std::uint64_t scale = 1,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
-/// Validate structural rules (each volume has >= 1 service, relay modes
-/// compatible with service types, etc.).
+/// Validate structural rules (each volume has >= 1 service, plus
+/// validate_chain on every chain).
 Status validate_policy(const TenantPolicy& policy);
+
+/// Validate each service spec of one chain (relay modes compatible with
+/// service types and recovery policies, quorum and replicas stanzas,
+/// vCPU counts). An empty chain is valid here; only a policy requires a
+/// service per volume.
+Status validate_chain(const std::vector<ServiceSpec>& chain);
 
 }  // namespace storm::core

@@ -34,14 +34,24 @@ class Aes {
 /// `tweak_key` to encrypt the sector number into the initial tweak.
 class AesXts {
  public:
+  static constexpr std::size_t kSectorSize = 512;
+
   /// Each key is 16 or 32 bytes (both must be the same size).
   AesXts(std::span<const std::uint8_t> data_key,
          std::span<const std::uint8_t> tweak_key);
+  /// `key_pair` is the data key followed by the tweak key: 32 bytes
+  /// (AES-128-XTS) or 64 bytes (AES-256-XTS); any other size throws.
+  explicit AesXts(std::span<const std::uint8_t> key_pair);
 
   void encrypt_sector(std::uint64_t sector, std::span<const std::uint8_t> in,
                       std::span<std::uint8_t> out) const;
   void decrypt_sector(std::uint64_t sector, std::span<const std::uint8_t> in,
                       std::span<std::uint8_t> out) const;
+  /// En- or decrypts `data` in place, one kSectorSize sector at a time,
+  /// the first under tweak `first_sector`; a trailing partial sector is
+  /// left as it is.
+  void crypt_sectors(std::uint64_t first_sector, std::span<std::uint8_t> data,
+                     bool encrypt) const;
 
  private:
   void crypt(bool encrypt, std::uint64_t sector,

@@ -1,8 +1,5 @@
 #include "services/encrypted_disk.hpp"
 
-#include <memory>
-#include <stdexcept>
-
 #include "common/async.hpp"
 
 namespace storm::services {
@@ -27,15 +24,7 @@ sim::Duration cost_of(std::size_t bytes) {
 
 EncryptedDisk::EncryptedDisk(block::BlockDevice& inner, sim::Cpu& cpu,
                              Bytes key)
-    : inner_(inner), cpu_(cpu) {
-  if (key.size() != 32 && key.size() != 64) {
-    throw std::invalid_argument("EncryptedDisk: key must be 32 or 64 bytes");
-  }
-  std::size_t half = key.size() / 2;
-  xts_ = std::make_unique<crypto::AesXts>(
-      std::span<const std::uint8_t>(key.data(), half),
-      std::span<const std::uint8_t>(key.data() + half, half));
-}
+    : inner_(inner), cpu_(cpu), xts_(key) {}
 
 void EncryptedDisk::write(std::uint64_t lba, Bytes data, WriteCallback done) {
   if (data.size() % block::kSectorSize != 0) {
@@ -74,15 +63,7 @@ void EncryptedDisk::cipher(std::uint64_t lba, Bytes data, bool encrypt,
   const sim::Duration half = cost_of(data.size()) / 2;
   auto join = Joiner::make([this, lba, encrypt, data = std::move(data),
                             then = std::move(then)](Status) mutable {
-    for (std::size_t off = 0; off < data.size(); off += block::kSectorSize) {
-      std::span<std::uint8_t> sector(data.data() + off, block::kSectorSize);
-      const std::uint64_t at = lba + off / block::kSectorSize;
-      if (encrypt) {
-        xts_->encrypt_sector(at, sector, sector);
-      } else {
-        xts_->decrypt_sector(at, sector, sector);
-      }
-    }
+    xts_.crypt_sectors(lba, data, encrypt);
     then(std::move(data));
   });
   for (int i = 0; i < 2; ++i) {

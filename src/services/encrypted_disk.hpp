@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "block/block_device.hpp"
 #include "crypto/aes.hpp"
@@ -34,7 +33,7 @@ class EncryptedDisk : public block::BlockDevice {
 
   block::BlockDevice& inner_;
   sim::Cpu& cpu_;
-  std::unique_ptr<crypto::AesXts> xts_;
+  crypto::AesXts xts_;
 };
 
 }  // namespace storm::services

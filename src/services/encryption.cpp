@@ -1,9 +1,5 @@
 #include "services/encryption.hpp"
 
-#include <stdexcept>
-
-#include "block/block_device.hpp"
-
 namespace storm::services {
 
 namespace {
@@ -15,31 +11,7 @@ constexpr sim::Duration kPerIoCost = sim::microseconds(1);
 
 }  // namespace
 
-EncryptionService::EncryptionService(Bytes key) {
-  if (key.size() != 32 && key.size() != 64) {
-    throw std::invalid_argument(
-        "EncryptionService: key must be 32 or 64 bytes (XTS key pair)");
-  }
-  std::size_t half = key.size() / 2;
-  xts_ = std::make_unique<crypto::AesXts>(
-      std::span<const std::uint8_t>(key.data(), half),
-      std::span<const std::uint8_t>(key.data() + half, half));
-}
-
-void EncryptionService::crypt(bool encrypt, std::uint64_t first_sector,
-                              std::span<std::uint8_t> data) {
-  for (std::size_t off = 0; off + block::kSectorSize <= data.size();
-       off += block::kSectorSize) {
-    std::span<std::uint8_t> sector = data.subspan(off, block::kSectorSize);
-    if (encrypt) {
-      xts_->encrypt_sector(first_sector + off / block::kSectorSize, sector,
-                           sector);
-    } else {
-      xts_->decrypt_sector(first_sector + off / block::kSectorSize, sector,
-                           sector);
-    }
-  }
-}
+EncryptionService::EncryptionService(Bytes key) : xts_(key) {}
 
 core::ServiceVerdict EncryptionService::on_pdu(core::ServiceContext& ctx,
                                                core::Direction dir,
@@ -54,7 +26,7 @@ core::ServiceVerdict EncryptionService::on_pdu(core::ServiceContext& ctx,
   // mutable_span() clones the payload iff another holder (journal,
   // retransmit queue) still references the bytes.
   const bool encrypt = dir == core::Direction::kToTarget;
-  crypt(encrypt, *lba, pdu.data.mutable_span());
+  xts_.crypt_sectors(*lba, pdu.data.mutable_span(), encrypt);
   (encrypt ? encrypted_ : decrypted_) += pdu.data.size();
   ctx.scope()
       .counter(encrypt ? "encryption.bytes_encrypted"

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/service.hpp"
@@ -17,8 +16,8 @@ namespace storm::services {
 
 class EncryptionService : public core::StorageService {
  public:
-  /// `key` is 32 or 64 bytes (split into data/tweak halves; 64 bytes
-  /// gives AES-256-XTS as in the paper).
+  /// `key` is the 32- or 64-byte XTS key pair (64 bytes gives
+  /// AES-256-XTS as in the paper).
   explicit EncryptionService(Bytes key);
 
   std::string name() const override { return "encryption"; }
@@ -31,10 +30,7 @@ class EncryptionService : public core::StorageService {
   std::uint64_t bytes_decrypted() const { return decrypted_; }
 
  private:
-  void crypt(bool encrypt, std::uint64_t first_sector,
-             std::span<std::uint8_t> data);
-
-  std::unique_ptr<crypto::AesXts> xts_;
+  crypto::AesXts xts_;
   IoTracker tracker_;
   std::uint64_t encrypted_ = 0;
   std::uint64_t decrypted_ = 0;

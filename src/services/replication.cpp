@@ -74,10 +74,7 @@ void ReplicationService::initialize(std::function<void(Status)> ready) {
 std::size_t ReplicationService::live_replicas() const {
   std::size_t live = 0;
   for (const auto& replica : replicas_) {
-    if (replica->state == ReplicaState::kLive && replica->device != nullptr &&
-        !replica->device_dead) {
-      ++live;
-    }
+    if (replica->readable()) ++live;
   }
   return live;
 }
@@ -121,14 +118,7 @@ core::ServiceVerdict ReplicationService::on_to_target(
     verdict.cpu_cost = kPerIoCost;
     // Round-robin across primary + up-to-date replicas for aggregate
     // read throughput. Slot 0 is the primary (forward unchanged).
-    std::size_t readable = 0;
-    for (const auto& replica : replicas_) {
-      if (replica->state == ReplicaState::kLive &&
-          replica->device != nullptr && !replica->device_dead) {
-        ++readable;
-      }
-    }
-    std::size_t choice = round_robin_++ % (1 + readable);
+    std::size_t choice = round_robin_++ % (1 + live_replicas());
     if (choice == 0) {
       ++reads_primary_;
       return verdict;  // forwarded to the primary volume
@@ -136,10 +126,7 @@ core::ServiceVerdict ReplicationService::on_to_target(
     std::size_t seen = 0;
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
       const Replica& replica = *replicas_[i];
-      if (replica.state != ReplicaState::kLive || replica.device == nullptr ||
-          replica.device_dead) {
-        continue;
-      }
+      if (!replica.readable()) continue;
       if (++seen == choice) {
         serve_read_from_replica(i, pdu, ctx);
         verdict.consume = true;
@@ -605,8 +592,7 @@ void ReplicationService::rebuild_read_source(
   for (std::size_t j = 0; j < replicas_.size(); ++j) {
     if (j == i) continue;
     Replica& replica = *replicas_[j];
-    if (replica.state == ReplicaState::kLive && replica.device != nullptr &&
-        !replica.device_dead) {
+    if (replica.readable()) {
       replica.device->read(lba, sectors, std::move(done));
       return;
     }

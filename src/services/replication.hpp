@@ -122,6 +122,12 @@ class ReplicationService : public core::StorageService {
     /// rebuild can target it.
     bool device_dead = false;
     bool attaching = false;
+    /// In read rotation with a working session: may serve reads and
+    /// rebuild sources.
+    bool readable() const {
+      return state == ReplicaState::kLive && device != nullptr &&
+             !device_dead;
+    }
     /// Sector extents this copy missed.
     ExtentSet dirty;
     std::shared_ptr<CopyMachine> machine;

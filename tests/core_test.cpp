@@ -690,6 +690,8 @@ TEST_F(StormTest, UnknownServiceTypeFailsDeploy) {
       [&](Result<DeploymentHandle> r) { status = r.status(); });
   sim_.run();
   EXPECT_EQ(status.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(cloud_.find_vm("mb-1-ghost"), nullptr)
+      << "no middle-box VM may be created for an unknown service type";
 }
 
 TEST_F(StormTest, OutOfRangeHostFailsDeployBeforeAnyVm) {
@@ -707,6 +709,66 @@ TEST_F(StormTest, OutOfRangeHostFailsDeployBeforeAnyVm) {
   EXPECT_EQ(cloud_.find_vm("mb-1-noop"), nullptr)
       << "no middle-box VM may be created for an unknown host";
   EXPECT_FALSE(platform_.find_deployment("vm1", "vol1").valid());
+}
+
+// validate_policy rejects each of these specs, and both direct deploy
+// entry points must refuse them too: with the same error, and before
+// any middle-box VM exists, since the cloud cannot destroy a VM. (A
+// vcpus=0 box would only stall the login until TCP gives up: a 0-core
+// CPU never runs a task.)
+TEST_F(StormTest, InvalidSpecsFailDeployBeforeAnyVm) {
+  cloud_.create_vm("vm1", "alice", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol1", 10'000).is_ok());
+  std::vector<ServiceSpec> bad(4);
+  for (ServiceSpec& spec : bad) spec.type = "noop";
+  bad[0].vcpus = 0;
+  bad[1].quorum.enabled = true;  // quorum is replication's alone
+  bad[2].replicas.enabled = true;
+  bad[2].recovery = RecoveryPolicyKind::kStandby;
+  bad[3].replicas.enabled = true;
+  bad[3].replicas.min_count = 3;
+  bad[3].replicas.count = 2;
+  bad[3].replicas.max_count = 1;
+
+  std::vector<Status> expected;
+  for (const ServiceSpec& spec : bad) {
+    TenantPolicy policy;
+    policy.tenant = "alice";
+    policy.volumes.push_back(VolumePolicy{"vm1", "vol1", {spec}});
+    expected.push_back(validate_policy(policy));
+    ASSERT_FALSE(expected.back().is_ok());
+
+    bool called = false;
+    Status status = Status::ok();
+    platform_.attach_with_chain("vm1", "vol1", {spec},
+                                [&](Result<DeploymentHandle> r) {
+                                  called = true;
+                                  status = r.status();
+                                });
+    sim_.run();
+    ASSERT_TRUE(called) << expected.back().to_string();
+    EXPECT_EQ(status.code(), expected.back().code());
+    EXPECT_EQ(status.message(), expected.back().message());
+  }
+  for (int id = 1; id <= 8; ++id) {
+    const std::string label = "mb-" + std::to_string(id) + "-noop";
+    EXPECT_EQ(cloud_.find_vm(label), nullptr) << label;
+    EXPECT_EQ(cloud_.find_vm(label + "-sb"), nullptr) << label;
+  }
+  EXPECT_FALSE(platform_.find_deployment("vm1", "vol1").valid());
+
+  // add_middlebox runs the same check on the spec it would insert.
+  ServiceSpec fwd;
+  fwd.type = "noop";
+  fwd.relay = RelayMode::kForward;
+  DeploymentHandle dep = deploy("vm1", "vol1", {fwd});
+  ServiceSpec zero_cores = fwd;
+  zero_cores.vcpus = 0;
+  Status added = dep.add_middlebox(zero_cores, 1);
+  EXPECT_EQ(added.code(), expected[0].code());
+  EXPECT_EQ(added.message(), expected[0].message());
+  EXPECT_EQ(dep.chain_length(), 1u);
+  EXPECT_EQ(cloud_.find_vm("mb-2-noop"), nullptr);
 }
 
 // --- semantics reconstruction -----------------------------------------------------

@@ -115,6 +115,40 @@ TEST(AesXts, RejectsUnalignedLength) {
   EXPECT_THROW(xts.encrypt_sector(0, pt, ct), std::invalid_argument);
 }
 
+// The key-pair constructor splits data key | tweak key, and the in-place
+// sector loop is encrypt_sector at consecutive tweaks with any trailing
+// partial sector left as it is.
+TEST(AesXts, KeyPairSectorLoopMatchesPerSectorCalls) {
+  for (std::size_t size : {0, 16, 31, 48, 65, 128}) {
+    EXPECT_THROW(AesXts{Bytes(size)}, std::invalid_argument) << size;
+  }
+  for (std::size_t half : {16, 32}) {
+    Bytes pair(2 * half);
+    for (std::size_t i = 0; i < pair.size(); ++i) {
+      pair[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    }
+    const AesXts split(std::span<const std::uint8_t>(pair).first(half),
+                       std::span<const std::uint8_t>(pair).last(half));
+    const AesXts xts(pair);
+    const std::uint64_t first = (1ull << 32) - 1;
+    Bytes pt(3 * AesXts::kSectorSize + 100);
+    for (std::size_t i = 0; i < pt.size(); ++i) {
+      pt[i] = static_cast<std::uint8_t>(i ^ (i >> 8));
+    }
+    Bytes expect = pt;
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      std::span<std::uint8_t> sector(expect.data() + s * AesXts::kSectorSize,
+                                     AesXts::kSectorSize);
+      split.encrypt_sector(first + s, sector, sector);
+    }
+    Bytes data = pt;
+    xts.crypt_sectors(first, data, /*encrypt=*/true);
+    EXPECT_EQ(data, expect) << "key pair of " << pair.size() << " bytes";
+    xts.crypt_sectors(first, data, /*encrypt=*/false);
+    EXPECT_EQ(data, pt);
+  }
+}
+
 // --- ChaCha20: RFC 8439 -----------------------------------------------------
 
 TEST(ChaCha20, Rfc8439BlockFunction) {

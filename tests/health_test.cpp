@@ -55,6 +55,60 @@ class HealthTest : public ::testing::Test {
     return spec;
   }
 
+  // The probe both failover policies must pass with the initiator's
+  // session recovery left at its default (off): one active relay, 20
+  // writes 2 ms apart, the relay killed at t=7 ms. The failover itself
+  // must arm session recovery; without it 16 of the 20 writes fail.
+  void expect_failover_without_caller_recovery(RecoveryPolicyKind policy) {
+    cloud::Vm& vm = cloud_.create_vm("vm", "t", 0);
+    ASSERT_TRUE(cloud_.create_volume("vol", 20'000).is_ok());
+    DeploymentHandle dep =
+        deploy("vm", "vol", {noop_spec(RelayMode::kActive, policy)});
+    ASSERT_TRUE(dep.valid());
+    ASSERT_FALSE(dep.attachment()->initiator->recovery_policy().enabled);
+    platform_.health().start();
+
+    constexpr int kWrites = 20;
+    constexpr std::uint32_t kSectors = 16;
+    int succeeded = 0;
+    int failed = 0;
+    for (int i = 0; i < kWrites; ++i) {
+      sim_.schedule_in(sim::milliseconds(2) * i, [&, i] {
+        vm.disk()->write(
+            static_cast<std::uint64_t>(i) * kSectors,
+            testutil::pattern_bytes(kSectors * block::kSectorSize,
+                                    static_cast<std::uint8_t>(i + 1)),
+            [&](Status s) { ++(s.is_ok() ? succeeded : failed); });
+      });
+    }
+    sim_.schedule_in(sim::milliseconds(7),
+                     [&] { (void)dep.crash_middlebox(0); });
+    sim_.run_for(sim::seconds(1));
+    platform_.health().stop();
+    sim_.run();
+
+    EXPECT_EQ(succeeded, kWrites);
+    EXPECT_EQ(failed, 0);
+    EXPECT_EQ(platform_.health().failures_detected(), 1u);
+    EXPECT_EQ(platform_.health().recoveries_completed(), 1u);
+    const auto spans =
+        sim_.telemetry().tracer().spans_named("failover.vm:vol");
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_TRUE(spans[0]->ended) << "the failover never finished";
+
+    Bytes expected;
+    for (int i = 0; i < kWrites; ++i) {
+      Bytes chunk = testutil::pattern_bytes(kSectors * block::kSectorSize,
+                                            static_cast<std::uint8_t>(i + 1));
+      expected.insert(expected.end(), chunk.begin(), chunk.end());
+    }
+    auto volume = cloud_.storage(0).volumes().find_by_name("vol");
+    ASSERT_TRUE(volume.is_ok());
+    EXPECT_TRUE(testutil::same_bytes(
+        volume.value()->disk().store().read_sync(0, kWrites * kSectors),
+        expected));
+  }
+
   sim::Simulator sim_;
   cloud::Cloud cloud_;
   core::StormPlatform platform_;
@@ -172,6 +226,14 @@ TEST_F(HealthTest, BypassRoutesAroundDeadMonitorBox) {
   EXPECT_EQ(got, data);
   EXPECT_EQ(sim_.telemetry().counter("health.bypasses").value(), 1u);
   platform_.health().stop();
+}
+
+TEST_F(HealthTest, StandbyArmsSessionRecoveryItself) {
+  expect_failover_without_caller_recovery(RecoveryPolicyKind::kStandby);
+}
+
+TEST_F(HealthTest, BypassArmsSessionRecoveryItself) {
+  expect_failover_without_caller_recovery(RecoveryPolicyKind::kBypass);
 }
 
 TEST_F(HealthTest, BypassIsRejectedAtDeployTimeForConfidentialityServices) {
